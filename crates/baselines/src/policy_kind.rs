@@ -153,28 +153,45 @@ impl PolicyKind {
 mod tests {
     use super::*;
 
+    const ALL_KINDS: [PolicyKind; 12] = [
+        PolicyKind::Lru,
+        PolicyKind::Random,
+        PolicyKind::TreePlru,
+        PolicyKind::Srrip,
+        PolicyKind::Drrip,
+        PolicyKind::Mdpp,
+        PolicyKind::Ship,
+        PolicyKind::Sdbp,
+        PolicyKind::Perceptron,
+        PolicyKind::MpppbSingle,
+        PolicyKind::MpppbMulti,
+        PolicyKind::MpppbAdaptive,
+    ];
+
     #[test]
     fn every_policy_builds_for_both_llc_geometries() {
         for llc in [CacheConfig::llc_single(), CacheConfig::llc_multi()] {
-            for kind in [
-                PolicyKind::Lru,
-                PolicyKind::Random,
-                PolicyKind::TreePlru,
-                PolicyKind::Srrip,
-                PolicyKind::Drrip,
-                PolicyKind::Mdpp,
-                PolicyKind::Ship,
-                PolicyKind::Sdbp,
-                PolicyKind::Perceptron,
-                PolicyKind::MpppbSingle,
-                PolicyKind::MpppbMulti,
-                PolicyKind::MpppbAdaptive,
-            ] {
+            for kind in ALL_KINDS {
                 let p = kind.build(&llc);
                 assert!(!p.name().is_empty());
             }
             let h = PolicyKind::hawkeye(&llc);
             assert_eq!(h.name(), "hawkeye");
+        }
+    }
+
+    #[test]
+    fn no_policy_subscribes_to_upcoming_access_windows() {
+        // No front-end announces windows any more, so a policy that
+        // subscribed would silently receive none and run a path nothing
+        // exercises.
+        let llc = CacheConfig::llc_single();
+        let policies = ALL_KINDS
+            .iter()
+            .map(|kind| kind.build(&llc))
+            .chain([PolicyKind::hawkeye(&llc)]);
+        for p in policies {
+            assert!(!p.uses_upcoming_accesses(), "{} subscribes", p.name());
         }
     }
 

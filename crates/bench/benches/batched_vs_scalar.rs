@@ -1,21 +1,23 @@
 //! Hot-path kernel benches: the per-feature compiled path against the
-//! lane-SoA kernels at every available SIMD level, the batched front-end
-//! at widths 1/4/8, the gather-sum confidence kernel pair, and the
+//! lane-SoA kernels at every available SIMD level, the gather-sum
+//! confidence kernel pair, and the
 //! batched saturating weight-update (train-apply) kernel across event
 //! counts straddling the vector threshold.
 //!
 //! Companion to `bench_snapshot`'s `batched_hot_path` section (which
 //! records the same comparisons as committed JSON); this bench gives the
-//! interactive per-width view. All kernels compute identical offsets —
+//! interactive view. All kernels compute identical offsets —
 //! `mrp-verify`'s kernel-identity pass proves it — so every line here is
 //! pure throughput, not a behavioral variant.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mrp_core::context::FeatureContext;
-use mrp_core::plan::MAX_BATCH;
 use mrp_core::simd::{self, ApplyScratch, GATHER_PAD};
 use mrp_core::tables::{WeightTables, WEIGHT_MAX, WEIGHT_MIN};
 use mrp_core::{feature_sets, FeaturePlan};
+
+/// Contexts rotated through by the per-access benches.
+const CONTEXTS: usize = 16;
 
 /// A rolling window of deterministic contexts sharing one history.
 fn contexts(history: &[u64], n: usize) -> Vec<FeatureContext<'_>> {
@@ -38,7 +40,7 @@ fn bench_index_kernels(c: &mut Criterion) {
     let features = feature_sets::table_1a();
     let plan = FeaturePlan::new(&features);
     let history: Vec<u64> = (0..18).map(|i| 0x40_0000 + i * 1357).collect();
-    let ctxs = contexts(&history, MAX_BATCH);
+    let ctxs = contexts(&history, CONTEXTS);
 
     let mut group = c.benchmark_group("index_kernels");
     group.throughput(Throughput::Elements(1));
@@ -69,28 +71,6 @@ fn bench_index_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_widths(c: &mut Criterion) {
-    let features = feature_sets::table_1a();
-    let plan = FeaturePlan::new(&features);
-    let history: Vec<u64> = (0..18).map(|i| 0x40_0000 + i * 1357).collect();
-    let ctxs = contexts(&history, MAX_BATCH);
-
-    // Throughput is per access, so widths compare directly: a wider batch
-    // wins when its per-element time drops below the width-1 line.
-    let mut group = c.benchmark_group("batched_offsets");
-    for width in [1usize, MAX_BATCH / 2, MAX_BATCH] {
-        group.throughput(Throughput::Elements(width as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(width), &width, |b, &width| {
-            let mut out = Vec::with_capacity(width * 16);
-            b.iter(|| {
-                plan.compute_offsets_batch(&ctxs[..width], &mut out);
-                criterion::black_box(out.len())
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_gather_sum(c: &mut Criterion) {
     let features = feature_sets::table_1a();
     let plan = FeaturePlan::new(&features);
@@ -106,7 +86,7 @@ fn bench_gather_sum(c: &mut Criterion) {
         }
     }
     let history: Vec<u64> = (0..18).map(|i| 0x40_0000 + i * 1357).collect();
-    let ctxs = contexts(&history, MAX_BATCH);
+    let ctxs = contexts(&history, CONTEXTS);
     let mut offsets = Vec::with_capacity(16);
     plan.compute_offsets(&ctxs[0], &mut offsets);
 
@@ -173,7 +153,6 @@ fn bench_train_apply(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_index_kernels,
-    bench_batch_widths,
     bench_gather_sum,
     bench_train_apply
 );

@@ -7,7 +7,7 @@ use mrp_trace::{MemoryAccess, ServiceLevel};
 use crate::cache::Cache;
 use crate::config::CacheConfig;
 use crate::policies::Lru;
-use crate::policy::{ReplacementPolicy, UpcomingAccess};
+use crate::policy::ReplacementPolicy;
 use crate::prefetch::StreamPrefetcher;
 use crate::replay::LlcRecording;
 use crate::stats::HierarchyStats;
@@ -108,8 +108,6 @@ pub struct Hierarchy {
     latencies: LevelLatencies,
     /// Scratch: deferred LLC operations of the current access group.
     batch_ops: Vec<LlcOp>,
-    /// Scratch: the group's LLC-bound accesses, announced to the policy.
-    batch_window: Vec<UpcomingAccess>,
 }
 
 impl fmt::Debug for Hierarchy {
@@ -144,7 +142,6 @@ impl Hierarchy {
             llc,
             latencies: config.latencies,
             batch_ops: Vec::new(),
-            batch_window: Vec::new(),
         }
     }
 
@@ -163,10 +160,7 @@ impl Hierarchy {
     ///    because L1/L2/prefetcher never consult the LLC (the invariant
     ///    record/replay is built on) — queueing every LLC operation in
     ///    the exact order the fused path would execute it;
-    /// 2. the group's LLC-bound accesses are announced through
-    ///    [`ReplacementPolicy::on_upcoming_accesses`], letting policies
-    ///    like MPPPB batch their prediction stage;
-    /// 3. the queued LLC operations drain in order, resolving each
+    /// 2. the queued LLC operations drain in order, resolving each
     ///    LLC-bound access's hit/miss and hence its latency.
     pub fn access_batch(&mut self, accesses: &[MemoryAccess], out: &mut Vec<HierarchyAccess>) {
         out.clear();
@@ -202,26 +196,7 @@ impl Hierarchy {
                 },
             });
         }
-        // Phase 2: announce the group's LLC accesses (fills + demands,
-        // in drain order) to window-consuming policies.
-        if self.llc.policy_mut().uses_upcoming_accesses() {
-            self.batch_window.clear();
-            for op in &self.batch_ops {
-                match op {
-                    LlcOp::PrefetchFill(pf) => {
-                        self.batch_window.push(UpcomingAccess::new(pf, true));
-                    }
-                    LlcOp::Demand(_, a) => {
-                        self.batch_window.push(UpcomingAccess::new(a, false));
-                    }
-                    LlcOp::CoreAccess(_) => {}
-                }
-            }
-            self.llc
-                .policy_mut()
-                .on_upcoming_accesses(&self.batch_window);
-        }
-        // Phase 3: drain the LLC operations in fused order.
+        // Phase 2: drain the LLC operations in fused order.
         for op in &self.batch_ops {
             match op {
                 LlcOp::CoreAccess(a) => self.llc.policy_mut().on_core_access(a),

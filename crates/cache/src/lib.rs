@@ -48,26 +48,15 @@ pub use prefetch::StreamPrefetcher;
 pub use replay::{LlcRecording, RecordedWindow};
 pub use stats::{CacheStats, HierarchyStats};
 
-/// The LLC lookahead window, in LLC-bound events.
-///
-/// Every batched front-end shares this one constant: the replay loops'
-/// tag-row software-prefetch depth, the [`UpcomingAccess`] window handed
-/// to policies via [`ReplacementPolicy::on_upcoming_accesses`], and the
-/// hierarchy's grouped access drain. Unifying them here keeps batch
-/// width and prefetch depth from silently diverging (they were two
-/// hardcoded `8`s before).
-pub const LLC_LOOKAHEAD: usize = 8;
-
 /// Trace accesses pulled per hierarchy batch group
 /// ([`Hierarchy::access_batch`]).
 ///
-/// Deliberately decoupled from [`LLC_LOOKAHEAD`]: that constant counts
-/// *LLC-bound events*, but most trace accesses hit the private levels
-/// and never reach the LLC (the suite's LLC-bound fraction is roughly
-/// 1/6), so a group must span several times more trace accesses than
-/// the window it feeds. 64 trace accesses yield `UpcomingAccess`
-/// windows of about 8–16 LLC events — wide enough to amortize the
-/// batched index kernel's fixed cost. Grouping is latency-invisible:
-/// per-access outcomes and statistics are bit-identical for any group
-/// size (see `access_batch_is_bit_identical_to_sequential`).
+/// A group runs the private levels for all its accesses first, then
+/// drains the queued LLC operations in order; 64 trace accesses is
+/// roughly 8–16 LLC operations on this suite (about 1 in 6 accesses
+/// reaches the LLC). Whether that private-first grouping pays end to
+/// end has not been measured on its own. Grouping is
+/// latency-invisible: per-access outcomes and statistics are
+/// bit-identical for any group size (see
+/// `access_batch_is_bit_identical_to_sequential`).
 pub const HIERARCHY_BATCH: usize = 64;

@@ -30,15 +30,10 @@ pub struct AccessInfo {
 /// The fake PC attributed to hardware prefetches.
 pub const PREFETCH_PC: u64 = 0xffff_ffff_f000;
 
-/// One LLC-bound access a batched front-end announces ahead of time
-/// through [`ReplacementPolicy::on_upcoming_accesses`].
-///
-/// Carries exactly the stream-derivable facts: PC (already substituted
-/// with [`PREFETCH_PC`] for prefetches, matching what
-/// [`AccessInfo::from_access`] will later present), address, core, and
-/// the prefetch flag. Outcome-dependent state (MRU/insert/last-miss) is
-/// *not* known ahead of time; policies that precompute from the window
-/// must patch those in at access time.
+/// One LLC-bound access announced ahead of time through
+/// [`ReplacementPolicy::on_upcoming_accesses`]: PC (with
+/// [`PREFETCH_PC`] substituted for prefetches), address, core, and the
+/// prefetch flag. Goes with that hook (see there).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpcomingAccess {
     /// PC of the instruction (or [`PREFETCH_PC`] for prefetches).
@@ -49,20 +44,6 @@ pub struct UpcomingAccess {
     pub core: u8,
     /// Whether this will arrive as a hardware prefetch.
     pub is_prefetch: bool,
-}
-
-impl UpcomingAccess {
-    /// Builds the announcement for `access`, applying the prefetch-PC
-    /// substitution.
-    #[inline]
-    pub fn new(access: &MemoryAccess, is_prefetch: bool) -> Self {
-        UpcomingAccess {
-            pc: if is_prefetch { PREFETCH_PC } else { access.pc },
-            address: access.address,
-            core: access.core,
-            is_prefetch,
-        }
-    }
 }
 
 impl AccessInfo {
@@ -122,21 +103,22 @@ pub trait ReplacementPolicy {
         false
     }
 
-    /// Announces the next LLC-bound accesses, in the exact order they
-    /// will subsequently be presented to this policy. Batched front-ends
-    /// (the hierarchy's grouped LLC drain and both replay loops) deliver
-    /// one window at a time; a policy may precompute whatever is
-    /// stream-derivable (e.g. batched feature-index computation) and
-    /// consume it as the real accesses arrive. The window is purely
-    /// advisory: a policy must produce bit-identical results whether or
-    /// not (and how often) it is called. Default: no-op.
+    /// Announces the next LLC-bound accesses, in the order they will be
+    /// presented to this policy. Advisory: a policy must produce
+    /// bit-identical results whether or not it is called. Default:
+    /// no-op.
+    ///
+    /// No front-end in the workspace calls this hook any more, and no
+    /// shipped policy overrides it. It stays only because the
+    /// benchmark's forwarding policy wrapper implements it, and goes in
+    /// the next change that edits the benchmark.
     fn on_upcoming_accesses(&mut self, window: &[UpcomingAccess]) {
         let _ = window;
     }
 
     /// Whether [`ReplacementPolicy::on_upcoming_accesses`] does anything.
-    /// Must return `true` for any policy that overrides (or forwards) the
-    /// hook; front-ends skip building the window when this is `false`.
+    /// Nothing in the workspace calls the hook, so a policy returning
+    /// `true` would silently receive no windows. Goes with the hook.
     fn uses_upcoming_accesses(&self) -> bool {
         false
     }

@@ -33,7 +33,6 @@ use mrp_trace::{AccessKind, MemoryAccess, ServiceLevel, StreamEvent};
 
 use crate::cache::Cache;
 use crate::hierarchy::{CorePrivate, HierarchyConfig};
-use crate::policy::UpcomingAccess;
 use crate::stats::{CacheStats, HierarchyStats};
 
 /// Magic of the recording trailer that follows the v2 event stream.
@@ -276,6 +275,14 @@ impl LlcRecording {
             .collect()
     }
 
+    /// Replay loops run this many LLC events ahead of the serial update
+    /// loop, software-prefetching each upcoming access's tag row
+    /// ([`Cache::prefetch_block`]). Sized to cover the tag-array fetch
+    /// latency without thrashing L1: at 4–8 events the row arrives
+    /// before the update loop needs it (see DESIGN.md "Hot-path
+    /// layout").
+    pub const REPLAY_LOOKAHEAD: usize = 8;
+
     /// Replays only the LLC-reaching events into `cache` — the MPKI-only
     /// fast path (no timing model, no L1/L2 work).
     ///
@@ -285,47 +292,8 @@ impl LlcRecording {
     /// because only the perceptron baseline implements the hook (and the
     /// fast path is not used to evaluate it). Use `mrp-cpu`'s full
     /// replay when hook exactness or timing matters.
-    /// Replay loops run this many LLC events ahead of the serial update
-    /// loop, software-prefetching each upcoming access's tag row
-    /// ([`Cache::prefetch_block`]) and delivering the same span as the
-    /// policy's [`ReplacementPolicy::on_upcoming_accesses`] window.
-    /// Sized (via [`crate::LLC_LOOKAHEAD`]) to cover the tag-array fetch
-    /// latency without thrashing L1: at 4–8 events the row arrives
-    /// before the update loop needs it (see DESIGN.md "Hot-path
-    /// layout").
-    pub const REPLAY_LOOKAHEAD: usize = crate::LLC_LOOKAHEAD;
-
-    /// Builds the [`UpcomingAccess`] window starting at LLC-event
-    /// position `llc_pos` (up to [`crate::LLC_LOOKAHEAD`] entries) into
-    /// `out`. Shared by both replay loops so every batching front-end
-    /// announces the exact same stream the policy subsequently observes.
-    pub fn upcoming_window(&self, llc_pos: usize, out: &mut Vec<UpcomingAccess>) {
-        out.clear();
-        let end = (llc_pos + crate::LLC_LOOKAHEAD).min(self.llc_events.len());
-        for &i in &self.llc_events[llc_pos..end] {
-            let i = i as usize;
-            let is_prefetch = self.flags[i] & FLAG_PREFETCH != 0;
-            out.push(UpcomingAccess {
-                pc: if is_prefetch {
-                    crate::policy::PREFETCH_PC
-                } else {
-                    self.pcs[i]
-                },
-                address: self.addresses[i],
-                core: self.cores[i],
-                is_prefetch,
-            });
-        }
-    }
-
     pub fn replay_llc(&self, cache: &mut Cache) {
-        let batched = cache.policy_mut().uses_upcoming_accesses();
-        let mut window = Vec::with_capacity(crate::LLC_LOOKAHEAD);
         for (n, &i) in self.llc_events.iter().enumerate() {
-            if batched && n % crate::LLC_LOOKAHEAD == 0 {
-                self.upcoming_window(n, &mut window);
-                cache.policy_mut().on_upcoming_accesses(&window);
-            }
             if let Some(&ahead) = self.llc_events.get(n + Self::REPLAY_LOOKAHEAD) {
                 cache.prefetch_block(self.block_at(ahead as usize));
             }

@@ -13,7 +13,7 @@
 //! predictor trains continuously either way, so switching back is
 //! instant.
 
-use mrp_cache::{AccessInfo, CacheConfig, ReplacementPolicy, UpcomingAccess};
+use mrp_cache::{AccessInfo, CacheConfig, ReplacementPolicy};
 use mrp_trace::MemoryAccess;
 
 use crate::mpppb::{Mpppb, MpppbConfig};
@@ -110,14 +110,6 @@ impl ReplacementPolicy for AdaptiveMpppb {
 
     fn on_access(&mut self, info: &AccessInfo) {
         self.inner.on_access(info);
-    }
-
-    fn on_upcoming_accesses(&mut self, window: &[UpcomingAccess]) {
-        self.inner.on_upcoming_accesses(window);
-    }
-
-    fn uses_upcoming_accesses(&self) -> bool {
-        self.inner.uses_upcoming_accesses()
     }
 
     fn set_confidence_tracking(&mut self, enabled: bool) {

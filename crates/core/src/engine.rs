@@ -13,16 +13,12 @@
 //! The facade is policy-agnostic: anything implementing
 //! [`ReplacementPolicy`] plugs in through
 //! [`EngineConfig::policy_with`]. Batch submission reproduces the exact
-//! hook protocol the replay loops use — announced windows of
-//! [`LLC_LOOKAHEAD`] accesses when the policy subscribes, per-access
-//! core-stream delivery when it observes core accesses — so an engine
-//! fed the same stream as a legacy loop lands on bit-identical state
-//! (held to that by the facade-equivalence tests in `mrp-experiments`).
+//! hook protocol the replay loops use — per-access core-stream delivery
+//! when the policy observes core accesses — so an engine fed the same
+//! stream as a legacy loop lands on bit-identical state (held to that by
+//! the facade-equivalence tests in `mrp-experiments`).
 
-use mrp_cache::{
-    AccessResult, Cache, CacheConfig, CacheStats, LlcRecording, ReplacementPolicy, UpcomingAccess,
-    LLC_LOOKAHEAD,
-};
+use mrp_cache::{AccessResult, Cache, CacheConfig, CacheStats, LlcRecording, ReplacementPolicy};
 use mrp_trace::MemoryAccess;
 
 use crate::options::RuntimeOptions;
@@ -121,7 +117,6 @@ impl EngineConfig {
             label: self.label,
             processed: 0,
             decisions: Decisions::default(),
-            window: Vec::new(),
         }
     }
 }
@@ -178,50 +173,34 @@ pub struct PredictionEngine {
     label: String,
     processed: u64,
     decisions: Decisions,
-    /// Scratch for the advisory-window announcements, reused across
-    /// batches so the hot submit path never allocates.
-    window: Vec<UpcomingAccess>,
 }
 
 impl PredictionEngine {
-    /// Submits demand accesses in order, announcing them ahead of time
-    /// in [`LLC_LOOKAHEAD`]-sized windows when the policy subscribes
-    /// (the same advisory protocol the batched replay front-ends use)
-    /// and mirroring the core stream into
-    /// [`ReplacementPolicy::on_core_access`] when the policy observes
-    /// it. Returns the outcome tally for this batch.
+    /// Submits demand accesses in order, mirroring the core stream into
+    /// [`ReplacementPolicy::on_core_access`] when the policy observes it.
+    /// Returns the outcome tally for this batch.
     pub fn submit_batch(&mut self, batch: &[Access]) -> Decisions {
-        let windowed = self.llc.policy_mut().uses_upcoming_accesses();
         let core_stream = self.llc.policy_mut().uses_core_accesses();
-        let mut window = std::mem::take(&mut self.window);
         let mut tally = Decisions::default();
-        for chunk in batch.chunks(LLC_LOOKAHEAD.max(1)) {
-            if windowed {
-                window.clear();
-                window.extend(chunk.iter().map(|a| UpcomingAccess::new(a, false)));
-                self.llc.policy_mut().on_upcoming_accesses(&window);
+        for access in batch {
+            if core_stream {
+                self.llc.policy_mut().on_core_access(access);
             }
-            for access in chunk {
-                if core_stream {
-                    self.llc.policy_mut().on_core_access(access);
-                }
-                match self.llc.access(access, false) {
-                    AccessResult::Hit => tally.hits += 1,
-                    AccessResult::Miss { .. } => tally.misses += 1,
-                    AccessResult::Bypassed => tally.bypassed += 1,
-                }
-                tally.processed += 1;
+            match self.llc.access(access, false) {
+                AccessResult::Hit => tally.hits += 1,
+                AccessResult::Miss { .. } => tally.misses += 1,
+                AccessResult::Bypassed => tally.bypassed += 1,
             }
+            tally.processed += 1;
         }
-        self.window = window;
         self.processed += tally.processed;
         self.decisions.merge(&tally);
         tally
     }
 
     /// Replays a recorded LLC stream through this engine — the exact
-    /// filtered-stream protocol (lookahead prefetches, announced
-    /// windows, core-stream delivery) of `LlcRecording::replay_llc`.
+    /// filtered-stream protocol (lookahead prefetches, core-stream
+    /// delivery) of `LlcRecording::replay_llc`.
     pub fn replay(&mut self, recording: &LlcRecording) {
         recording.replay_llc(&mut self.llc);
     }
@@ -315,7 +294,7 @@ mod tests {
 
     #[test]
     fn submit_batch_is_window_invariant() {
-        // The announced window is advisory: feeding the same stream in
+        // Batch boundaries carry no state: feeding the same stream in
         // different batch sizes must land on identical stats.
         let accesses = stream(2048);
         let mut whole = engine(false);

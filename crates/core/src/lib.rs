@@ -25,7 +25,7 @@
 //! * [`feature_sets`] — the published feature sets (Tables 1(a), 1(b), 2)
 //!   and tuned threshold/position parameters.
 //! * [`options`] — typed [`RuntimeOptions`] for the process-wide
-//!   execution knobs (SIMD dispatch, window delivery, thread count),
+//!   execution knobs (SIMD dispatch, thread count),
 //!   with the legacy environment variables as fallback.
 //! * [`engine`] — the [`PredictionEngine`] facade: one typed front door
 //!   ([`EngineConfig`] builder, batch submission, stats snapshots) that

@@ -15,49 +15,12 @@
 use std::fmt;
 
 use mrp_cache::policies::{MdppConfig, PlruTree, RripState, RRIP_MAX};
-use mrp_cache::{AccessInfo, CacheConfig, ReplacementPolicy, UpcomingAccess};
+use mrp_cache::{AccessInfo, CacheConfig, ReplacementPolicy};
 
-use crate::context::{FeatureContext, PcHistory, SetState, HISTORY_DEPTH};
+use crate::context::{FeatureContext, PcHistory, SetState};
 use crate::feature::Feature;
 use crate::feature_sets;
-use crate::plan::MAX_BATCH;
 use crate::predictor::MultiperspectivePredictor;
-
-/// Typed override for announced-window delivery, installed by
-/// `RuntimeOptions::install` (`crate::options`): `0` = unset (the
-/// `MRP_NO_WINDOW` environment variable decides), `1` = disabled, `2` =
-/// enabled.
-static WINDOW_OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Installs (or with `None` clears) the typed window-delivery override.
-/// `Some(false)` disables the announced-window pipeline (the fused
-/// per-access fallback runs instead); `Some(true)` forces it on; `None`
-/// restores the `MRP_NO_WINDOW` fallback. Purely a throughput knob —
-/// results are bit-identical either way (the window hook is advisory).
-pub fn set_window_override(enabled: Option<bool>) {
-    let encoded = match enabled {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    WINDOW_OVERRIDE.store(encoded, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Whether MPPPB policies subscribe to announced windows right now: the
-/// typed override when installed, otherwise the once-per-process
-/// `MRP_NO_WINDOW` decision.
-pub fn window_delivery_enabled() -> bool {
-    match WINDOW_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            static DISABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-            !*DISABLED.get_or_init(
-                || matches!(std::env::var("MRP_NO_WINDOW"), Ok(v) if !v.is_empty() && v != "0"),
-            )
-        }
-    }
-}
 
 /// Number of fixed bins in the per-decision confidence histogram
 /// ([`ReplacementPolicy::confidence_histogram`]).
@@ -188,45 +151,6 @@ enum DefaultState {
     Srrip(RripState),
 }
 
-/// Whether the announced entry `u` is the access that actually arrived —
-/// checked before a precomputed entry is consumed so the window stays
-/// purely advisory.
-#[inline]
-fn announced_matches(u: &UpcomingAccess, info: &AccessInfo) -> bool {
-    u.pc == info.pc
-        && u.address == info.address
-        && u.core == info.core
-        && u.is_prefetch == info.is_prefetch
-}
-
-/// The predict stage's output queue: feature-index offsets precomputed
-/// from an announced window
-/// ([`ReplacementPolicy::on_upcoming_accesses`]), consumed front to back
-/// as the real accesses arrive.
-///
-/// Offsets are computed with the outcome-dependent flags zeroed; the
-/// consumer patches them via [`crate::plan::FeaturePlan::patch_flags`]
-/// once hit/miss state is known, which is bit-identical to computing
-/// them fused (see that method's proof).
-#[derive(Debug, Default)]
-struct PredictedWindow {
-    /// Announced identity of each entry, for validation on consumption
-    /// (one bulk copy of the delivered window).
-    announced: Vec<UpcomingAccess>,
-    /// Flag-zeroed arena offsets, `plan.len()` per entry, back to back.
-    offsets: Vec<u16>,
-    /// Next unconsumed entry.
-    cursor: usize,
-}
-
-impl PredictedWindow {
-    fn clear(&mut self) {
-        self.announced.clear();
-        self.offsets.clear();
-        self.cursor = 0;
-    }
-}
-
 /// The MPPPB replacement policy. Implements
 /// [`ReplacementPolicy`], so it plugs into any `mrp-cache` cache or
 /// hierarchy.
@@ -239,20 +163,6 @@ pub struct Mpppb {
     /// Confidence + indices computed in `should_bypass`, consumed by
     /// `on_fill` for the same access.
     pending_fill: Option<i32>,
-    /// Precomputed offsets for announced upcoming accesses (the predict
-    /// stage of the decoupled predict/train pipeline).
-    window: PredictedWindow,
-    /// Scratch: per-core flat history buffers for the announced window.
-    /// The committed history sits at the tail and speculative window PCs
-    /// are written right-to-left in front of it, so every entry's
-    /// most-recent-first history is a plain subslice — no per-entry
-    /// `PcHistory` clones on the delivery path.
-    spec_bufs: Vec<Vec<u64>>,
-    /// Scratch: per-core (write cursor, recorded depth) into `spec_bufs`;
-    /// cursor `usize::MAX` marks a core not yet seen in this window.
-    spec_pos: Vec<(usize, usize)>,
-    /// Scratch: one batch's offsets before they join the window queue.
-    batch_buf: Vec<u16>,
     /// Confidence of the most recent prediction (for ROC measurement).
     last_confidence: i32,
     /// Per-decision confidence histogram ([`CONFIDENCE_BINS`] fixed
@@ -321,10 +231,6 @@ impl Mpppb {
             set_state: SetState::new(llc.sets()),
             default_state,
             pending_fill: None,
-            window: PredictedWindow::default(),
-            spec_bufs: Vec::new(),
-            spec_pos: Vec::new(),
-            batch_buf: Vec::new(),
             last_confidence: 0,
             confidence_hist: None,
             neutral: false,
@@ -369,10 +275,9 @@ impl Mpppb {
         &mut self.histories[core]
     }
 
-    /// The decoupled predict/train pipeline's access stage: resolves the
-    /// access's confidence (consuming a precomputed window entry when
-    /// one matches, fused computation otherwise), trains the sampler,
-    /// and records per-set state. Returns the confidence.
+    /// Resolves the access's confidence through the predictor (one fused
+    /// offsets + gather-sum pass, sampler training on sampled sets) and
+    /// records per-set state. Returns the confidence.
     fn predict_and_train(&mut self, info: &AccessInfo, is_insert: bool) -> i32 {
         // Record the PC into this core's history first, so history entry
         // 0 is the current access (the `W = 0` feature), *at LLC access
@@ -383,61 +288,21 @@ impl Mpppb {
         if !info.is_prefetch {
             self.history(info.core).push(info.pc);
         }
-        let is_mru = self.set_state.is_mru(info.set, info.block);
-        let last_miss = self.set_state.last_miss(info.set);
-        let confidence = 'confidence: {
-            // Predict stage, fast path: the next announced entry matches
-            // this access, so its offsets are already computed — patch
-            // the outcome-dependent flag lanes now that hit/miss state
-            // is known and go straight to the gather-sum.
-            if self.window.cursor < self.window.announced.len() {
-                if announced_matches(&self.window.announced[self.window.cursor], info) {
-                    let len = self.predictor.plan().len();
-                    let start = self.window.cursor * len;
-                    self.window.cursor += 1;
-                    self.predictor.plan().patch_flags(
-                        &mut self.window.offsets[start..start + len],
-                        info.pc,
-                        is_mru,
-                        is_insert,
-                        last_miss,
-                    );
-                    // One offsets pass serves both halves: the patched
-                    // window slice feeds the confidence gather and is
-                    // stored verbatim by the sampler for later training.
-                    // Training defers into the predictor's SoA pending
-                    // buffer and applies in one batched kernel invocation
-                    // per drained window (flushed at the next announce,
-                    // or earlier if a confidence read might observe a
-                    // pending delta — see the predictor's overlap guard).
-                    break 'confidence self.predictor.access_precomputed_deferred(
-                        &self.window.offsets[start..start + len],
-                        info.set,
-                        info.block,
-                    );
-                }
-                // An unannounced access desynchronized the window (the
-                // hook is advisory); the remaining entries' history
-                // snapshots are stale, so drop them and recompute fused.
-                self.window.clear();
-            }
-            let core = usize::from(info.core);
-            let empty: &[u64] = &[];
-            let history = self
-                .histories
-                .get(core)
-                .map(|h| h.as_slice())
-                .unwrap_or(empty);
-            let ctx = FeatureContext {
-                pc: info.pc,
-                address: info.address,
-                pc_history: history,
-                is_mru,
-                is_insert,
-                last_miss,
-            };
-            self.predictor.access(&ctx, info.set, info.block)
+        let empty: &[u64] = &[];
+        let history = self
+            .histories
+            .get(usize::from(info.core))
+            .map(|h| h.as_slice())
+            .unwrap_or(empty);
+        let ctx = FeatureContext {
+            pc: info.pc,
+            address: info.address,
+            pc_history: history,
+            is_mru: self.set_state.is_mru(info.set, info.block),
+            is_insert,
+            last_miss: self.set_state.last_miss(info.set),
         };
+        let confidence = self.predictor.access(&ctx, info.set, info.block);
         self.set_state.record(info.set, info.block, is_insert);
         self.last_confidence = confidence;
         if let Some(hist) = self.confidence_hist.as_deref_mut() {
@@ -466,101 +331,6 @@ impl Mpppb {
 impl ReplacementPolicy for Mpppb {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn on_upcoming_accesses(&mut self, window: &[UpcomingAccess]) {
-        // Predict stage, batch front-end: compute every announced
-        // access's feature offsets ahead of time through the batched
-        // kernel, with the outcome-dependent flags zeroed (patched at
-        // consumption). Histories are advanced speculatively along the
-        // window — exactly the pushes `predict_and_train` will replay.
-        //
-        // Each core's speculative history lives in one flat buffer: the
-        // committed history is copied once to positions `n..`, and each
-        // demand entry's PC is written one slot to the left of the
-        // previous one, so entry k's most-recent-first history is simply
-        // `buf[pos_k..pos_k + depth_k]` — no per-entry history clones.
-        //
-        // Window boundary: apply the previous window's deferred training
-        // events in one batched kernel invocation before the new window
-        // begins.
-        self.predictor.flush_training();
-        self.window.clear();
-        self.window.announced.extend_from_slice(window);
-        self.spec_pos.clear();
-        let n = window.len();
-        for chunk in window.chunks(MAX_BATCH) {
-            // Pass 1: advance the speculative histories and record each
-            // entry's (core, start, depth) view. A stack array, not a
-            // field: views only live until the chunk's contexts are
-            // built, and the buffer writes below would alias field-held
-            // slices.
-            let mut views = [(0usize, 0usize, 0usize); MAX_BATCH];
-            for (view, u) in views.iter_mut().zip(chunk) {
-                let core = usize::from(u.core);
-                while self.spec_bufs.len() <= core {
-                    self.spec_bufs.push(Vec::new());
-                }
-                while self.spec_pos.len() <= core {
-                    self.spec_pos.push((usize::MAX, 0));
-                }
-                if self.spec_pos[core].0 == usize::MAX {
-                    // First entry for this core: reserve n speculative
-                    // slots up front, committed history behind them.
-                    let committed = self
-                        .histories
-                        .get(core)
-                        .map(|h| h.as_slice())
-                        .unwrap_or(&[]);
-                    let buf = &mut self.spec_bufs[core];
-                    buf.clear();
-                    buf.resize(n, 0);
-                    buf.extend_from_slice(committed);
-                    self.spec_pos[core] = (n, committed.len());
-                }
-                let (pos, depth) = &mut self.spec_pos[core];
-                if !u.is_prefetch {
-                    *pos -= 1;
-                    *depth += 1;
-                    self.spec_bufs[core][*pos] = u.pc;
-                }
-                *view = (core, *pos, (*depth).min(HISTORY_DEPTH));
-            }
-            // Pass 2: batched index computation over the chunk.
-            let empty = FeatureContext {
-                pc: 0,
-                address: 0,
-                pc_history: &[],
-                is_mru: false,
-                is_insert: false,
-                last_miss: false,
-            };
-            let mut ctxs = [empty; MAX_BATCH];
-            for (slot, (u, &(core, pos, len))) in
-                ctxs.iter_mut().zip(chunk.iter().zip(&views[..chunk.len()]))
-            {
-                *slot = FeatureContext {
-                    pc: u.pc,
-                    address: u.address,
-                    pc_history: &self.spec_bufs[core][pos..pos + len],
-                    is_mru: false,
-                    is_insert: false,
-                    last_miss: false,
-                };
-            }
-            self.predictor
-                .plan()
-                .compute_offsets_batch(&ctxs[..chunk.len()], &mut self.batch_buf);
-            self.window.offsets.extend_from_slice(&self.batch_buf);
-        }
-    }
-
-    fn uses_upcoming_accesses(&self) -> bool {
-        // MRP_NO_WINDOW=1 (or the typed RuntimeOptions override) opts
-        // out of window delivery for A/B perf comparison of the split
-        // vs fused pipeline; results are bit-identical either way (the
-        // hook is advisory).
-        window_delivery_enabled()
     }
 
     fn set_confidence_tracking(&mut self, enabled: bool) {
@@ -792,55 +562,6 @@ mod tests {
             mp_miss < lru_miss * 9 / 10,
             "MPPPB ({mp_miss}) should clearly beat LRU ({lru_miss}) on scan+hot"
         );
-    }
-
-    #[test]
-    fn announced_windows_are_bit_identical_to_fused() {
-        use mrp_cache::{UpcomingAccess, LLC_LOOKAHEAD};
-        for kind in [DefaultPolicyKind::Mdpp, DefaultPolicyKind::Srrip] {
-            let mut plain = mpppb_cache(kind);
-            let mut windowed = mpppb_cache(kind);
-            // A mixed stream: hot reuse, medium footprint, pure stream,
-            // and interleaved prefetches; stress both the matched-window
-            // fast path and resync after deliberate desyncs below.
-            let mut accesses = Vec::new();
-            let mut x = 0x1234_5678_9abc_def0u64;
-            for i in 0..20_000u64 {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let pc = 0x400000 + ((x >> 48) % 16) * 4;
-                let block = match x % 3 {
-                    0 => (x >> 16) % 128,
-                    1 => (x >> 20) % 4096,
-                    _ => 1_000_000 + i,
-                };
-                accesses.push((MemoryAccess::load(pc, block * 64), x.is_multiple_of(7)));
-            }
-            for (i, (a, pf)) in accesses.iter().enumerate() {
-                if i % LLC_LOOKAHEAD == 0 {
-                    if (i / LLC_LOOKAHEAD) % 5 == 4 {
-                        // Deliberately announce garbage: the consumer
-                        // must detect the mismatch and stay fused.
-                        let bogus = MemoryAccess::load(0xbad, 0xbad000);
-                        windowed
-                            .policy_mut()
-                            .on_upcoming_accesses(&[UpcomingAccess::new(&bogus, false)]);
-                    } else {
-                        let window: Vec<UpcomingAccess> = accesses
-                            [i..(i + LLC_LOOKAHEAD).min(accesses.len())]
-                            .iter()
-                            .map(|(a, pf)| UpcomingAccess::new(a, *pf))
-                            .collect();
-                        windowed.policy_mut().on_upcoming_accesses(&window);
-                    }
-                }
-                let r1 = plain.access(a, *pf);
-                let r2 = windowed.access(a, *pf);
-                assert_eq!(r1, r2, "outcome diverged at access {i}");
-            }
-            assert_eq!(plain.stats(), windowed.stats(), "{kind:?}");
-        }
     }
 
     #[test]

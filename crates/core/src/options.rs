@@ -1,29 +1,28 @@
 //! Typed runtime options replacing the environment-knob sprawl.
 //!
-//! Three process-wide knobs used to be reachable only through
+//! Two process-wide knobs used to be reachable only through
 //! environment variables read at scattered call sites:
 //!
 //! | knob | legacy env var | effect |
 //! |---|---|---|
 //! | SIMD dispatch | `MRP_NO_SIMD` | pin kernels to scalar |
-//! | window delivery | `MRP_NO_WINDOW` | disable the announced-window pipeline |
 //! | worker threads | `MRP_THREADS` | parallel fan-out width |
 //!
 //! [`RuntimeOptions`] is the typed front door: binaries parse explicit
-//! flags (`--no-simd`, `--no-window`, `--threads`) into one struct,
-//! [`RuntimeOptions::install`] publishes the SIMD and window choices to
-//! the dispatchers in this crate, and callers that link `mrp-runtime`
+//! flags (`--no-simd`, `--threads`) into one struct,
+//! [`RuntimeOptions::install`] publishes the SIMD choice to the
+//! dispatchers in this crate, and callers that link `mrp-runtime`
 //! pass [`RuntimeOptions::thread_request`] to its `set_threads`. Every
 //! field is an `Option`: `None` defers to the environment variable, so
 //! existing scripts, the CI kernel-dispatch matrix, and A/B recipes keep
 //! working unchanged. An explicit option always wins over the
 //! environment.
 //!
-//! All three knobs are throughput devices, never semantics: results are
+//! Both knobs are throughput devices, never semantics: results are
 //! bit-identical at every setting (held to that by `mrp-verify`'s
 //! kernel-identity and lockstep passes).
 
-use crate::{mpppb, simd};
+use crate::simd;
 
 /// Typed overrides for the process-wide execution knobs.
 ///
@@ -38,10 +37,6 @@ pub struct RuntimeOptions {
     /// `Some(false)` dispatches to the widest level the hardware
     /// offers; `None` defers to `MRP_NO_SIMD`.
     pub no_simd: Option<bool>,
-    /// `Some(true)` disables announced-window delivery (the fused
-    /// per-access fallback runs instead); `Some(false)` forces it on;
-    /// `None` defers to `MRP_NO_WINDOW`.
-    pub no_window: Option<bool>,
     /// Requested worker-thread count; `None` or `Some(0)` defers to
     /// `MRP_THREADS`, then the machine's available parallelism.
     pub threads: Option<usize>,
@@ -60,12 +55,6 @@ impl RuntimeOptions {
         self
     }
 
-    /// Disables (or re-enables) announced-window delivery.
-    pub fn no_window(mut self, no_window: bool) -> Self {
-        self.no_window = Some(no_window);
-        self
-    }
-
     /// Requests a worker-thread count (`0` = automatic).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
@@ -73,23 +62,19 @@ impl RuntimeOptions {
     }
 
     /// Merges the shared command-line flags on top of the environment
-    /// defaults: a present `--no-simd`/`--no-window` switch or a nonzero
+    /// defaults: a present `--no-simd` switch or a nonzero
     /// `--threads` overrides; absent flags leave the env fallback in
     /// place. One-liner glue for every driver:
     ///
     /// ```ignore
     /// RuntimeOptions::from_env().with_cli(
     ///     args.get_flag("no-simd", false),
-    ///     args.get_flag("no-window", false),
     ///     args.get_usize("threads", 0),
     /// ).install();
     /// ```
-    pub fn with_cli(mut self, no_simd: bool, no_window: bool, threads: usize) -> Self {
+    pub fn with_cli(mut self, no_simd: bool, threads: usize) -> Self {
         if no_simd {
             self.no_simd = Some(true);
-        }
-        if no_window {
-            self.no_window = Some(true);
         }
         if threads > 0 {
             self.threads = Some(threads);
@@ -103,9 +88,9 @@ impl RuntimeOptions {
         self.threads.unwrap_or(0)
     }
 
-    /// Publishes the SIMD and window choices to the in-crate
-    /// dispatchers. `None` fields *clear* any previous override, so the
-    /// environment variables decide again — installing
+    /// Publishes the SIMD choice to the in-crate dispatchers. A `None`
+    /// field *clears* any previous override, so the environment
+    /// variable decides again — installing
     /// [`RuntimeOptions::from_env`] restores legacy behavior exactly.
     ///
     /// Thread-count installation is the caller's job (this crate does
@@ -113,7 +98,6 @@ impl RuntimeOptions {
     /// `mrp_runtime::set_threads`.
     pub fn install(&self) -> &Self {
         simd::set_scalar_override(self.no_simd);
-        mpppb::set_window_override(self.no_window.map(|off| !off));
         self
     }
 
@@ -133,38 +117,19 @@ mod tests {
 
     #[test]
     fn builders_set_fields() {
-        let o = RuntimeOptions::from_env()
-            .no_simd(true)
-            .no_window(true)
-            .threads(3);
+        let o = RuntimeOptions::from_env().no_simd(true).threads(3);
         assert_eq!(o.no_simd, Some(true));
-        assert_eq!(o.no_window, Some(true));
         assert_eq!(o.thread_request(), 3);
         assert_eq!(RuntimeOptions::default().thread_request(), 0);
     }
 
     #[test]
     fn with_cli_only_overrides_present_flags() {
-        let o = RuntimeOptions::from_env().with_cli(false, false, 0);
+        let o = RuntimeOptions::from_env().with_cli(false, 0);
         assert_eq!(o, RuntimeOptions::default());
-        let o = RuntimeOptions::from_env().with_cli(true, false, 2);
+        let o = RuntimeOptions::from_env().with_cli(true, 2);
         assert_eq!(o.no_simd, Some(true));
-        assert_eq!(o.no_window, None);
         assert_eq!(o.threads, Some(2));
-    }
-
-    #[test]
-    fn install_round_trips_the_window_override() {
-        // Sole owner of the process-global overrides in this test
-        // binary's options tests: installing and clearing must leave
-        // the env-deferred default behind.
-        RuntimeOptions::from_env().no_window(true).install();
-        assert!(!mpppb::window_delivery_enabled());
-        RuntimeOptions::from_env().no_window(false).install();
-        assert!(mpppb::window_delivery_enabled());
-        RuntimeOptions::from_env().install();
-        // Back to env fallback (unset in the test environment).
-        assert!(mpppb::window_delivery_enabled());
     }
 
     #[test]

@@ -247,19 +247,12 @@ const V_ZERO: usize = HISTORY_DEPTH + 5;
 /// kernel steps 4 lanes, the AVX-512 kernel 8; both divide 16).
 const LANE_WIDTH: usize = 16;
 
-/// Largest batch [`FeaturePlan::compute_offsets_batch`] accepts: the
-/// access front-ends group up to one LLC lookahead window of consecutive
-/// accesses, and a small bound keeps the per-batch context array on the
-/// stack.
-pub const MAX_BATCH: usize = 16;
-
 /// One access, transposed for lane-parallel index computation: every
 /// value any feature can source, laid out so a lane reads `vals[src]`.
 ///
 /// Building this once per access replaces the per-feature `match` on
 /// [`Source`] (and the bounds-checked `history_pc` lookup) with a single
-/// gatherable array; the 8-bit PC fold is computed here too, so batched
-/// front-ends fold all PCs of a group together before any index math.
+/// gatherable array; the 8-bit PC fold is computed here too.
 #[derive(Debug, Clone, Copy)]
 pub struct LaneContext {
     vals: [u64; LANE_VALS],
@@ -529,138 +522,6 @@ unsafe fn lanes_avx512(plan: &LanePlan, ctx: &FeatureContext<'_>, out: &mut [u16
     }
 }
 
-/// [`lanes_avx512`] unrolled over a batch for the 16-lane plans every
-/// [`Feature::new`] feature set compiles to: the twelve plan-constant
-/// vectors (lane selectors, shifts, masks, bases) and the two half-select
-/// masks are loaded into registers once, so the per-access loop runs only
-/// the value-table build, the permutes, and the lane arithmetic. Each
-/// access `i` writes `out[i * 16 .. (i + 1) * 16]`. Bit-identical to
-/// calling [`lanes_avx512`] per access — same instructions, hoisted
-/// loads.
-///
-/// # Safety
-///
-/// Requires AVX-512 F. `plan.padded` must be 16 and `out` must hold at
-/// least `ctxs.len() * 16` entries.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn lanes_avx512_batch16(plan: &LanePlan, ctxs: &[FeatureContext<'_>], out: &mut [u16]) {
-    use core::arch::x86_64::*;
-
-    debug_assert_eq!(plan.padded, 16);
-    debug_assert!(out.len() >= ctxs.len() * 16);
-    let high_bit = _mm512_set1_epi64(16);
-    let byte_mask = _mm512_set1_epi64(0xff);
-    // Plan-constant lane parameters, hoisted across the batch.
-    let src0 = _mm256_loadu_si256(plan.src.as_ptr() as *const __m256i);
-    let src1 = _mm256_loadu_si256(plan.src.as_ptr().add(8) as *const __m256i);
-    let idx0 = _mm512_cvtepu32_epi64(src0);
-    let idx1 = _mm512_cvtepu32_epi64(src1);
-    let in_hi0 = _mm512_test_epi64_mask(idx0, high_bit);
-    let in_hi1 = _mm512_test_epi64_mask(idx1, high_bit);
-    let sh0 = _mm512_loadu_epi64(plan.shift.as_ptr() as *const i64);
-    let sh1 = _mm512_loadu_epi64(plan.shift.as_ptr().add(8) as *const i64);
-    let m0 = _mm512_loadu_epi64(plan.mask.as_ptr() as *const i64);
-    let m1 = _mm512_loadu_epi64(plan.mask.as_ptr().add(8) as *const i64);
-    let x0 = _mm512_loadu_epi64(plan.xor_mask.as_ptr() as *const i64);
-    let x1 = _mm512_loadu_epi64(plan.xor_mask.as_ptr().add(8) as *const i64);
-    let im0 = _mm512_loadu_epi64(plan.index_mask.as_ptr() as *const i64);
-    let im1 = _mm512_loadu_epi64(plan.index_mask.as_ptr().add(8) as *const i64);
-    let b0 = _mm512_loadu_epi64(plan.base.as_ptr() as *const i64);
-    let b1 = _mm512_loadu_epi64(plan.base.as_ptr().add(8) as *const i64);
-
-    for (i, ctx) in ctxs.iter().enumerate() {
-        // Value-table build, exactly as in `lanes_avx512`.
-        let depth = ctx.pc_history.len().min(HISTORY_DEPTH);
-        let pc = _mm512_set1_epi64(ctx.pc as i64);
-        let hist = ctx.pc_history.as_ptr() as *const i64;
-        let k0 = (1u32 << depth.min(8)) - 1;
-        let k1 = (1u32 << depth.saturating_sub(8).min(8)) - 1;
-        let v0 = _mm512_mask_loadu_epi64(pc, k0 as u8, hist);
-        let v1 = _mm512_mask_loadu_epi64(pc, k1 as u8, hist.add(8));
-        let h16 = if depth > 16 {
-            *hist.add(16)
-        } else {
-            ctx.pc as i64
-        };
-        let h17 = if depth > 17 {
-            *hist.add(17)
-        } else {
-            ctx.pc as i64
-        };
-        let v2 = _mm512_set_epi64(
-            0,
-            i64::from(ctx.last_miss),
-            i64::from(ctx.is_insert),
-            i64::from(ctx.is_mru),
-            ctx.address as i64,
-            ctx.pc as i64,
-            h17,
-            h16,
-        );
-        let v3 = _mm512_setzero_si512();
-        let pc_fold = _mm512_set1_epi64(fold8(ctx.pc) as i64);
-        let dst = out.as_mut_ptr().add(i * 16);
-
-        let lo = _mm512_permutex2var_epi64(v0, idx0, v1);
-        let hi = _mm512_permutex2var_epi64(v2, idx0, v3);
-        let raw = _mm512_mask_blend_epi64(in_hi0, lo, hi);
-        let mut v = _mm512_srlv_epi64(raw, sh0);
-        v = _mm512_and_si512(v, m0);
-        v = _mm512_xor_si512(v, _mm512_srli_epi64(v, 32));
-        v = _mm512_xor_si512(v, _mm512_srli_epi64(v, 16));
-        v = _mm512_xor_si512(v, _mm512_srli_epi64(v, 8));
-        v = _mm512_and_si512(v, byte_mask);
-        v = _mm512_xor_si512(v, _mm512_and_si512(pc_fold, x0));
-        v = _mm512_and_si512(v, im0);
-        v = _mm512_add_epi64(v, b0);
-        _mm_storeu_si128(dst as *mut __m128i, _mm512_cvtepi64_epi16(v));
-
-        let lo = _mm512_permutex2var_epi64(v0, idx1, v1);
-        let hi = _mm512_permutex2var_epi64(v2, idx1, v3);
-        let raw = _mm512_mask_blend_epi64(in_hi1, lo, hi);
-        let mut v = _mm512_srlv_epi64(raw, sh1);
-        v = _mm512_and_si512(v, m1);
-        v = _mm512_xor_si512(v, _mm512_srli_epi64(v, 32));
-        v = _mm512_xor_si512(v, _mm512_srli_epi64(v, 16));
-        v = _mm512_xor_si512(v, _mm512_srli_epi64(v, 8));
-        v = _mm512_and_si512(v, byte_mask);
-        v = _mm512_xor_si512(v, _mm512_and_si512(pc_fold, x1));
-        v = _mm512_and_si512(v, im1);
-        v = _mm512_add_epi64(v, b1);
-        _mm_storeu_si128(dst.add(8) as *mut __m128i, _mm512_cvtepi64_epi16(v));
-    }
-}
-
-/// Which access-time flag a [`FlagLane`] sources.
-#[derive(Debug, Clone, Copy)]
-enum FlagKind {
-    /// `burst(..)`: the set-MRU flag.
-    Mru,
-    /// `insert(..)`: the miss-fill flag.
-    Insert,
-    /// `lastmiss(..)`: the set's last-access-missed flag.
-    LastMiss,
-}
-
-/// One lane whose raw value is an access-time flag. Everything else a
-/// lane reads (PC, address, history) is derivable from the access stream
-/// alone, so batched front-ends compute whole windows of offsets ahead
-/// of time with the flags zeroed and [`FeaturePlan::patch_flags`]
-/// rewrites just these lanes once the outcome-dependent state is known.
-#[derive(Debug, Clone, Copy)]
-struct FlagLane {
-    /// Offset-vector position (always `< len()`).
-    lane: u32,
-    flag: FlagKind,
-    /// `0xff` when the lane XORs the shared PC fold.
-    xor_mask: u64,
-    /// `table_size - 1`.
-    index_mask: u64,
-    /// Arena base of the lane's table.
-    base: u16,
-}
-
 /// A feature set lowered for the hot path, plus the arena geometry the
 /// matching [`crate::tables::WeightTables`] uses.
 #[derive(Debug, Clone)]
@@ -668,8 +529,6 @@ pub struct FeaturePlan {
     compiled: Vec<CompiledFeature>,
     /// The compiled features transposed into SoA lane arrays.
     lanes: LanePlan,
-    /// Lanes sourcing access-time flags (see [`FlagLane`]).
-    flag_lanes: Vec<FlagLane>,
     /// Whether any feature XORs with the PC (skip the shared fold if not).
     any_xor: bool,
     arena_len: usize,
@@ -699,65 +558,11 @@ impl FeaturePlan {
             "weight arena exceeds u16 offsets"
         );
         let compiled: Vec<CompiledFeature> = compiled;
-        let flag_lanes = compiled
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                let flag = match c.source {
-                    Source::Mru => FlagKind::Mru,
-                    Source::Insert => FlagKind::Insert,
-                    Source::LastMiss => FlagKind::LastMiss,
-                    _ => return None,
-                };
-                Some(FlagLane {
-                    lane: i as u32,
-                    flag,
-                    xor_mask: if c.xor_pc { 0xff } else { 0 },
-                    index_mask: c.index_mask,
-                    base: c.base,
-                })
-            })
-            .collect();
         FeaturePlan {
             lanes: LanePlan::build(&compiled),
             compiled,
-            flag_lanes,
             any_xor: features.iter().any(|f| f.xor_pc),
             arena_len: base,
-        }
-    }
-
-    /// Rewrites the flag-sourced entries of one access's precomputed
-    /// offset vector (`offsets[..len()]`, as produced with all flags
-    /// zeroed) for the true access-time flag values.
-    ///
-    /// Bit-identical to having computed the offsets with the flags set
-    /// from the start: a flag lane's raw value is 0 or 1, for which the
-    /// byte fold is the identity, so the lane formula collapses to
-    /// `base + ((flag ^ (fold8(pc) & xor_mask)) & index_mask)` — applied
-    /// here verbatim. Single-entry flag tables have `index_mask == 0`
-    /// and still resolve to `base`, matching the compiled early-out.
-    #[inline]
-    pub fn patch_flags(
-        &self,
-        offsets: &mut [u16],
-        pc: u64,
-        is_mru: bool,
-        is_insert: bool,
-        last_miss: bool,
-    ) {
-        if self.flag_lanes.is_empty() {
-            return;
-        }
-        let pc_fold8 = fold8(pc);
-        for fl in &self.flag_lanes {
-            let flag = u64::from(match fl.flag {
-                FlagKind::Mru => is_mru,
-                FlagKind::Insert => is_insert,
-                FlagKind::LastMiss => last_miss,
-            });
-            let v = (flag ^ (pc_fold8 & fl.xor_mask)) & fl.index_mask;
-            offsets[fl.lane as usize] = fl.base + v as u16;
         }
     }
 
@@ -799,18 +604,10 @@ impl FeaturePlan {
             self.compute_offsets_compiled(ctx, out);
             return;
         }
-        #[cfg(target_arch = "x86_64")]
-        if level == SimdLevel::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
-            out.clear();
-            out.resize(self.lanes.padded, 0);
-            // SAFETY: AVX-512 F presence just checked; `out` holds the
-            // padded lane count.
-            unsafe { lanes_avx512(&self.lanes, ctx, out) };
-            out.truncate(self.compiled.len());
-            return;
-        }
-        let lane_ctx = LaneContext::new(ctx);
-        self.offsets_from_lane_ctx(level, &lane_ctx, out);
+        out.clear();
+        out.resize(self.lanes.padded, 0);
+        self.run_lane_kernel(level, ctx, out);
+        out.truncate(self.compiled.len());
     }
 
     /// The per-feature interpretation of the compiled plan: the reference
@@ -826,103 +623,26 @@ impl FeaturePlan {
         out.extend(self.compiled.iter().map(|c| c.index_offset(ctx, pc_fold8)));
     }
 
-    /// Runs the selected lane kernel over one transposed context. `out`
-    /// is sized to the padded lane count for the kernel, then truncated
-    /// to the feature count.
-    fn offsets_from_lane_ctx(&self, level: SimdLevel, lane_ctx: &LaneContext, out: &mut Vec<u16>) {
-        out.clear();
-        out.resize(self.lanes.padded, 0);
-        self.run_lane_kernel(level, lane_ctx, out);
-        out.truncate(self.compiled.len());
-    }
-
-    fn run_lane_kernel(&self, level: SimdLevel, lane_ctx: &LaneContext, out: &mut [u16]) {
+    /// Runs the lane kernel `level` selects; `out` holds the padded lane
+    /// count.
+    fn run_lane_kernel(&self, level: SimdLevel, ctx: &FeatureContext<'_>, out: &mut [u16]) {
         #[cfg(target_arch = "x86_64")]
         {
+            if level == SimdLevel::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512 F presence just checked; `out` holds the
+                // padded lane count.
+                unsafe { lanes_avx512(&self.lanes, ctx, out) };
+                return;
+            }
             if level == SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: AVX2 presence just checked; `out` holds the
                 // padded lane count.
-                unsafe { lanes_avx2(&self.lanes, lane_ctx, out) };
+                unsafe { lanes_avx2(&self.lanes, &LaneContext::new(ctx), out) };
                 return;
             }
         }
         let _ = level;
-        lanes_scalar(&self.lanes, lane_ctx, out);
-    }
-
-    /// The small-batch front-end: computes the offsets of up to
-    /// [`MAX_BATCH`] consecutive accesses in one pass. All contexts are
-    /// transposed and their PCs folded together first, then the lane
-    /// kernel runs back to back over the group; access `i`'s offsets land
-    /// at `out[i * len .. (i + 1) * len]`.
-    ///
-    /// Bit-identical to calling [`Self::compute_offsets`] per context:
-    /// batching reorders no observable computation, it only hoists the
-    /// context transposition out of the per-access loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctxs` holds more than [`MAX_BATCH`] contexts.
-    pub fn compute_offsets_batch(&self, ctxs: &[FeatureContext<'_>], out: &mut Vec<u16>) {
-        assert!(ctxs.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
-        out.clear();
-        let len = self.compiled.len();
-        if !self.lanes.ok {
-            let mut one = Vec::with_capacity(len);
-            for ctx in ctxs {
-                self.compute_offsets_compiled(ctx, &mut one);
-                out.extend_from_slice(&one);
-            }
-            return;
-        }
-        let padded = self.lanes.padded;
-        let level = simd::level();
-        out.resize(ctxs.len() * padded, 0);
-        #[cfg(target_arch = "x86_64")]
-        let direct_avx512 =
-            level == SimdLevel::Avx512 && std::arch::is_x86_feature_detected!("avx512f");
-        #[cfg(not(target_arch = "x86_64"))]
-        let direct_avx512 = false;
-        if direct_avx512 {
-            // The AVX-512 kernel builds its value table in registers, so
-            // the group skips the transposition phase entirely. 16-lane
-            // plans (every `Feature::new` set) run the batch variant with
-            // the plan constants hoisted across the group.
-            #[cfg(target_arch = "x86_64")]
-            if padded == 16 {
-                // SAFETY: AVX-512 F presence checked above; `out` holds
-                // `ctxs.len() * 16` entries and the plan is 16-lane.
-                unsafe { lanes_avx512_batch16(&self.lanes, ctxs, out) };
-            } else {
-                for (i, ctx) in ctxs.iter().enumerate() {
-                    // SAFETY: AVX-512 F presence checked above; each
-                    // slice holds the padded lane count.
-                    unsafe {
-                        lanes_avx512(&self.lanes, ctx, &mut out[i * padded..(i + 1) * padded])
-                    };
-                }
-            }
-        } else {
-            // Front-end phase: transpose every context (and fold every
-            // PC) before any index computation.
-            let mut lane_ctxs = [LaneContext {
-                vals: [0; LANE_VALS],
-                pc_fold8: 0,
-            }; MAX_BATCH];
-            for (slot, ctx) in lane_ctxs.iter_mut().zip(ctxs) {
-                *slot = LaneContext::new(ctx);
-            }
-            // Kernel phase: lane passes back to back into one buffer.
-            for (i, lane_ctx) in lane_ctxs[..ctxs.len()].iter().enumerate() {
-                self.run_lane_kernel(level, lane_ctx, &mut out[i * padded..(i + 1) * padded]);
-            }
-        }
-        if padded != len {
-            for i in 1..ctxs.len() {
-                out.copy_within(i * padded..i * padded + len, i * len);
-            }
-        }
-        out.truncate(ctxs.len() * len);
+        lanes_scalar(&self.lanes, &LaneContext::new(ctx), out);
     }
 }
 
@@ -1118,79 +838,6 @@ mod tests {
                 &mut out,
             );
             assert_eq!(out.len(), 1, "{level:?}");
-        }
-    }
-
-    #[test]
-    fn batched_offsets_equal_sequential() {
-        let features = feature_sets::table_1a();
-        let plan = FeaturePlan::new(&features);
-        let history: Vec<u64> = (0..18).map(|i| 0x40_0000 + i * 0x1351).collect();
-        let ctxs = contexts(&history);
-        let mut one = Vec::new();
-        let mut batched = Vec::new();
-        for group in ctxs.chunks(MAX_BATCH) {
-            plan.compute_offsets_batch(group, &mut batched);
-            assert_eq!(batched.len(), group.len() * plan.len());
-            for (i, ctx) in group.iter().enumerate() {
-                plan.compute_offsets(ctx, &mut one);
-                assert_eq!(
-                    &batched[i * plan.len()..(i + 1) * plan.len()],
-                    one.as_slice(),
-                    "batch slot {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn patched_flag_offsets_equal_direct_computation() {
-        // Offsets computed with flags zeroed then patched must equal
-        // offsets computed with the true flags, for every flag combo,
-        // kernel level, and both xor and non-xor flag features.
-        for xor_pc in [false, true] {
-            let features = vec![
-                Feature::new(9, FeatureKind::Burst, xor_pc),
-                Feature::new(
-                    9,
-                    FeatureKind::Pc {
-                        begin: 0,
-                        end: 63,
-                        which: 2,
-                    },
-                    true,
-                ),
-                Feature::new(9, FeatureKind::Insert, xor_pc),
-                Feature::new(9, FeatureKind::Address { begin: 6, end: 27 }, xor_pc),
-                Feature::new(9, FeatureKind::LastMiss, xor_pc),
-            ];
-            let plan = FeaturePlan::new(&features);
-            let history: Vec<u64> = (0..18).map(|i| 0x40_0000 + i * 0x1351).collect();
-            let (mut zeroed, mut direct) = (Vec::new(), Vec::new());
-            for ctx in contexts(&history) {
-                for &level in simd::available_levels() {
-                    let blank = FeatureContext {
-                        is_mru: false,
-                        is_insert: false,
-                        last_miss: false,
-                        ..ctx
-                    };
-                    plan.compute_offsets_with(level, &blank, &mut zeroed);
-                    plan.patch_flags(
-                        &mut zeroed,
-                        ctx.pc,
-                        ctx.is_mru,
-                        ctx.is_insert,
-                        ctx.last_miss,
-                    );
-                    plan.compute_offsets_with(level, &ctx, &mut direct);
-                    assert_eq!(
-                        zeroed, direct,
-                        "{level:?} flags ({}, {}, {})",
-                        ctx.is_mru, ctx.is_insert, ctx.last_miss
-                    );
-                }
-            }
         }
     }
 

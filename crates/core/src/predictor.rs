@@ -5,9 +5,7 @@ use std::fmt;
 use crate::context::FeatureContext;
 use crate::feature::Feature;
 use crate::plan::FeaturePlan;
-use crate::sampler::{
-    clamp_confidence, event_index, partial_tag, SampledSetFilter, Sampler, TrainingEvent,
-};
+use crate::sampler::{clamp_confidence, partial_tag, SampledSetFilter, Sampler, TrainingEvent};
 use crate::tables::WeightTables;
 
 /// Statistics about predictor activity.
@@ -48,17 +46,6 @@ pub struct MultiperspectivePredictor {
     stats: PredictorStats,
     events_buf: Vec<TrainingEvent>,
     indices_buf: Vec<u16>,
-    /// Training events deferred by the windowed pipeline
-    /// ([`Self::access_precomputed_deferred`]), not yet applied to the
-    /// weight tables. Grouped across a drained batch window and applied
-    /// in one kernel invocation at the next flush point.
-    pending: Vec<TrainingEvent>,
-    /// 64-bit membership signature of the arena offsets in `pending`
-    /// (bit `offset & 63`). A confidence read whose offsets all miss the
-    /// signature provably does not observe any pending delta, so the
-    /// deferral stays bit-identical to eager application; any possible
-    /// overlap flushes first. No false negatives by construction.
-    pending_sig: u64,
 }
 
 impl fmt::Debug for MultiperspectivePredictor {
@@ -112,8 +99,6 @@ impl MultiperspectivePredictor {
             stats: PredictorStats::default(),
             events_buf: Vec::with_capacity(64),
             indices_buf: Vec::with_capacity(16),
-            pending: Vec::with_capacity(128),
-            pending_sig: 0,
         }
     }
 
@@ -147,13 +132,6 @@ impl MultiperspectivePredictor {
         self.set_filter.contains(llc_set)
     }
 
-    /// The sampled-set membership filter (shared with callers that gate
-    /// their own deferred train stage, e.g. the MPPPB policy's split
-    /// predict/train pipeline).
-    pub fn set_filter(&self) -> &SampledSetFilter {
-        &self.set_filter
-    }
-
     /// Computes the per-feature weight-arena offsets for an access into
     /// `out` (cleared first). Allocation-free on the hot path; entries
     /// are precombined `base + index` offsets into the flat arena (see
@@ -166,7 +144,6 @@ impl MultiperspectivePredictor {
     /// Sums the weights selected by `indices`: the confidence that the
     /// block is dead (positive) or live (negative).
     pub fn confidence(&mut self, indices: &[u16]) -> i32 {
-        self.flush_training();
         self.stats.predictions += 1;
         self.tables.confidence(indices)
     }
@@ -174,14 +151,8 @@ impl MultiperspectivePredictor {
     /// Read-only confidence (no stats bump), for introspection. Both
     /// this and [`Self::confidence`] are the same batched gather-sum
     /// kernel ([`WeightTables::confidence`]); the stats bump is the only
-    /// difference. Requires no deferred training to be pending (the
-    /// eager entry points flush; only the windowed pipeline defers, and
-    /// it owns its flush points).
+    /// difference.
     pub fn confidence_quiet(&self, indices: &[u16]) -> i32 {
-        debug_assert!(
-            self.pending.is_empty(),
-            "confidence_quiet with deferred training pending"
-        );
         self.tables.confidence(indices)
     }
 
@@ -191,125 +162,27 @@ impl MultiperspectivePredictor {
     /// `compute_indices` / `confidence` / `train` sequence would make a
     /// caller thread the buffers through itself. Returns the confidence.
     pub fn access(&mut self, ctx: &FeatureContext<'_>, llc_set: u32, block: u64) -> i32 {
-        self.flush_training();
         let mut indices = std::mem::take(&mut self.indices_buf);
         self.plan.compute_offsets(ctx, &mut indices);
         self.stats.predictions += 1;
         let confidence = self.tables.confidence(&indices);
-        self.train_eager(llc_set, block, &indices, confidence);
+        self.train(llc_set, block, &indices, confidence);
         self.indices_buf = indices;
         confidence
-    }
-
-    /// The back half of [`Self::access`] for a batched front-end that
-    /// already computed this access's arena offsets (through
-    /// [`FeaturePlan::compute_offsets_batch`] over a lookahead window):
-    /// gathers the confidence and trains from the supplied offsets.
-    /// Bit-identical to [`Self::access`] given identical offsets — the
-    /// fused path's own offsets pass produces exactly these values.
-    pub fn access_precomputed(&mut self, indices: &[u16], llc_set: u32, block: u64) -> i32 {
-        self.flush_training();
-        self.stats.predictions += 1;
-        let confidence = self.tables.confidence(indices);
-        self.train_eager(llc_set, block, indices, confidence);
-        confidence
-    }
-
-    /// [`Self::access_precomputed`] with training deferred across the
-    /// batch window: sampler state updates eagerly, but the resulting
-    /// weight deltas accumulate in a flat pending buffer and are applied
-    /// in one batched kernel invocation at the next flush point instead
-    /// of per access.
-    ///
-    /// Bit-exactness: the only reads the deferral could perturb are
-    /// confidence gathers, and this entry point flushes first whenever
-    /// any of its offsets *might* overlap a pending delta (checked
-    /// against a conservative membership signature with no false
-    /// negatives — see `pending_sig`). Disjoint updates commute with the
-    /// gather, so every confidence this returns equals the eager
-    /// sequence's, and flushes preserve event order. The eager entry
-    /// points and [`Self::tables`] also flush, so no reader outside the
-    /// windowed pipeline can observe a stale arena.
-    pub fn access_precomputed_deferred(
-        &mut self,
-        indices: &[u16],
-        llc_set: u32,
-        block: u64,
-    ) -> i32 {
-        if self.pending_sig != 0 && self.overlaps_pending(indices) {
-            self.flush_training();
-        }
-        self.stats.predictions += 1;
-        let confidence = self.tables.confidence(indices);
-        if let Some(sampler_set) = self.sampler_set(llc_set) {
-            self.stats.sampler_accesses += 1;
-            let before = self.pending.len();
-            let outcome = self.sampler.access(
-                sampler_set,
-                partial_tag(block),
-                indices,
-                clamp_confidence(confidence),
-                &mut self.pending,
-            );
-            if outcome.hit {
-                self.stats.sampler_hits += 1;
-            }
-            self.stats.weight_updates += (self.pending.len() - before) as u64;
-            for &e in &self.pending[before..] {
-                self.pending_sig |= 1u64 << (event_index(e) & 63);
-            }
-        }
-        confidence
-    }
-
-    /// Whether any of `indices` might address a weight with a pending
-    /// deferred delta. Conservative: may report overlap for distinct
-    /// offsets sharing a signature bit (a harmless early flush), never
-    /// misses a true overlap.
-    #[inline]
-    fn overlaps_pending(&self, indices: &[u16]) -> bool {
-        indices
-            .iter()
-            .any(|&o| self.pending_sig & (1u64 << (o & 63)) != 0)
-    }
-
-    /// Applies all deferred training events in one batched kernel
-    /// invocation. Cheap no-op when nothing is pending; the windowed
-    /// pipeline calls this at window boundaries, and every eager entry
-    /// point calls it before touching the weight arena.
-    #[inline]
-    pub fn flush_training(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.tables.apply_events(&self.pending);
-        self.pending.clear();
-        self.pending_sig = 0;
-    }
-
-    /// The compiled feature plan (for batched front-ends that group index
-    /// computation across accesses).
-    pub fn plan(&self) -> &FeaturePlan {
-        &self.plan
     }
 
     /// Presents an access to the sampler if its set is sampled, applying
     /// any resulting training to the weight tables. `confidence` must be
     /// the value just computed from `indices`.
-    pub fn train(&mut self, llc_set: u32, block: u64, indices: &[u16], confidence: i32) {
-        self.flush_training();
-        self.train_eager(llc_set, block, indices, confidence);
-    }
-
-    /// The train stage proper, with the weight updates applied
-    /// immediately. The sampler appends packed SoA event words —
+    ///
+    /// The sampler appends packed SoA event words —
     /// `(arena_offset << 1) | sign` in the low bits, since it stores and
     /// replays the precombined arena offsets it was given — straight
     /// into the reused flat buffer, and one batched kernel invocation
     /// applies them; no per-event enum dispatch, and no buffer
     /// take/restore round-trip (the SoA buffer and the sampler are
     /// disjoint fields).
-    fn train_eager(&mut self, llc_set: u32, block: u64, indices: &[u16], confidence: i32) {
+    pub fn train(&mut self, llc_set: u32, block: u64, indices: &[u16], confidence: i32) {
         let Some(sampler_set) = self.sampler_set(llc_set) else {
             return;
         };
@@ -329,14 +202,8 @@ impl MultiperspectivePredictor {
         self.tables.apply_events(&self.events_buf);
     }
 
-    /// Direct table access for white-box tests and ablations. Requires
-    /// no deferred training to be pending (only the windowed pipeline
-    /// defers, and it flushes at window boundaries).
+    /// Direct table access for white-box tests and ablations.
     pub fn tables(&self) -> &WeightTables {
-        debug_assert!(
-            self.pending.is_empty(),
-            "tables() with deferred training pending"
-        );
         &self.tables
     }
 
@@ -468,44 +335,6 @@ mod tests {
             assert_eq!(conf_fused, conf_unfused, "access {i}");
         }
         assert_eq!(fused.stats(), unfused.stats());
-    }
-
-    #[test]
-    fn deferred_access_is_bit_identical_to_eager() {
-        let mut eager = predictor();
-        let mut deferred = predictor();
-        let mut idx = Vec::new();
-        for i in 0..500u64 {
-            let c = ctx(0x400000 + (i % 7) * 4, i % 3 == 0);
-            let set = (i % 5) as u32 * 16; // mixes sampled and unsampled sets
-            let block = i.wrapping_mul(0x9e37_79b9);
-            eager.compute_indices(&c, &mut idx);
-            let conf_eager = eager.access_precomputed(&idx, set, block);
-            let conf_deferred = deferred.access_precomputed_deferred(&idx, set, block);
-            assert_eq!(conf_deferred, conf_eager, "access {i}");
-            if i % 64 == 63 {
-                deferred.flush_training(); // window boundary
-            }
-        }
-        assert_eq!(eager.stats(), deferred.stats());
-        deferred.flush_training();
-        // Full-arena sweep: the deferred side must land on the same
-        // weights once flushed.
-        eager.compute_indices(&ctx(0x400000, true), &mut idx);
-        assert_eq!(
-            eager.confidence_quiet(&idx),
-            deferred.confidence_quiet(&idx)
-        );
-        for t in 0..eager.features().len() {
-            let len = eager.features()[t].table_size();
-            for i in 0..len as u16 {
-                assert_eq!(
-                    eager.tables().weight(t, i),
-                    deferred.tables().weight(t, i),
-                    "weight[{t}][{i}]"
-                );
-            }
-        }
     }
 
     #[test]

@@ -532,7 +532,7 @@ mod tests {
     fn events_append_without_clearing() {
         // The SoA protocol makes the caller own the buffer lifecycle:
         // access() appends, so consecutive accesses can share one flat
-        // buffer across a batch window.
+        // buffer.
         let mut s = sampler(vec![1], 100);
         let mut events = Vec::new();
         let _ = s.access(0, 7, &[5], 0, &mut events);

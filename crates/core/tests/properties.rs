@@ -1,13 +1,7 @@
-//! Property tests for the predict/train pipeline's fast-path
-//! ingredients: the sampler-set membership bitset and the flag-lane
-//! offset patching that lets windows be computed before access outcomes
-//! are known.
+//! Property tests for the train stage's fast-path gate: the sampler-set
+//! membership bitset.
 
-use mrp_core::context::FeatureContext;
-use mrp_core::feature::{Feature, FeatureKind};
-use mrp_core::plan::FeaturePlan;
 use mrp_core::sampler::SampledSetFilter;
-use mrp_core::simd;
 use proptest::prelude::*;
 
 /// The arithmetic definition of sampled-set membership the filter must
@@ -47,53 +41,5 @@ proptest! {
         // Out-of-range probes must be negative, not out-of-bounds.
         prop_assert!(!filter.contains(llc_sets));
         prop_assert!(!filter.contains(u32::MAX));
-    }
-
-    /// Flag patching over flag-zeroed offsets must be bit-identical to
-    /// computing the offsets with the true flags, for every kernel
-    /// level — the identity the decoupled predict stage rests on.
-    #[test]
-    fn flag_patching_matches_direct_offsets(
-        pc in any::<u64>(),
-        address in any::<u64>(),
-        is_mru in any::<bool>(),
-        is_insert in any::<bool>(),
-        last_miss in any::<bool>(),
-        history_seed in any::<u64>(),
-        depth in 0usize..=18,
-    ) {
-        let features = vec![
-            Feature::new(9, FeatureKind::Burst, true),
-            Feature::new(7, FeatureKind::Pc { begin: 0, end: 63, which: 3 }, true),
-            Feature::new(5, FeatureKind::Insert, false),
-            Feature::new(3, FeatureKind::Address { begin: 6, end: 31 }, true),
-            Feature::new(11, FeatureKind::LastMiss, true),
-            Feature::new(2, FeatureKind::Bias, false),
-        ];
-        let plan = FeaturePlan::new(&features);
-        let history: Vec<u64> = (0..depth as u64)
-            .map(|i| history_seed.wrapping_mul(i.wrapping_add(1)))
-            .collect();
-        let blank = FeatureContext {
-            pc,
-            address,
-            pc_history: &history,
-            is_mru: false,
-            is_insert: false,
-            last_miss: false,
-        };
-        let true_ctx = FeatureContext {
-            is_mru,
-            is_insert,
-            last_miss,
-            ..blank
-        };
-        let (mut patched, mut direct) = (Vec::new(), Vec::new());
-        for &level in simd::available_levels() {
-            plan.compute_offsets_with(level, &blank, &mut patched);
-            plan.patch_flags(&mut patched, pc, is_mru, is_insert, last_miss);
-            plan.compute_offsets_with(level, &true_ctx, &mut direct);
-            prop_assert_eq!(&patched, &direct, "kernel level {:?}", level);
-        }
     }
 }

@@ -30,7 +30,7 @@
 //! reports.
 
 use mrp_cache::replay::LlcRecording;
-use mrp_cache::{Cache, CacheStats, HierarchyStats, LevelLatencies, UpcomingAccess, LLC_LOOKAHEAD};
+use mrp_cache::{Cache, CacheStats, HierarchyStats, LevelLatencies};
 use mrp_trace::ServiceLevel;
 
 use crate::core_model::{CoreModel, CoreModelConfig};
@@ -52,10 +52,6 @@ pub fn replay_single(
     // `MemoryAccess` reconstruction feeding it — the replay loop then
     // touches only the flag/gap bytes of upper-level-serviced events.
     let hook = cache.policy_mut().uses_core_accesses();
-    // LLC operations execute in exact `llc_events` order (a pending
-    // demand flushes before the next event's drains), so the window
-    // feed can announce each upcoming span straight off the recording.
-    let mut feed = WindowFeed::new(recording, cache.policy_mut().uses_upcoming_accesses());
 
     // Demand access bound for the LLC, awaiting its prefetch drains.
     let mut pending = None;
@@ -65,7 +61,7 @@ pub fn replay_single(
         if index == recording.warmup_events() {
             // Warmup/measure boundary: complete the last warmup access,
             // then reset measurement state exactly as `run` does.
-            flush(&mut pending, cache, &mut core, llc_hit, llc_miss, &mut feed);
+            flush(&mut pending, cache, &mut core, llc_hit, llc_miss);
             core.reset_counters();
             llc_before = *cache.stats();
         }
@@ -80,11 +76,10 @@ pub fn replay_single(
             cache.prefetch_block(recording.block_at(ahead));
         }
         if recording.is_prefetch(index) {
-            feed.before_llc_op(cache);
             let _ = cache.access(&recording.access_at(index), true);
             continue;
         }
-        flush(&mut pending, cache, &mut core, llc_hit, llc_miss, &mut feed);
+        flush(&mut pending, cache, &mut core, llc_hit, llc_miss);
         if hook {
             cache
                 .policy_mut()
@@ -108,7 +103,7 @@ pub fn replay_single(
             ServiceLevel::Llc => pending = Some(recording.access_at(index)),
         }
     }
-    flush(&mut pending, cache, &mut core, llc_hit, llc_miss, &mut feed);
+    flush(&mut pending, cache, &mut core, llc_hit, llc_miss);
 
     let stats = HierarchyStats {
         l1d: diff(&recording.end().l1d, &recording.boundary().l1d),
@@ -127,42 +122,6 @@ pub fn replay_single(
     }
 }
 
-/// Announces [`UpcomingAccess`] windows to the replayed policy as the
-/// loop reaches each window edge of the recorded LLC stream.
-struct WindowFeed<'a> {
-    recording: &'a LlcRecording,
-    /// Whether the policy consumes windows (skip all work otherwise).
-    enabled: bool,
-    window: Vec<UpcomingAccess>,
-    /// LLC operations executed so far — the position in `llc_events` of
-    /// the operation about to run.
-    cursor: usize,
-}
-
-impl<'a> WindowFeed<'a> {
-    fn new(recording: &'a LlcRecording, enabled: bool) -> Self {
-        WindowFeed {
-            recording,
-            enabled,
-            window: Vec::with_capacity(LLC_LOOKAHEAD),
-            cursor: 0,
-        }
-    }
-
-    /// Called immediately before every LLC operation (prefetch fill or
-    /// flushed demand): delivers the next window at each
-    /// [`LLC_LOOKAHEAD`] boundary, then advances the cursor.
-    #[inline]
-    fn before_llc_op(&mut self, cache: &mut Cache) {
-        if self.enabled && self.cursor.is_multiple_of(LLC_LOOKAHEAD) {
-            self.recording
-                .upcoming_window(self.cursor, &mut self.window);
-            cache.policy_mut().on_upcoming_accesses(&self.window);
-        }
-        self.cursor += 1;
-    }
-}
-
 /// Issues a deferred LLC-bound demand access and retires it with the
 /// latency its replayed hit/miss outcome dictates.
 fn flush(
@@ -171,10 +130,8 @@ fn flush(
     core: &mut CoreModel,
     llc_hit: u64,
     llc_miss: u64,
-    feed: &mut WindowFeed<'_>,
 ) {
     if let Some(access) = pending.take() {
-        feed.before_llc_op(cache);
         let latency = if cache.access(&access, false).is_hit() {
             llc_hit
         } else {

@@ -84,31 +84,6 @@ fn bench_lane_level(level: mrp_core::SimdLevel, samples: usize, iters: u64) -> f
     })
 }
 
-/// Per-access ns of the batched front-end at `width` accesses per batch.
-fn bench_batch_width(width: usize, samples: usize, iters: u64) -> f64 {
-    let plan = FeaturePlan::new(&feature_sets::table_1a());
-    let history: Vec<u64> = (0..18).map(|i| 0x40_0000 + i * 1357).collect();
-    let ctxs: Vec<FeatureContext<'_>> = (0..width as u64)
-        .map(|i| {
-            let pc = 0x40_0000 + i * 4;
-            FeatureContext {
-                pc,
-                address: pc.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                pc_history: &history,
-                is_mru: i % 2 == 0,
-                is_insert: i % 3 == 0,
-                last_miss: i % 5 == 0,
-            }
-        })
-        .collect();
-    let mut out = Vec::with_capacity(width * 16);
-    let batches = (iters / width as u64).max(1);
-    median_ns_per_op(samples, batches, || {
-        plan.compute_offsets_batch(&ctxs, &mut out);
-        std::hint::black_box(out.len());
-    }) / width as f64
-}
-
 fn bench_confidence_and_train(samples: usize, iters: u64) -> f64 {
     const LLC_SETS: u32 = 2048;
     let mut predictor = MultiperspectivePredictor::new(feature_sets::table_1a(), LLC_SETS, 64, 18);
@@ -117,7 +92,7 @@ fn bench_confidence_and_train(samples: usize, iters: u64) -> f64 {
     let mut block = 0u64;
     // The fused per-access entry point: one offsets pass feeding both the
     // confidence gather and sampler training, as the production policies
-    // drive it (the unbatched fallback path of the MPPPB window).
+    // drive it.
     median_ns_per_op(samples, iters, || {
         pc = pc.wrapping_add(4);
         block = block.wrapping_add(0x61c8_8646_80b5_83eb);
@@ -299,8 +274,7 @@ fn main() {
     let apply_ns = bench_train_apply_batch(samples, iters);
     eprintln!("  predictor_hot_path/train_apply_batch: {apply_ns:.2} ns/event");
 
-    // Batched hot path: the scalar-vs-SIMD lane kernel pair and the
-    // per-access cost of the batch front-end at widths 1/4/8. The
+    // Batched hot path: the scalar-vs-SIMD lane kernel pair. The
     // dispatched level is whatever `simd::level()` detected (subject to
     // MRP_NO_SIMD), recorded so snapshots from different machines or CI
     // legs are comparable.
@@ -316,15 +290,6 @@ fn main() {
         "  batched_hot_path/lane_{}: {lane_simd_ns:.1} ns/op",
         detected.name()
     );
-    let batch_widths = [1usize, 4, mrp_core::plan::MAX_BATCH];
-    let batch_ns: Vec<f64> = batch_widths
-        .iter()
-        .map(|&w| {
-            let ns = bench_batch_width(w, samples, iters);
-            eprintln!("  batched_hot_path/batch_{w}: {ns:.1} ns/access");
-            ns
-        })
-        .collect();
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"schema\": \"mrp-bench-snapshot-v1\",");
@@ -353,15 +318,8 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"lane_dispatched\": {{ \"median_ns_per_op\": {lane_simd_ns:.3} }},"
+        "    \"lane_dispatched\": {{ \"median_ns_per_op\": {lane_simd_ns:.3} }}"
     );
-    for (i, (&w, ns)) in batch_widths.iter().zip(&batch_ns).enumerate() {
-        let comma = if i + 1 < batch_widths.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    \"batch_{w}\": {{ \"median_ns_per_access\": {ns:.3} }}{comma}"
-        );
-    }
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"hierarchy_throughput\": {{");
     let kinds = [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::MpppbSingle];
@@ -448,12 +406,6 @@ fn main() {
             "batched_hot_path.lane_dispatched.median_ns_per_op",
             lane_simd_ns,
         );
-        for (&w, ns) in batch_widths.iter().zip(&batch_ns) {
-            m.scalar(
-                &format!("batched_hot_path.batch_{w}.median_ns_per_access"),
-                *ns,
-            );
-        }
         m.scalar("serve_fleet.drain_accesses_per_sec", serve_drain);
         m.scalar("serve_fleet.wall_accesses_per_sec", serve_wall);
         m.scalar("replay_speedup.full_sim_13_policies.median_ms", full_ms);

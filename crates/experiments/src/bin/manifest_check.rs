@@ -30,9 +30,9 @@
 //! [`REPLAY_SPEEDUP_FLOOR`] instead of a relative tolerance — the
 //! committed ratio drifts with machine load, but the record/replay
 //! design claim is "at least this much", and this constant is the
-//! single source of truth for it. Other fields (lane kernels, batch
-//! widths) are informational: they vary with the detected SIMD level
-//! and machine, and the gated metrics already cover their sum.
+//! single source of truth for it. Other fields (the lane kernels) are
+//! informational: they vary with the detected SIMD level and machine,
+//! and the gated metrics already cover their sum.
 //! `--bless` re-anchors: the fresh snapshot overwrites the baseline and
 //! the gate passes, for intentional perf-profile changes.
 //!

@@ -49,16 +49,15 @@ impl Args {
         }
     }
 
-    /// Resolves the shared runtime knobs — `--no-simd`, `--no-window`,
-    /// `--threads` — into a typed [`RuntimeOptions`], installs it
-    /// process-wide (SIMD dispatch, window delivery, worker pool), and
-    /// returns the resolved worker count. Absent flags defer to the
-    /// legacy `MRP_NO_SIMD`/`MRP_NO_WINDOW`/`MRP_THREADS` environment
-    /// variables, so existing scripts keep working unchanged.
+    /// Resolves the shared runtime knobs — `--no-simd`, `--threads` —
+    /// into a typed [`RuntimeOptions`], installs it process-wide (SIMD
+    /// dispatch, worker pool), and returns the resolved worker count.
+    /// Absent flags defer to the legacy `MRP_NO_SIMD`/`MRP_THREADS`
+    /// environment variables, so existing scripts keep working
+    /// unchanged.
     pub fn init_runtime_options(&self) -> usize {
         let options = RuntimeOptions::from_env().with_cli(
             self.get_flag("no-simd", false),
-            self.get_flag("no-window", false),
             self.get_usize("threads", 0),
         );
         options.install();
@@ -156,15 +155,13 @@ mod tests {
     fn runtime_options_flags_install_process_wide() {
         // Sole owner of the process-global runtime overrides in this
         // test binary: each sub-case restores the env-deferred default.
-        let threads = args(&["--no-simd", "--no-window", "--threads", "2"]).init_runtime_options();
+        let threads = args(&["--no-simd", "--threads", "2"]).init_runtime_options();
         assert_eq!(threads, 2);
         assert_eq!(mrp_core::simd::level(), mrp_core::SimdLevel::Scalar);
-        assert!(!mrp_core::mpppb::window_delivery_enabled());
         // Absent flags fall back to the environment.
         let auto = args(&[]).init_runtime_options();
         assert!(auto >= 1);
         assert_eq!(mrp_core::simd::level(), mrp_core::simd::env_level());
-        assert!(mrp_core::mpppb::window_delivery_enabled());
     }
 
     #[test]

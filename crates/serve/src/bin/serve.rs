@@ -14,7 +14,7 @@
 //! the fleet manifest every `--manifest-every` rounds (atomic
 //! temp-file-then-rename, so `status` never reads a torn snapshot).
 //! The shared
-//! runtime knobs (`--no-simd`, `--no-window`, `--threads`) resolve
+//! runtime knobs (`--no-simd`, `--threads`) resolve
 //! through the typed `RuntimeOptions` with the legacy environment
 //! variables as fallback. The final stdout line is machine-readable:
 //! `<drain accesses/sec> <wall accesses/sec>`.
@@ -53,7 +53,6 @@ fn run(args: &Args) -> ExitCode {
     let smoke = args.get_flag("smoke", false);
     let options = RuntimeOptions::from_env().with_cli(
         args.get_flag("no-simd", false),
-        args.get_flag("no-window", false),
         args.get_usize("threads", 0),
     );
     mrp_runtime::set_threads(options.thread_request());

@@ -17,11 +17,9 @@
 //! # Delivery
 //!
 //! Within a shard, each tenant's round traffic is delivered to its
-//! engine in [`HIERARCHY_BATCH`]-sized submissions — the same grouped
-//! drain the hierarchy's LLC front-end uses — and `submit_batch`
-//! announces each batch's accesses ahead of consumption through the
-//! advisory-window hook, so the predictor's batched kernels see serving
-//! traffic exactly the way they see simulator traffic.
+//! engine in [`HIERARCHY_BATCH`]-sized `submit_batch` calls, the same
+//! group size the hierarchy's LLC front-end uses. The engine consults
+//! the predictor once per access, exactly as in simulation.
 
 use std::sync::Mutex;
 use std::time::Instant;

@@ -2,7 +2,7 @@
 //! reference.
 //!
 //! The lane-SoA rewrite of the index hot path (see `mrp_core::plan`)
-//! left four ways to compute the same arena offsets:
+//! left three ways to compute the same arena offsets:
 //!
 //! 1. the interpretive reference — [`Feature::index`] plus a running
 //!    table base, the definition the paper gives;
@@ -11,12 +11,10 @@
 //! 3. the lane kernel at each available SIMD level
 //!    ([`FeaturePlan::compute_offsets_with`] over
 //!    [`simd::available_levels`], which pairs AVX2 against scalar on
-//!    machines that have it); and
-//! 4. the batched front-end ([`FeaturePlan::compute_offsets_batch`]) at
-//!    widths 1, half, and [`MAX_BATCH`].
+//!    machines that have it).
 //!
 //! This pass fuzzes feature sets ([`gen_features`]) and access contexts
-//! per job and asserts all four agree bit for bit, then randomizes the
+//! per job and asserts all three agree bit for bit, then randomizes the
 //! weight arena and asserts [`WeightTables::confidence_with`] agrees
 //! across levels with a per-table weight-sum reference. Any mismatch
 //! reproduces from `(seed, job)` alone.
@@ -30,7 +28,6 @@
 //! the ablations use — at every available SIMD level.
 
 use mrp_core::context::{FeatureContext, HISTORY_DEPTH};
-use mrp_core::plan::MAX_BATCH;
 use mrp_core::simd::{self, ApplyScratch, GATHER_PAD};
 use mrp_core::tables::WeightTables;
 use mrp_core::{Feature, FeaturePlan};
@@ -43,9 +40,6 @@ use crate::fuzzer::{gen_features, SplitMix};
 /// kernels and levels, so a few hundred already cover the flag
 /// combinations, warm/cold history, and extreme PC/address patterns.
 const CONTEXTS_PER_JOB: usize = 384;
-
-/// Batch widths exercised against the per-context path.
-const BATCH_WIDTHS: [usize; 3] = [1, MAX_BATCH / 2, MAX_BATCH];
 
 /// An owned fuzzed access context ([`FeatureContext`] borrows the PC
 /// history, so the fuzzer stores it inline and lends out views).
@@ -179,7 +173,6 @@ pub fn check_kernels_job(seed: u64, job: usize) -> DivergenceReport {
 
     // Per-context identity: reference vs compiled vs each lane level,
     // and the confidence kernel family vs the per-table weight sum.
-    let mut references = Vec::with_capacity(specs.len());
     let mut out = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         let ctx = spec.view();
@@ -215,32 +208,6 @@ pub fn check_kernels_job(seed: u64, job: usize) -> DivergenceReport {
                         level.name()
                     ),
                 );
-            }
-        }
-        references.push(reference);
-    }
-
-    // Batched front-end identity: every batch width must reproduce the
-    // per-context offsets exactly, at every chunk alignment.
-    let len = features.len();
-    let mut batch_out = Vec::new();
-    for width in BATCH_WIDTHS {
-        for (chunk_index, chunk) in specs.chunks(width).enumerate() {
-            let views: Vec<FeatureContext<'_>> = chunk.iter().map(CtxSpec::view).collect();
-            plan.compute_offsets_batch(&views, &mut batch_out);
-            for (i, _) in chunk.iter().enumerate() {
-                let global = chunk_index * width + i;
-                let got = &batch_out[i * len..(i + 1) * len];
-                if got != references[global].as_slice() {
-                    push(
-                        &mut report,
-                        global,
-                        format!(
-                            "batch(width {width}) offsets {got:?} != per-context {:?}",
-                            references[global]
-                        ),
-                    );
-                }
             }
         }
     }

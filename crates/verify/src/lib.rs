@@ -15,7 +15,7 @@
 //!    geometries, and feature specs fanned out across the `mrp-runtime`
 //!    pool with index-ordered collection, plus a greedy shrinker that
 //!    minimizes a failing stream before it is reported.
-//! 4. **Kernel identity** ([`kernels`]): the lane-SoA/SIMD/batched index
+//! 4. **Kernel identity** ([`kernels`]): the lane-SoA/SIMD index
 //!    kernels and the gather-sum confidence kernel checked bit-identical
 //!    to the interpretive `Feature::index` reference on fuzzed feature
 //!    sets, at every SIMD level the machine offers; and the batched
@@ -161,7 +161,7 @@ pub struct VerifySummary {
     pub policy_cells: Vec<PolicyCell>,
     /// Predictor lockstep reports, one per job.
     pub predictor_reports: Vec<DivergenceReport>,
-    /// Kernel-identity reports (lane/SIMD/batch kernels vs the
+    /// Kernel-identity reports (lane/SIMD kernels vs the
     /// interpretive reference), one per job.
     pub kernel_reports: Vec<DivergenceReport>,
     /// Train-kernel identity reports (batched saturating weight updates
@@ -277,7 +277,7 @@ pub fn run_verification(cfg: &VerifyConfig, policies: &[PolicySpec]) -> VerifySu
         run_predictor_lockstep(&features, 256, sampler_sets, theta, &stream)
     });
 
-    // Phase 4: kernel identity — the lane/SIMD/batch index kernels and
+    // Phase 4: kernel identity — the lane/SIMD index kernels and
     // the gather-sum confidence kernel against the interpretive
     // reference, on fuzzed feature sets and contexts. A failure here
     // reproduces from (seed, job) alone, so no stream shrinking applies.

@@ -9,7 +9,7 @@
 //! comparing index vectors, confidence sums, and (periodically) the
 //! entire weight state.
 
-use mrp_cache::{Cache, CacheConfig, ReplacementPolicy, UpcomingAccess, LLC_LOOKAHEAD};
+use mrp_cache::{Cache, CacheConfig, ReplacementPolicy};
 use mrp_core::context::{FeatureContext, PcHistory};
 use mrp_core::feature::Feature;
 use mrp_core::MultiperspectivePredictor;
@@ -27,10 +27,6 @@ pub struct DualCache {
     opt: Cache,
     reference: ReferenceCache,
     subject: String,
-    /// Whether the optimized side's policy consumes upcoming-access
-    /// windows ([`ReplacementPolicy::uses_upcoming_accesses`]).
-    windowed: bool,
-    window_buf: Vec<UpcomingAccess>,
 }
 
 impl DualCache {
@@ -53,35 +49,11 @@ impl DualCache {
         opt_policy: Box<dyn ReplacementPolicy + Send>,
         ref_policy: Box<dyn ReplacementPolicy + Send>,
     ) -> Self {
-        let opt = Cache::new(llc, opt_policy);
-        let windowed = opt.policy().uses_upcoming_accesses();
         DualCache {
-            opt,
+            opt: Cache::new(llc, opt_policy),
             reference: ReferenceCache::new(llc, ref_policy),
             subject: subject.to_string(),
-            windowed,
-            window_buf: Vec::with_capacity(LLC_LOOKAHEAD),
         }
-    }
-
-    /// Announces the next stream span to the **optimized side only**.
-    /// The reference stays fused, so every lockstep run over a
-    /// window-consuming policy doubles as a proof that its split
-    /// predict/train pipeline is bit-identical to the fused path. A
-    /// no-op for policies that ignore windows. Window contents are a
-    /// pure function of the stream slice, so the trace shrinker stays
-    /// sound.
-    pub fn announce_window(&mut self, upcoming: &[StreamItem]) {
-        if !self.windowed {
-            return;
-        }
-        self.window_buf.clear();
-        self.window_buf.extend(
-            upcoming
-                .iter()
-                .map(|(access, is_prefetch)| UpcomingAccess::new(access, *is_prefetch)),
-        );
-        self.opt.policy_mut().on_upcoming_accesses(&self.window_buf);
     }
 
     /// Simulates one access on both sides and records any divergence:
@@ -143,11 +115,6 @@ impl DualCache {
 /// Runs a whole stream through a [`DualCache`], stopping early once the
 /// divergence report is saturated. Returns the report and the optimized
 /// side's demand-miss count.
-///
-/// At every [`LLC_LOOKAHEAD`] boundary the upcoming stream span is
-/// announced to the optimized side (see [`DualCache::announce_window`]),
-/// so window-consuming policies are fuzzed on their batched predict path
-/// against the always-fused reference.
 pub fn run_lockstep(
     llc: &CacheConfig,
     subject: &str,
@@ -157,10 +124,6 @@ pub fn run_lockstep(
     let mut dual = DualCache::new(*llc, subject, build);
     let mut report = DivergenceReport::default();
     for (i, (access, is_prefetch)) in stream.iter().enumerate() {
-        if i % LLC_LOOKAHEAD == 0 {
-            let end = (i + LLC_LOOKAHEAD).min(stream.len());
-            dual.announce_window(&stream[i..end]);
-        }
         dual.step(i, access, *is_prefetch, &mut report);
         if report.saturated() {
             break;
@@ -400,42 +363,6 @@ mod tests {
         }
         assert!(!report.is_clean(), "LRU vs SRRIP must diverge");
         assert!(report.recorded[0].access.is_some(), "context captured");
-    }
-
-    /// The split predict/train pipeline against the fused path:
-    /// `run_lockstep` announces windows to the optimized side only, so a
-    /// clean report proves MPPPB's batched window consumption (offsets
-    /// precomputed with zeroed flags, patched at access time) is
-    /// bit-identical to computing everything at the access. Prefetches
-    /// are mixed in to exercise the prefetch-PC substitution and the
-    /// history-push skip for prefetch window entries.
-    #[test]
-    fn windowed_mpppb_split_path_matches_fused_reference() {
-        use mrp_core::mpppb::{Mpppb, MpppbConfig};
-        let c = CacheConfig::new(64 * 16 * 4, 16); // 4 sets x 16 ways
-        for build in [
-            (|llc: &CacheConfig| {
-                Box::new(Mpppb::new(MpppbConfig::single_thread(llc), llc))
-                    as Box<dyn ReplacementPolicy + Send>
-            }) as fn(&CacheConfig) -> Box<dyn ReplacementPolicy + Send>,
-            |llc: &CacheConfig| {
-                Box::new(mrp_core::AdaptiveMpppb::new(
-                    MpppbConfig::single_thread(llc),
-                    llc,
-                ))
-            },
-        ] {
-            let items: Vec<StreamItem> = (0..6_000u64)
-                .map(|i| {
-                    let mixed = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    let block = mixed % 96;
-                    let pc = 0x400000 + (mixed >> 32) % 23 * 4;
-                    (MemoryAccess::load(pc, block * 64), mixed % 7 == 0)
-                })
-                .collect();
-            let (report, _) = run_lockstep(&c, "mpppb-windowed", &build, &items);
-            assert!(report.is_clean(), "{report}");
-        }
     }
 
     #[test]

@@ -325,45 +325,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_offsets_equal_per_context_offsets(
-        features in proptest::collection::vec(arbitrary_feature(), 1..12),
-        contexts in proptest::collection::vec(
-            (any::<u64>(), any::<u64>(), any::<bool>(), any::<bool>(), any::<bool>()),
-            1..=mrp_core::plan::MAX_BATCH,
-        ),
-    ) {
-        // Batching hoists context transposition, nothing else: a batch of
-        // any width must emit exactly the offsets the per-context path
-        // emits for each member.
-        let plan = mrp_core::FeaturePlan::new(&features);
-        let views: Vec<mrp_core::context::FeatureContext<'_>> = contexts
-            .iter()
-            .map(|&(pc, address, is_mru, is_insert, last_miss)| {
-                mrp_core::context::FeatureContext {
-                    pc,
-                    address,
-                    pc_history: &[],
-                    is_mru,
-                    is_insert,
-                    last_miss,
-                }
-            })
-            .collect();
-        let mut batched = Vec::new();
-        plan.compute_offsets_batch(&views, &mut batched);
-        prop_assert_eq!(batched.len(), views.len() * features.len());
-        let mut single = Vec::new();
-        for (i, ctx) in views.iter().enumerate() {
-            plan.compute_offsets(ctx, &mut single);
-            prop_assert_eq!(
-                &batched[i * features.len()..(i + 1) * features.len()],
-                single.as_slice(),
-                "batch member {} diverged from per-context offsets", i
-            );
-        }
-    }
-
-    #[test]
     fn confidence_kernels_agree_across_levels(
         features in proptest::collection::vec(arbitrary_feature(), 1..12),
         weight_seed in any::<u64>(),

@@ -83,14 +83,13 @@ fn replay_path_is_bit_identical_for_every_policy() {
 }
 
 #[test]
-fn lockstep_stays_clean_with_window_and_simd_disabled() {
-    // MRP_NO_WINDOW and MRP_NO_SIMD are read once and OnceLock-cached,
-    // so the scalar/unwindowed configuration needs a fresh process: run
-    // the verify driver as a subprocess with both knobs set. This pins
-    // the fallback paths (no windowed offset precompute, no SIMD lanes)
-    // to the same lockstep + replay-equivalence bar as the defaults.
+fn lockstep_stays_clean_with_simd_disabled() {
+    // MRP_NO_SIMD is read once and OnceLock-cached, so the scalar
+    // configuration needs a fresh process: run the verify driver as a
+    // subprocess with the knob set. This pins the scalar fallback
+    // kernels to the same lockstep + replay-equivalence bar as the
+    // defaults.
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_verify"))
-        .env("MRP_NO_WINDOW", "1")
         .env("MRP_NO_SIMD", "1")
         .args(["--seed", "5", "--accesses", "8000", "--jobs", "2"])
         .args(["--policies", "mpppb,mpppb-srrip,mpppb-adaptive"])
@@ -101,7 +100,7 @@ fn lockstep_stays_clean_with_window_and_simd_disabled() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
-        "verify diverged with window+SIMD disabled:\nstdout:\n{stdout}\nstderr:\n{}",
+        "verify diverged with SIMD disabled:\nstdout:\n{stdout}\nstderr:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(
