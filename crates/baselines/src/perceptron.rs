@@ -8,7 +8,8 @@
 
 use mrp_cache::policies::Lru;
 use mrp_cache::{AccessInfo, CacheConfig, ReplacementPolicy};
-use mrp_core::simd::{self, ApplyScratch, GATHER_PAD};
+use mrp_core::simd::{self, GATHER_PAD};
+use mrp_core::tables::apply_events_i8;
 use mrp_trace::MemoryAccess;
 
 /// Number of feature tables.
@@ -57,9 +58,6 @@ pub struct PerceptronPolicy {
     assoc: u32,
     last_confidence: i32,
     measure_only: bool,
-    /// Scratch for the shared weight-update kernel (allocation-free
-    /// steady state, same as the multiperspective arena's).
-    apply_scratch: ApplyScratch,
 }
 
 #[inline]
@@ -102,7 +100,6 @@ impl PerceptronPolicy {
             assoc: llc.associativity(),
             last_confidence: 0,
             measure_only: false,
-            apply_scratch: ApplyScratch::default(),
         }
     }
 
@@ -152,18 +149,11 @@ impl PerceptronPolicy {
             return;
         }
         // One packed `(offset << 1) | sign` word per feature, applied
-        // through the same saturating weight-update kernel as the
+        // through the same saturating weight-update fold as the
         // multiperspective predictor's train path.
         let sign = u32::from(!dead);
         let events = indices.map(|i| (u32::from(i) << 1) | sign);
-        simd::apply_events_i8(
-            &mut self.tables,
-            &events,
-            WEIGHT_MIN,
-            WEIGHT_MAX,
-            simd::level(),
-            &mut self.apply_scratch,
-        );
+        apply_events_i8(&mut self.tables, &events, WEIGHT_MIN, WEIGHT_MAX);
     }
 
     fn sampler_access(&mut self, set: u32, block: u64, indices: [u16; FEATURES], confidence: i32) {

@@ -11,7 +11,7 @@
 
 use mrp_cache::policies::Lru;
 use mrp_cache::{AccessInfo, CacheConfig, ReplacementPolicy};
-use mrp_core::simd::{self, ApplyScratch, GATHER_PAD};
+use mrp_core::tables::apply_events_i8;
 
 /// Entries per skewed table (the original uses 4K-entry tables).
 const TABLE_ENTRIES: usize = 4096;
@@ -20,7 +20,7 @@ const TABLE_ENTRIES: usize = 4096;
 const TABLES: usize = 3;
 
 /// Saturation bounds of the 2-bit counters, in the shared weight-update
-/// kernel's signed representation.
+/// fold's signed representation.
 const COUNTER_MIN: i8 = 0;
 const COUNTER_MAX: i8 = 3;
 
@@ -43,8 +43,8 @@ struct SamplerEntry {
 pub struct Sdbp {
     /// The three skewed tables flattened into one arena; table `t`
     /// starts at `t * TABLE_ENTRIES`. Counters live in `0..=3` but are
-    /// stored signed (plus gather pad) so the shared saturating
-    /// weight-update kernel can apply training.
+    /// stored signed so the shared saturating weight-update fold can
+    /// apply training.
     tables: Vec<i8>,
     sampler: Vec<[SamplerEntry; SAMPLER_ASSOC]>,
     sample_stride: u32,
@@ -58,8 +58,6 @@ pub struct Sdbp {
     /// Confidence of the most recent prediction (for ROC measurement).
     last_confidence: i32,
     measure_only: bool,
-    /// Scratch for the shared weight-update kernel.
-    apply_scratch: ApplyScratch,
 }
 
 #[inline]
@@ -90,7 +88,7 @@ impl Sdbp {
         );
         let sample_stride = (llc.sets() / sampler_sets).max(1);
         Sdbp {
-            tables: vec![0i8; TABLES * TABLE_ENTRIES + GATHER_PAD],
+            tables: vec![0i8; TABLES * TABLE_ENTRIES],
             sampler: vec![[SamplerEntry::default(); SAMPLER_ASSOC]; sampler_sets as usize],
             sample_stride,
             sample_pow2: sample_stride
@@ -102,7 +100,6 @@ impl Sdbp {
             threshold: DEFAULT_THRESHOLD,
             last_confidence: 0,
             measure_only: false,
-            apply_scratch: ApplyScratch::default(),
         }
     }
 
@@ -134,19 +131,12 @@ impl Sdbp {
     fn train(&mut self, pc_hash_value: u32, dead: bool) {
         // One packed `(offset << 1) | sign` word per skewed table (the
         // flat-arena offsets land in disjoint per-table ranges), applied
-        // through the shared saturating kernel with the 2-bit bounds:
+        // through the shared saturating fold with the 2-bit bounds:
         // dead increments toward 3, live decrements toward 0.
         let sign = u32::from(!dead);
         let events: [u32; TABLES] =
             std::array::from_fn(|t| ((table_index(pc_hash_value, t) as u32) << 1) | sign);
-        simd::apply_events_i8(
-            &mut self.tables,
-            &events,
-            COUNTER_MIN,
-            COUNTER_MAX,
-            simd::level(),
-            &mut self.apply_scratch,
-        );
+        apply_events_i8(&mut self.tables, &events, COUNTER_MIN, COUNTER_MAX);
     }
 
     fn sampler_access(&mut self, set: u32, block: u64, pc: u64) {

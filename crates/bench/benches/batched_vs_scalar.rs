@@ -1,8 +1,6 @@
 //! Hot-path kernel benches: the per-feature compiled path against the
-//! lane-SoA kernels at every available SIMD level, the gather-sum
-//! confidence kernel pair, and the
-//! batched saturating weight-update (train-apply) kernel across event
-//! counts straddling the vector threshold.
+//! lane-SoA kernels at every available SIMD level, and the gather-sum
+//! confidence kernel pair.
 //!
 //! Companion to `bench_snapshot`'s `batched_hot_path` section (which
 //! records the same comparisons as committed JSON); this bench gives the
@@ -12,8 +10,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mrp_core::context::FeatureContext;
-use mrp_core::simd::{self, ApplyScratch, GATHER_PAD};
-use mrp_core::tables::{WeightTables, WEIGHT_MAX, WEIGHT_MIN};
+use mrp_core::simd;
+use mrp_core::tables::WeightTables;
 use mrp_core::{feature_sets, FeaturePlan};
 
 /// Contexts rotated through by the per-access benches.
@@ -102,58 +100,5 @@ fn bench_gather_sum(c: &mut Criterion) {
     group.finish();
 }
 
-/// A deterministic packed-event buffer over `arena` offsets: a rolling
-/// multiplicative walk with mixed signs, revisiting offsets so the
-/// conflict-coalescing path sees duplicates the way sampler bursts
-/// produce them.
-fn train_events(arena: usize, count: usize) -> Vec<u32> {
-    (0..count as u32)
-        .map(|i| {
-            let offset = (i.wrapping_mul(2654435761) >> 8) as usize % arena;
-            ((offset as u32) << 1) | ((i / 7) & 1)
-        })
-        .collect()
-}
-
-fn bench_train_apply(c: &mut Criterion) {
-    let features = feature_sets::table_1a();
-    let arena = WeightTables::new(&features).arena_len();
-    let mut weights = vec![0i8; arena + GATHER_PAD];
-    let mut scratch = ApplyScratch::default();
-
-    let mut group = c.benchmark_group("train_apply");
-    // 8 events stay on the shared scalar fold; 256 and 4096 take the
-    // sort-coalesce vector path (one chunk exactly at 4096).
-    for count in [8usize, 256, 4096] {
-        let events = train_events(arena, count);
-        group.throughput(Throughput::Elements(count as u64));
-        for &level in simd::available_levels() {
-            group.bench_with_input(
-                BenchmarkId::new(format!("events_{count}"), level.name()),
-                &level,
-                |b, &level| {
-                    b.iter(|| {
-                        simd::apply_events_i8(
-                            &mut weights,
-                            &events,
-                            WEIGHT_MIN,
-                            WEIGHT_MAX,
-                            level,
-                            &mut scratch,
-                        );
-                        criterion::black_box(weights[0])
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_index_kernels,
-    bench_gather_sum,
-    bench_train_apply
-);
+criterion_group!(benches, bench_index_kernels, bench_gather_sum);
 criterion_main!(benches);

@@ -178,8 +178,9 @@ impl MultiperspectivePredictor {
     /// The sampler appends packed SoA event words —
     /// `(arena_offset << 1) | sign` in the low bits, since it stores and
     /// replays the precombined arena offsets it was given — straight
-    /// into the reused flat buffer, and one batched kernel invocation
-    /// applies them; no per-event enum dispatch, and no buffer
+    /// into the reused flat buffer, and one
+    /// [`WeightTables::apply_events`] fold applies them (at most one
+    /// event per feature); no per-event enum dispatch, and no buffer
     /// take/restore round-trip (the SoA buffer and the sampler are
     /// disjoint fields).
     pub fn train(&mut self, llc_set: u32, block: u64, indices: &[u16], confidence: i32) {

@@ -11,7 +11,7 @@
 //! Training output is a flat SoA buffer of packed [`TrainingEvent`] words
 //! — `(feature << 17) | (index << 1) | sign` — appended directly by
 //! [`Sampler::access`]. The low 17 bits are exactly what the weight-update
-//! kernels consume (`(arena_offset << 1) | sign` when the caller stores
+//! fold consumes (`(arena_offset << 1) | sign` when the caller stores
 //! precombined arena offsets, as the optimized predictor does); the
 //! feature id rides in the high bits for consumers that address per-table
 //! weights instead (the verification reference model) and for tests.
@@ -53,7 +53,7 @@ pub fn clamp_confidence(sum: i32) -> i16 {
 /// word: bit 0 is the sign (1 = decrement toward "live", 0 = increment
 /// toward "dead"), bits 1..17 are the stored table index, and bits 17+
 /// carry the feature id. `(word & 0x1ffff)` is therefore the
-/// `(index << 1) | sign` form the SIMD weight-update kernels consume
+/// `(index << 1) | sign` form [`crate::tables::apply_events_i8`] consumes
 /// directly when indices are precombined arena offsets.
 pub type TrainingEvent = u32;
 
@@ -220,6 +220,11 @@ impl Sampler {
     /// demote by one; on a miss every block demotes by one and the
     /// position-17 block (if any) falls off the end — a demotion *to*
     /// position 18, which trains features with `A = 18`.
+    ///
+    /// Each call emits at most one event per feature (a feature trains
+    /// live on a reuse at `p < A` or dead on a demotion to exactly `A`,
+    /// never both), so one buffer touches each feature's table at most
+    /// once.
     pub fn access(
         &mut self,
         set: u32,

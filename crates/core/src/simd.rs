@@ -228,267 +228,6 @@ unsafe fn gather_sum_i8_avx512(weights: &[i8], offsets: &[u16]) -> i32 {
     sum
 }
 
-/// Events below this count take the sequential scalar fold: the
-/// sort-coalesce setup of the vector path costs more than it saves on
-/// the handful of events a single sampler access emits.
-pub const APPLY_VECTOR_MIN_EVENTS: usize = 16;
-
-/// Events are coalesced in chunks of this size so the original sequence
-/// index fits in the low 12 bits of a `u32` sort key (offset in the high
-/// 16). Chunks apply in order, which preserves the sequential semantics
-/// across the boundary.
-const APPLY_CHUNK: usize = 4096;
-
-/// Reusable buffers for the vectorized weight-update path, owned by the
-/// caller so steady-state applies never allocate.
-#[derive(Debug, Default, Clone)]
-pub struct ApplyScratch {
-    /// `(offset << 12) | sequence` sort keys.
-    keys: Vec<u32>,
-    /// Unique offsets after coalescing (same-sign groups only).
-    offsets: Vec<u16>,
-    /// Net signed delta per unique offset.
-    nets: Vec<i32>,
-}
-
-/// Applies one packed training event — `(index << 1) | sign` in the low
-/// 17 bits, sign 1 = decrement — with saturating arithmetic. The shared
-/// scalar reference for every apply kernel.
-#[inline]
-fn apply_one_event(weights: &mut [i8], event: u32, min: i8, max: i8) {
-    let w = &mut weights[(event >> 1) as usize & 0xffff];
-    *w = if event & 1 == 1 {
-        (*w).saturating_sub(1).max(min)
-    } else {
-        (*w).saturating_add(1).min(max)
-    };
-}
-
-/// The sequential scalar weight-update fold: events applied one at a
-/// time in buffer order, each a saturating ±1 clamped to `[min, max]`.
-/// This is the semantic reference the vector path must match bit-exactly.
-pub fn apply_events_i8_scalar(weights: &mut [i8], events: &[u32], min: i8, max: i8) {
-    for &e in events {
-        apply_one_event(weights, e, min, max);
-    }
-}
-
-/// Applies a packed SoA event buffer to an i8 weight arena with
-/// saturating ±1 updates clamped to `[min, max]`, dispatching to the
-/// AVX2/AVX-512 batched form when `level` asks for it and the buffer is
-/// big enough to amortize the setup. Returns `true` when the vector path
-/// ran (for the dispatch-regression telemetry counters).
-///
-/// Correctness of the batched form (every weight must end bit-identical
-/// to the sequential fold, which callers' debug builds and `mrp-verify`'s
-/// train-kernel pass hold it to):
-///
-/// * Events on **distinct offsets** commute — each touches one weight.
-/// * A **same-sign run** of `k` events on one offset collapses to
-///   `clamp(w ± k)`: starting from `w ∈ [min, max]`, `k` saturating +1
-///   steps produce `min(w + k, max)`, and since `w ≥ min` the two-sided
-///   clamp agrees (symmetrically for decrements). The run is coalesced to
-///   one `(offset, net)` pair.
-/// * A **mixed-sign run** is order-dependent under saturation (e.g.
-///   `max, +1, -1` ends at `max - 1` but `-1, +1` at `max`), so it is
-///   replayed sequentially in original event order — the sort key carries
-///   the sequence number precisely so the replay order survives the sort.
-///
-/// Requires every weight to already lie within `[min, max]` (the arena
-/// invariant [`crate::tables::WeightTables`] maintains); the collapse
-/// argument above does not hold for out-of-range starting weights.
-pub fn apply_events_i8(
-    weights: &mut [i8],
-    events: &[u32],
-    min: i8,
-    max: i8,
-    level: SimdLevel,
-    scratch: &mut ApplyScratch,
-) -> bool {
-    if level == SimdLevel::Scalar || events.len() < APPLY_VECTOR_MIN_EVENTS {
-        apply_events_i8_scalar(weights, events, min, max);
-        return false;
-    }
-    let mut vectorized = false;
-    for chunk in events.chunks(APPLY_CHUNK) {
-        vectorized |= apply_chunk_i8(weights, chunk, min, max, level, scratch);
-    }
-    vectorized
-}
-
-/// Sort-coalesce + batched apply of one bounded chunk (see
-/// [`apply_events_i8`] for the correctness argument).
-fn apply_chunk_i8(
-    weights: &mut [i8],
-    events: &[u32],
-    min: i8,
-    max: i8,
-    level: SimdLevel,
-    scratch: &mut ApplyScratch,
-) -> bool {
-    debug_assert!(events.len() <= APPLY_CHUNK);
-    scratch.keys.clear();
-    scratch.keys.extend(
-        events
-            .iter()
-            .enumerate()
-            .map(|(seq, &e)| ((e & 0x1fffe) << 11) | seq as u32),
-    );
-    // Unstable sort is order-preserving here: keys are unique (distinct
-    // sequence bits), and within an offset they sort by sequence.
-    scratch.keys.sort_unstable();
-
-    scratch.offsets.clear();
-    scratch.nets.clear();
-    let mut max_offset = 0u16;
-    let mut i = 0;
-    while i < scratch.keys.len() {
-        let offset = (scratch.keys[i] >> 12) as u16;
-        let mut j = i + 1;
-        while j < scratch.keys.len() && (scratch.keys[j] >> 12) as u16 == offset {
-            j += 1;
-        }
-        let first_sign = events[(scratch.keys[i] & 0xfff) as usize] & 1;
-        let mut net = 0i32;
-        let mut mixed = false;
-        for &key in &scratch.keys[i..j] {
-            let e = events[(key & 0xfff) as usize];
-            mixed |= (e & 1) != first_sign;
-            net += 1 - 2 * (e & 1) as i32;
-        }
-        if mixed {
-            // Order-dependent under saturation: replay sequentially in
-            // original order (keys within the run are sequence-sorted).
-            for &key in &scratch.keys[i..j] {
-                apply_one_event(weights, events[(key & 0xfff) as usize], min, max);
-            }
-        } else {
-            // Same-sign run: net is +count (increments) or -count
-            // (decrements), and clamp(w + net) matches the fold.
-            scratch.offsets.push(offset);
-            scratch.nets.push(net);
-            max_offset = max_offset.max(offset);
-        }
-        i = j;
-    }
-    if scratch.offsets.is_empty() {
-        return false;
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Same pad contract as the gather-sum: each lane reads 4 bytes at
-        // its offset. Unpadded arenas take the scalar net apply.
-        if usize::from(max_offset) + GATHER_PAD <= weights.len() {
-            // SAFETY: level implies the feature set was detected, and the
-            // bound above keeps every 4-byte gather inside `weights`.
-            match level {
-                SimdLevel::Avx512 => unsafe {
-                    apply_nets_avx512(weights, &scratch.offsets, &scratch.nets, min, max);
-                },
-                _ => unsafe {
-                    apply_nets_avx2(weights, &scratch.offsets, &scratch.nets, min, max);
-                },
-            }
-            return true;
-        }
-    }
-    let _ = max_offset;
-    apply_nets_scalar(weights, &scratch.offsets, &scratch.nets, min, max);
-    false
-}
-
-/// Scalar form of the coalesced net apply: `w = clamp(w + net)` per
-/// unique offset.
-fn apply_nets_scalar(weights: &mut [i8], offsets: &[u16], nets: &[i32], min: i8, max: i8) {
-    for (&o, &net) in offsets.iter().zip(nets) {
-        let w = &mut weights[usize::from(o)];
-        *w = (i32::from(*w) + net).clamp(i32::from(min), i32::from(max)) as i8;
-    }
-}
-
-/// AVX2 coalesced net apply: gathers 8 weights as i32 lanes, adds the
-/// net deltas, clamps to `[min, max]`, and stores the low byte of each
-/// lane back. Offsets are unique after coalescing, so lane stores cannot
-/// conflict.
-///
-/// # Safety
-///
-/// Requires AVX2, and `usize::from(o) + 4 <= weights.len()` for every
-/// offset (each lane reads 4 bytes starting at its offset).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn apply_nets_avx2(weights: &mut [i8], offsets: &[u16], nets: &[i32], min: i8, max: i8) {
-    use core::arch::x86_64::*;
-
-    let base = weights.as_ptr() as *const i32;
-    let minv = _mm256_set1_epi32(i32::from(min));
-    let maxv = _mm256_set1_epi32(i32::from(max));
-    let chunks = offsets.len() / 8;
-    for c in 0..chunks {
-        let o = _mm_loadu_si128(offsets.as_ptr().add(c * 8) as *const __m128i);
-        let vindex = _mm256_cvtepu16_epi32(o);
-        let words = _mm256_i32gather_epi32(base, vindex, 1);
-        let w = _mm256_srai_epi32(_mm256_slli_epi32(words, 24), 24);
-        let net = _mm256_loadu_si256(nets.as_ptr().add(c * 8) as *const __m256i);
-        let clamped = _mm256_min_epi32(_mm256_max_epi32(_mm256_add_epi32(w, net), minv), maxv);
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, clamped);
-        for (lane, &off) in offsets[c * 8..c * 8 + 8].iter().enumerate() {
-            *weights.get_unchecked_mut(usize::from(off)) = lanes[lane] as i8;
-        }
-    }
-    apply_nets_scalar(
-        weights,
-        &offsets[chunks * 8..],
-        &nets[chunks * 8..],
-        min,
-        max,
-    );
-}
-
-/// AVX-512 coalesced net apply: 16 lanes per iteration, same structure
-/// as the AVX2 form (there is no byte scatter in AVX-512, so lane
-/// write-back narrows via `vpmovdb` and stores per unique offset).
-///
-/// # Safety
-///
-/// Requires AVX-512 F+BW, and `usize::from(o) + 4 <= weights.len()` for
-/// every offset.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn apply_nets_avx512(weights: &mut [i8], offsets: &[u16], nets: &[i32], min: i8, max: i8) {
-    use core::arch::x86_64::*;
-
-    let base = weights.as_ptr() as *const i32;
-    let minv = _mm512_set1_epi32(i32::from(min));
-    let maxv = _mm512_set1_epi32(i32::from(max));
-    let chunks = offsets.len() / 16;
-    for c in 0..chunks {
-        let o = _mm256_loadu_si256(offsets.as_ptr().add(c * 16) as *const __m256i);
-        let vindex = _mm512_cvtepu16_epi32(o);
-        let words = _mm512_i32gather_epi32(vindex, base, 1);
-        let w = _mm512_srai_epi32(_mm512_slli_epi32(words, 24), 24);
-        let net = _mm512_loadu_si512(nets.as_ptr().add(c * 16) as *const __m512i);
-        let clamped = _mm512_min_epi32(_mm512_max_epi32(_mm512_add_epi32(w, net), minv), maxv);
-        let mut bytes = [0i8; 16];
-        _mm_storeu_si128(
-            bytes.as_mut_ptr() as *mut __m128i,
-            _mm512_cvtepi32_epi8(clamped),
-        );
-        for (lane, &off) in offsets[c * 16..c * 16 + 16].iter().enumerate() {
-            *weights.get_unchecked_mut(usize::from(off)) = bytes[lane];
-        }
-    }
-    apply_nets_scalar(
-        weights,
-        &offsets[chunks * 16..],
-        &nets[chunks * 16..],
-        min,
-        max,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,107 +275,5 @@ mod tests {
         for &l in available_levels() {
             assert_eq!(gather_sum_i8(&weights, &offsets, l), 9, "{l:?}");
         }
-    }
-
-    /// Packs `(offset << 1) | sign` the way the sampler emits events
-    /// (feature bits don't matter to the apply kernels).
-    fn ev(offset: u16, decrement: bool) -> u32 {
-        (u32::from(offset) << 1) | u32::from(decrement)
-    }
-
-    #[test]
-    fn apply_events_matches_scalar_on_every_level() {
-        let (min, max) = (-32i8, 31i8);
-        // 97 weights + pad, spread across the range including the bounds.
-        let mut init = vec![0i8; 97 + GATHER_PAD];
-        for (i, w) in init.iter_mut().take(97).enumerate() {
-            *w = ((i as i32 * 23 % 64) - 32) as i8;
-        }
-        // Events with heavy duplication: offsets drawn from a pool of 13,
-        // mixed signs, enough to cross the vector threshold.
-        let events: Vec<u32> = (0..240)
-            .map(|i| ev((i * 31 % 13 * 7) as u16, i % 3 == 0))
-            .collect();
-        let mut expected = init.clone();
-        apply_events_i8_scalar(&mut expected, &events, min, max);
-        for &l in available_levels() {
-            let mut got = init.clone();
-            let mut scratch = ApplyScratch::default();
-            apply_events_i8(&mut got, &events, min, max, l, &mut scratch);
-            assert_eq!(got, expected, "{l:?}");
-        }
-    }
-
-    #[test]
-    fn mixed_sign_duplicates_replay_in_event_order() {
-        // At the saturation bound, `inc, dec` ends one below the bound
-        // while `dec, inc` ends at it — net coalescing would get both
-        // wrong (net 0 => unchanged). The kernel must replay mixed-sign
-        // groups in original order at every level.
-        let (min, max) = (-32i8, 31i8);
-        let mut init = vec![0i8; 64 + GATHER_PAD];
-        init[0] = max;
-        init[1] = max;
-        let mut events = vec![ev(0, false), ev(0, true), ev(1, true), ev(1, false)];
-        // Pad past the vector threshold with unique-offset events.
-        events.extend((2..40u16).map(|o| ev(o, false)));
-        let mut expected = init.clone();
-        apply_events_i8_scalar(&mut expected, &events, min, max);
-        assert_eq!(expected[0], max - 1);
-        assert_eq!(expected[1], max);
-        for &l in available_levels() {
-            let mut got = init.clone();
-            let mut scratch = ApplyScratch::default();
-            apply_events_i8(&mut got, &events, min, max, l, &mut scratch);
-            assert_eq!(got, expected, "{l:?}");
-        }
-    }
-
-    #[test]
-    fn apply_saturates_at_pinned_bounds() {
-        let (min, max) = (-32i8, 31i8);
-        let mut init = vec![0i8; 32 + GATHER_PAD];
-        init[3] = max;
-        init[4] = min;
-        // 20 increments at a pinned max, 20 decrements at a pinned min.
-        let mut events: Vec<u32> = (0..20).map(|_| ev(3, false)).collect();
-        events.extend((0..20).map(|_| ev(4, true)));
-        for &l in available_levels() {
-            let mut got = init.clone();
-            let mut scratch = ApplyScratch::default();
-            apply_events_i8(&mut got, &events, min, max, l, &mut scratch);
-            assert_eq!(got[3], max, "{l:?}");
-            assert_eq!(got[4], min, "{l:?}");
-        }
-    }
-
-    #[test]
-    fn apply_without_pad_stays_correct() {
-        // Offsets reaching the last element of an unpadded arena must not
-        // take the gather path; the coalesced scalar fallback still
-        // produces the sequential result.
-        let (min, max) = (-8i8, 7i8);
-        let init = vec![0i8; 24];
-        let events: Vec<u32> = (0..24).map(|o| ev(o as u16, o % 2 == 1)).collect();
-        let mut expected = init.clone();
-        apply_events_i8_scalar(&mut expected, &events, min, max);
-        for &l in available_levels() {
-            let mut got = init.clone();
-            let mut scratch = ApplyScratch::default();
-            let vectorized = apply_events_i8(&mut got, &events, min, max, l, &mut scratch);
-            assert!(!vectorized, "{l:?} must not gather an unpadded arena");
-            assert_eq!(got, expected, "{l:?}");
-        }
-    }
-
-    #[test]
-    fn apply_small_batches_take_the_scalar_fold() {
-        let (min, max) = (-32i8, 31i8);
-        let mut weights = vec![0i8; 16 + GATHER_PAD];
-        let events = vec![ev(2, false); APPLY_VECTOR_MIN_EVENTS - 1];
-        let mut scratch = ApplyScratch::default();
-        let vectorized = apply_events_i8(&mut weights, &events, min, max, level(), &mut scratch);
-        assert!(!vectorized);
-        assert_eq!(weights[2], (APPLY_VECTOR_MIN_EVENTS - 1) as i8);
     }
 }

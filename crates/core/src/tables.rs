@@ -8,10 +8,8 @@
 //! the `(table, index)` API remains for tests, ablations, and storage
 //! accounting.
 
-use std::sync::OnceLock;
-
 use crate::feature::Feature;
-use crate::simd::{self, ApplyScratch, SimdLevel, GATHER_PAD};
+use crate::simd::{self, SimdLevel, GATHER_PAD};
 
 /// Weight bounds: "We find that 6 bit weights ranging from -32 to +31
 /// provide a good trade-off between accuracy and area" (§3.4).
@@ -35,23 +33,29 @@ pub struct WeightTables {
     bases: Vec<u32>,
     weight_min: i8,
     weight_max: i8,
-    /// Sort-coalesce buffers for the batched weight-update kernel, owned
-    /// here so steady-state training never allocates.
-    scratch: ApplyScratch,
 }
 
-/// Telemetry for the train-kernel dispatch: how many event-buffer applies
-/// took the vectorized path vs the sequential scalar fold. No-ops unless
-/// a driver enables `--metrics`; production runs use the pair to spot a
-/// dispatch regression (e.g. an unexpectedly scalar fleet).
-fn apply_dispatch_counters() -> &'static (mrp_obs::Counter, mrp_obs::Counter) {
-    static COUNTERS: OnceLock<(mrp_obs::Counter, mrp_obs::Counter)> = OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        (
-            mrp_obs::counter("predictor.train.apply.vector"),
-            mrp_obs::counter("predictor.train.apply.scalar"),
-        )
-    })
+/// Applies a packed training-event buffer to an i8 weight arena: events
+/// in buffer order, each a saturating ±1 clamped to `[min, max]`. An
+/// event is `(index << 1) | sign` in its low 17 bits (sign 1 =
+/// decrement toward "live"); the feature bits above are ignored. The one
+/// weight-update path shared by [`WeightTables`] and the perceptron and
+/// SDBP baselines.
+///
+/// Order matters only at a saturation bound (`max, +1, -1` ends at
+/// `max - 1` but `max, -1, +1` at `max`), and only when one buffer
+/// touches an offset twice — which a single sampler access never does
+/// (see [`crate::sampler::Sampler::access`]).
+#[inline]
+pub fn apply_events_i8(weights: &mut [i8], events: &[u32], min: i8, max: i8) {
+    for &e in events {
+        let w = &mut weights[(e >> 1) as usize & 0xffff];
+        *w = if e & 1 == 1 {
+            (*w).saturating_sub(1).max(min)
+        } else {
+            (*w).saturating_add(1).min(max)
+        };
+    }
 }
 
 impl WeightTables {
@@ -87,7 +91,6 @@ impl WeightTables {
             bases,
             weight_min: (-half) as i8,
             weight_max: (half - 1) as i8,
-            scratch: ApplyScratch::default(),
         }
     }
 
@@ -182,39 +185,18 @@ impl WeightTables {
     /// Applies a packed SoA training-event buffer (words of
     /// `(arena_offset << 1) | sign` in the low 17 bits, as emitted by
     /// [`crate::sampler::Sampler::access`] when fed precombined arena
-    /// offsets) with the same saturating semantics as a sequential
-    /// [`Self::increment_at`]/[`Self::decrement_at`] fold, through the
-    /// batched kernel family selected by [`crate::simd::level`].
+    /// offsets) through [`apply_events_i8`] — the same saturating
+    /// semantics as a sequential
+    /// [`Self::increment_at`]/[`Self::decrement_at`] fold.
     #[inline]
     pub fn apply_events(&mut self, events: &[u32]) {
-        self.apply_events_with(simd::level(), events);
-    }
-
-    /// [`Self::apply_events`] with an explicit kernel level, for the
-    /// kernel-equivalence sweeps in `mrp-verify` and the benches.
-    pub fn apply_events_with(&mut self, level: SimdLevel, events: &[u32]) {
         debug_assert!(
             events
                 .iter()
                 .all(|&e| ((e >> 1) as usize & 0xffff) < self.arena),
             "event offset beyond arena"
         );
-        let vectorized = simd::apply_events_i8(
-            &mut self.weights,
-            events,
-            self.weight_min,
-            self.weight_max,
-            level,
-            &mut self.scratch,
-        );
-        if !events.is_empty() {
-            let (vector, scalar) = apply_dispatch_counters();
-            if vectorized {
-                vector.incr();
-            } else {
-                scalar.incr();
-            }
-        }
+        apply_events_i8(&mut self.weights, events, self.weight_min, self.weight_max);
     }
 
     /// Total storage in bits (for the overhead accounting test against the
@@ -327,10 +309,10 @@ mod tests {
     #[test]
     fn apply_events_matches_sequential_updates() {
         use crate::sampler::{event_decrement, event_increment};
-        let mut batched = WeightTables::new(&features());
+        let mut applied = WeightTables::new(&features());
         let mut sequential = WeightTables::new(&features());
-        // A long buffer with duplicate offsets and mixed signs, crossing
-        // the vector threshold; feature ids are irrelevant to the apply.
+        // A long buffer with duplicate offsets and mixed signs; feature
+        // ids are irrelevant to the apply.
         let events: Vec<u32> = (0..300u32)
             .map(|i| {
                 let offset = (i * 13 % 259) as u16;
@@ -349,19 +331,43 @@ mod tests {
                 sequential.increment_at(offset);
             }
         }
-        for &l in crate::simd::available_levels() {
-            let mut t = batched.clone();
-            t.apply_events_with(l, &events);
-            for o in 0..t.arena_len() as u16 {
-                assert_eq!(
-                    t.weights[usize::from(o)],
-                    sequential.weights[usize::from(o)],
-                    "offset {o} at {l:?}"
-                );
-            }
-        }
-        batched.apply_events(&events);
-        assert_eq!(batched.weights, sequential.weights);
+        applied.apply_events(&events);
+        assert_eq!(applied.weights, sequential.weights);
+    }
+
+    /// Packs `(offset << 1) | sign` the way the sampler emits events
+    /// (feature bits don't matter to the apply).
+    fn ev(offset: u16, decrement: bool) -> u32 {
+        (u32::from(offset) << 1) | u32::from(decrement)
+    }
+
+    #[test]
+    fn mixed_sign_duplicates_replay_in_event_order() {
+        // At the saturation bound, `inc, dec` ends one below the bound
+        // while `dec, inc` ends at it: the fold is order-dependent there,
+        // so net coalescing (net 0 => unchanged) would get both wrong.
+        let (min, max) = (-32i8, 31i8);
+        let mut weights = vec![0i8; 64];
+        weights[0] = max;
+        weights[1] = max;
+        let events = [ev(0, false), ev(0, true), ev(1, true), ev(1, false)];
+        apply_events_i8(&mut weights, &events, min, max);
+        assert_eq!(weights[0], max - 1);
+        assert_eq!(weights[1], max);
+    }
+
+    #[test]
+    fn apply_saturates_at_pinned_bounds() {
+        let (min, max) = (-32i8, 31i8);
+        let mut weights = vec![0i8; 32];
+        weights[3] = max;
+        weights[4] = min;
+        // 20 increments at a pinned max, 20 decrements at a pinned min.
+        let mut events: Vec<u32> = (0..20).map(|_| ev(3, false)).collect();
+        events.extend((0..20).map(|_| ev(4, true)));
+        apply_events_i8(&mut weights, &events, min, max);
+        assert_eq!(weights[3], max);
+        assert_eq!(weights[4], min);
     }
 
     #[test]

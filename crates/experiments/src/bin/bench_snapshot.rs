@@ -109,37 +109,6 @@ fn bench_confidence_and_train(samples: usize, iters: u64) -> f64 {
     })
 }
 
-/// Ns/event of the batched saturating weight-update kernel at the
-/// dispatched SIMD level, on a 4096-event buffer with duplicate offsets
-/// and mixed signs (one full sort-coalesce chunk).
-fn bench_train_apply_batch(samples: usize, iters: u64) -> f64 {
-    use mrp_core::simd::{self, ApplyScratch, GATHER_PAD};
-    use mrp_core::tables::{WeightTables, WEIGHT_MAX, WEIGHT_MIN};
-
-    const EVENTS: usize = 4096;
-    let arena = WeightTables::new(&feature_sets::table_1a()).arena_len();
-    let mut weights = vec![0i8; arena + GATHER_PAD];
-    let mut scratch = ApplyScratch::default();
-    let events: Vec<u32> = (0..EVENTS as u32)
-        .map(|i| {
-            let offset = (i.wrapping_mul(2654435761) >> 8) as usize % arena;
-            ((offset as u32) << 1) | ((i / 7) & 1)
-        })
-        .collect();
-    let batches = (iters / EVENTS as u64).max(1);
-    median_ns_per_op(samples, batches, || {
-        simd::apply_events_i8(
-            &mut weights,
-            &events,
-            WEIGHT_MIN,
-            WEIGHT_MAX,
-            simd::level(),
-            &mut scratch,
-        );
-        std::hint::black_box(weights[0]);
-    }) / EVENTS as f64
-}
-
 /// Serving-fleet throughput: the default `mrp-serve` shape (16 tenants
 /// on 4 shards, 64Ki accesses/round, MPPPB engines, confidence tracking
 /// on). One fleet is built and warmed, then each sample reopens the
@@ -271,8 +240,6 @@ fn main() {
     eprintln!("  predictor_hot_path/index_16_features: {index_ns:.1} ns/op");
     let train_ns = bench_confidence_and_train(samples, iters);
     eprintln!("  predictor_hot_path/confidence_and_train: {train_ns:.1} ns/op");
-    let apply_ns = bench_train_apply_batch(samples, iters);
-    eprintln!("  predictor_hot_path/train_apply_batch: {apply_ns:.2} ns/event");
 
     // Batched hot path: the scalar-vs-SIMD lane kernel pair. The
     // dispatched level is whatever `simd::level()` detected (subject to
@@ -303,11 +270,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"confidence_and_train\": {{ \"median_ns_per_op\": {train_ns:.3} }},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"train_apply_batch\": {{ \"median_ns_per_event\": {apply_ns:.3} }}"
+        "    \"confidence_and_train\": {{ \"median_ns_per_op\": {train_ns:.3} }}"
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"batched_hot_path\": {{");
@@ -392,10 +355,6 @@ fn main() {
         m.scalar(
             "predictor_hot_path.confidence_and_train.median_ns_per_op",
             train_ns,
-        );
-        m.scalar(
-            "predictor_hot_path.train_apply_batch.median_ns_per_event",
-            apply_ns,
         );
         m.meta("simd_level", Json::Str(detected.name().to_string()));
         m.scalar(

@@ -23,9 +23,9 @@
 //! (`--bench-baseline`, default `results/bench_snapshot.json`) and exits
 //! nonzero when a gated metric regressed beyond the tolerance
 //! (`--tolerance-pct`, default 15). Gated metrics: the predictor hot
-//! path (`index_16_features`, `confidence_and_train`, and — once the
-//! baseline records it — `train_apply_batch`; higher ns is worse) and
-//! per-policy hierarchy throughput (lower instructions/sec is worse).
+//! path (`index_16_features` and `confidence_and_train`; higher ns is
+//! worse) and per-policy hierarchy throughput (lower instructions/sec
+//! is worse).
 //! The replay speedup is gated against the absolute
 //! [`REPLAY_SPEEDUP_FLOOR`] instead of a relative tolerance — the
 //! committed ratio drifts with machine load, but the record/replay
@@ -107,20 +107,6 @@ fn gated_metrics(baseline: &Json) -> Vec<GatedMetric> {
             higher_is_worse: true,
         },
     ];
-    // Gated once the baseline records it (pre-existing baselines from
-    // before the train-apply kernel existed stay valid until blessed).
-    let train_apply_path = [
-        "predictor_hot_path".to_string(),
-        "train_apply_batch".to_string(),
-        "median_ns_per_event".to_string(),
-    ];
-    if metric(baseline, &train_apply_path).is_some() {
-        out.push(GatedMetric {
-            name: "predictor_hot_path.train_apply_batch.median_ns_per_event".into(),
-            path: train_apply_path.to_vec(),
-            higher_is_worse: true,
-        });
-    }
     if let Some(Json::Obj(policies)) = baseline.get("hierarchy_throughput") {
         for (policy, _) in policies {
             out.push(GatedMetric {
@@ -458,14 +444,13 @@ mod tests {
             .any(|n| n == "hierarchy_throughput.MPPPB.instructions_per_sec"));
     }
 
-    /// A full snapshot with the train-apply row and a replay speedup.
-    fn snapshot_v2(train_apply: f64, speedup: f64) -> Json {
+    /// A full snapshot with a replay speedup.
+    fn snapshot_with_speedup(speedup: f64) -> Json {
         Json::parse(&format!(
             r#"{{
               "predictor_hot_path": {{
                 "index_16_features": {{ "median_ns_per_op": 40.0 }},
-                "confidence_and_train": {{ "median_ns_per_op": 80.0 }},
-                "train_apply_batch": {{ "median_ns_per_event": {train_apply} }}
+                "confidence_and_train": {{ "median_ns_per_op": 80.0 }}
               }},
               "hierarchy_throughput": {{
                 "MPPPB": {{ "instructions_per_sec": 35e6 }}
@@ -477,31 +462,13 @@ mod tests {
     }
 
     #[test]
-    fn train_apply_row_is_gated_once_baseline_records_it() {
-        let base = snapshot_v2(3.0, 5.0);
-        let names: Vec<String> = gated_metrics(&base).into_iter().map(|m| m.name).collect();
-        assert!(names
-            .iter()
-            .any(|n| n == "predictor_hot_path.train_apply_batch.median_ns_per_event"));
-        // Slower per-event apply beyond the tolerance fails the gate.
-        let slow = snapshot_v2(4.0, 5.0);
-        let f = bench_gate(&base, &slow, 15.0).unwrap();
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].contains("train_apply_batch"), "{f:?}");
-        // Absent from the baseline, the row is not required (pre-bless
-        // compatibility).
-        let old_base = snapshot(40.0, 80.0, 30e6, 35e6);
-        assert!(bench_gate(&old_base, &old_base, 15.0).unwrap().is_empty());
-    }
-
-    #[test]
     fn replay_speedup_is_gated_against_the_absolute_floor() {
-        let base = snapshot_v2(3.0, 5.0);
+        let base = snapshot_with_speedup(5.0);
         // Well above the floor but far below the baseline ratio: still
         // clean — the floor, not a relative diff, is the claim.
-        let noisy = snapshot_v2(3.0, REPLAY_SPEEDUP_FLOOR + 0.1);
+        let noisy = snapshot_with_speedup(REPLAY_SPEEDUP_FLOOR + 0.1);
         assert!(bench_gate(&base, &noisy, 15.0).unwrap().is_empty());
-        let below = snapshot_v2(3.0, REPLAY_SPEEDUP_FLOOR - 0.5);
+        let below = snapshot_with_speedup(REPLAY_SPEEDUP_FLOOR - 0.5);
         let f = bench_gate(&base, &below, 15.0).unwrap();
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].contains("floor"), "{f:?}");

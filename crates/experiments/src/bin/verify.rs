@@ -124,17 +124,6 @@ fn main() -> ExitCode {
             "FAIL"
         }
     );
-    let train_kernel_divergences: usize =
-        summary.train_kernel_reports.iter().map(|r| r.total).sum();
-    println!(
-        "{:>16}  {:>4}  {train_kernel_divergences:>4} divergences",
-        "train-kernel",
-        if train_kernel_divergences == 0 {
-            "ok"
-        } else {
-            "FAIL"
-        }
-    );
     println!(
         "# MIN bound applied to {} of {} policy cells (prefetch jobs excluded)",
         summary.min_checks.0, summary.min_checks.1
@@ -175,7 +164,6 @@ fn main() -> ExitCode {
         m.meta("min_checks", Json::U64(summary.min_checks.0 as u64));
         m.scalar("predictor_divergences", predictor_divergences as f64);
         m.scalar("kernel_divergences", kernel_divergences as f64);
-        m.scalar("train_kernel_divergences", train_kernel_divergences as f64);
         m.scalar("total_divergences", summary.total_divergences() as f64);
         m.scalar("replay_clean", if replay_clean { 1.0 } else { 0.0 });
     }
@@ -212,14 +200,6 @@ fn main() -> ExitCode {
         .filter(|(_, r)| !r.is_clean())
     {
         eprintln!("--- kernels job {job}:\n{report}");
-    }
-    for (job, report) in summary
-        .train_kernel_reports
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.is_clean())
-    {
-        eprintln!("--- train-kernel job {job}:\n{report}");
     }
     if let Some(shrunk) = &summary.shrunk {
         eprintln!("\n{shrunk}");

@@ -252,9 +252,9 @@ impl Default for FullScale {
     }
 }
 
-/// The full experiment suite: the ten jobs
-/// `scripts/run_all_experiments.sh` historically looped over, each
-/// capturing its report into `results/<name>.txt`.
+/// The full experiment suite that `scripts/run_all_experiments.sh`
+/// runs: ten drivers, each capturing its report into
+/// `results/<name>.txt`.
 pub fn full_plan(scale: &FullScale) -> Vec<JobSpec> {
     let st = |spec: JobSpec| {
         spec.arg("warmup", scale.st_warmup)

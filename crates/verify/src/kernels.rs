@@ -18,17 +18,9 @@
 //! weight arena and asserts [`WeightTables::confidence_with`] agrees
 //! across levels with a per-table weight-sum reference. Any mismatch
 //! reproduces from `(seed, job)` alone.
-//!
-//! A sibling pass ([`run_train_kernel_check`]) covers the write side: the
-//! batched saturating weight-update kernel ([`simd::apply_events_i8`]) is
-//! checked bit-identical to the one-event-at-a-time scalar reference on
-//! fuzzed packed-event buffers — duplicate offsets (same- and mixed-sign),
-//! weights pinned at the saturation bounds, buffer lengths straddling the
-//! vector threshold and the chunk boundary, and every weight-bounds pair
-//! the ablations use — at every available SIMD level.
 
 use mrp_core::context::{FeatureContext, HISTORY_DEPTH};
-use mrp_core::simd::{self, ApplyScratch, GATHER_PAD};
+use mrp_core::simd;
 use mrp_core::tables::WeightTables;
 use mrp_core::{Feature, FeaturePlan};
 use mrp_runtime::map_indexed;
@@ -220,135 +212,6 @@ pub fn run_kernel_check(seed: u64, jobs: usize) -> Vec<DivergenceReport> {
     map_indexed(jobs.max(1), |job| check_kernels_job(seed, job))
 }
 
-/// Fuzzed event buffers checked per train-kernel job.
-const BUFFERS_PER_JOB: usize = 48;
-
-/// Weight-bounds pairs the train kernel must honor: the paper's 6-bit
-/// weights, the narrowest and widest `with_weight_bits` ablations, and
-/// SDBP's unsigned 2-bit counters.
-const BOUNDS: [(i8, i8); 4] = [(-32, 31), (-2, 1), (-128, 127), (0, 3)];
-
-/// The one-event-at-a-time scalar reference for the batched saturating
-/// weight-update kernel: the definition `simd::apply_events_i8` must
-/// reproduce bit for bit at every level, in any chunking.
-fn reference_apply_events(weights: &mut [i8], events: &[u32], min: i8, max: i8) {
-    for &event in events {
-        let w = &mut weights[(event >> 1) as usize & 0xffff];
-        *w = if event & 1 == 1 {
-            (*w).saturating_sub(1).max(min)
-        } else {
-            (*w).saturating_add(1).min(max)
-        };
-    }
-}
-
-/// One fuzzed apply problem: an arena, its bounds, and an event buffer.
-struct ApplySpec {
-    weights: Vec<i8>,
-    events: Vec<u32>,
-    min: i8,
-    max: i8,
-}
-
-impl ApplySpec {
-    fn random(rng: &mut SplitMix) -> Self {
-        let (min, max) = BOUNDS[rng.below(BOUNDS.len() as u64) as usize];
-        let arena = 8 + rng.below(2041) as usize;
-        let mut weights = vec![0i8; arena + GATHER_PAD];
-        let span = i64::from(max) - i64::from(min) + 1;
-        for w in &mut weights[..arena] {
-            // Every fourth weight pinned at a saturation bound, so the
-            // clamp path is exercised from the first event.
-            *w = match rng.below(4) {
-                0 => {
-                    if rng.below(2) == 0 {
-                        min
-                    } else {
-                        max
-                    }
-                }
-                _ => (i64::from(min) + rng.below(span as u64) as i64) as i8,
-            };
-        }
-        // Buffer lengths straddle the scalar-fold threshold, one vector
-        // pass, and the chunk boundary; a small offset pool forces
-        // duplicate offsets (same- and mixed-sign runs).
-        let count = match rng.below(4) {
-            0 => rng.below(16) as usize,
-            1 => 16 + rng.below(240) as usize,
-            2 => 256 + rng.below(3840) as usize,
-            _ => 4096 + rng.below(4096) as usize,
-        };
-        let pool = 1 + rng.below(arena as u64) as usize;
-        let events = (0..count)
-            .map(|_| {
-                let offset = rng.below(pool as u64) as u32;
-                (offset << 1) | (rng.next_u64() & 1) as u32
-            })
-            .collect();
-        ApplySpec {
-            weights,
-            events,
-            min,
-            max,
-        }
-    }
-}
-
-/// Runs the train-kernel identity check for one `(seed, job)` pair.
-pub fn check_train_kernel_job(seed: u64, job: usize) -> DivergenceReport {
-    let mut rng = SplitMix::new(seed ^ (job as u64).wrapping_mul(0xa076_1d64_78bd_642f));
-    let mut report = DivergenceReport::default();
-    let mut scratch = ApplyScratch::default();
-    for i in 0..BUFFERS_PER_JOB {
-        let spec = ApplySpec::random(&mut rng);
-        let mut expected = spec.weights.clone();
-        reference_apply_events(&mut expected, &spec.events, spec.min, spec.max);
-        for &level in simd::available_levels() {
-            let mut got = spec.weights.clone();
-            simd::apply_events_i8(
-                &mut got,
-                &spec.events,
-                spec.min,
-                spec.max,
-                level,
-                &mut scratch,
-            );
-            if got != expected {
-                let first = got
-                    .iter()
-                    .zip(&expected)
-                    .position(|(g, e)| g != e)
-                    .unwrap_or(0);
-                report.push(Divergence {
-                    access_index: i,
-                    access: None,
-                    subject: format!(
-                        "train kernel ({} events, bounds {}..={})",
-                        spec.events.len(),
-                        spec.min,
-                        spec.max
-                    ),
-                    detail: format!(
-                        "{} apply diverges from scalar reference at offset {first}: \
-                         {} != {}",
-                        level.name(),
-                        got[first],
-                        expected[first]
-                    ),
-                });
-            }
-        }
-    }
-    report
-}
-
-/// Runs the train-kernel identity pass across `jobs` fuzz jobs in
-/// parallel, returning one report per job.
-pub fn run_train_kernel_check(seed: u64, jobs: usize) -> Vec<DivergenceReport> {
-    map_indexed(jobs.max(1), |job| check_train_kernel_job(seed, job))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,50 +221,6 @@ mod tests {
         for report in run_kernel_check(42, 4) {
             assert!(report.is_clean(), "{report}");
         }
-    }
-
-    #[test]
-    fn fuzzed_train_kernel_is_identical_across_levels() {
-        for report in run_train_kernel_check(42, 4) {
-            assert!(report.is_clean(), "{report}");
-        }
-    }
-
-    #[test]
-    fn train_kernel_check_is_deterministic_in_seed() {
-        let a = check_train_kernel_job(7, 2);
-        let b = check_train_kernel_job(7, 2);
-        assert_eq!(a.total, b.total);
-        assert!(a.is_clean());
-    }
-
-    #[test]
-    fn train_kernel_specs_cover_duplicates_and_pinned_bounds() {
-        // The fuzzer must actually generate the hard cases the pass
-        // exists for: duplicate offsets with mixed signs, and weights
-        // starting at the saturation bounds.
-        let mut rng = SplitMix::new(42);
-        let mut mixed_duplicates = false;
-        let mut pinned = false;
-        for _ in 0..BUFFERS_PER_JOB {
-            let spec = ApplySpec::random(&mut rng);
-            let mut inc = std::collections::HashSet::new();
-            let mut dec = std::collections::HashSet::new();
-            for &e in &spec.events {
-                if e & 1 == 1 {
-                    dec.insert(e >> 1);
-                } else {
-                    inc.insert(e >> 1);
-                }
-            }
-            mixed_duplicates |= inc.intersection(&dec).next().is_some();
-            pinned |= spec.weights.iter().any(|&w| w == spec.min || w == spec.max);
-        }
-        assert!(
-            mixed_duplicates,
-            "no mixed-sign duplicate offsets generated"
-        );
-        assert!(pinned, "no weights pinned at the saturation bounds");
     }
 
     #[test]

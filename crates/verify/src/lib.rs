@@ -18,10 +18,7 @@
 //! 4. **Kernel identity** ([`kernels`]): the lane-SoA/SIMD index
 //!    kernels and the gather-sum confidence kernel checked bit-identical
 //!    to the interpretive `Feature::index` reference on fuzzed feature
-//!    sets, at every SIMD level the machine offers; and the batched
-//!    saturating weight-update kernel checked against the
-//!    one-event-at-a-time scalar reference on fuzzed packed-event
-//!    buffers (duplicate offsets, pinned weights, every bounds pair).
+//!    sets, at every SIMD level the machine offers.
 //!
 //! A separately-invoked pillar ([`replay_check`]) proves the
 //! record-once/replay-many fast path bit-identical to full simulation
@@ -48,9 +45,7 @@ use mrp_runtime::map_indexed;
 
 pub use divergence::{Divergence, DivergenceReport, MAX_REPORTED};
 pub use fuzzer::{gen_features, gen_stream, job_profile, shrink, SplitMix, StreamProfile};
-pub use kernels::{
-    check_kernels_job, check_train_kernel_job, run_kernel_check, run_train_kernel_check,
-};
+pub use kernels::{check_kernels_job, run_kernel_check};
 pub use lockstep::{run_lockstep, run_predictor_lockstep, DualCache, PredictorPair, StreamItem};
 pub use reference::{ReferenceCache, ReferencePredictor};
 pub use replay_check::{run_replay_check, ReplayCheckSummary, ReplayMismatch};
@@ -164,9 +159,6 @@ pub struct VerifySummary {
     /// Kernel-identity reports (lane/SIMD kernels vs the
     /// interpretive reference), one per job.
     pub kernel_reports: Vec<DivergenceReport>,
-    /// Train-kernel identity reports (batched saturating weight updates
-    /// vs the one-event-at-a-time scalar reference), one per job.
-    pub train_kernel_reports: Vec<DivergenceReport>,
     /// `(applied, total)` MIN-bound checks.
     pub min_checks: (usize, usize),
     /// A minimized reproducer for the first failure, if any failed.
@@ -179,7 +171,6 @@ impl VerifySummary {
         self.policy_cells.iter().all(|c| c.report.is_clean())
             && self.predictor_reports.iter().all(|r| r.is_clean())
             && self.kernel_reports.iter().all(|r| r.is_clean())
-            && self.train_kernel_reports.iter().all(|r| r.is_clean())
     }
 
     /// Total divergences across all cells, predictor jobs, and kernel
@@ -190,7 +181,6 @@ impl VerifySummary {
             .map(|c| c.report.total)
             .chain(self.predictor_reports.iter().map(|r| r.total))
             .chain(self.kernel_reports.iter().map(|r| r.total))
-            .chain(self.train_kernel_reports.iter().map(|r| r.total))
             .sum()
     }
 }
@@ -283,11 +273,6 @@ pub fn run_verification(cfg: &VerifyConfig, policies: &[PolicySpec]) -> VerifySu
     // reproduces from (seed, job) alone, so no stream shrinking applies.
     let kernel_reports = kernels::run_kernel_check(cfg.seed, jobs);
 
-    // Phase 4b: train-kernel identity — the batched saturating
-    // weight-update kernel against the scalar event-order reference, on
-    // fuzzed packed-event buffers. Same (seed, job) reproducibility.
-    let train_kernel_reports = kernels::run_train_kernel_check(cfg.seed, jobs);
-
     // Phase 5: shrink the first stream-driven failure to a minimal
     // reproducer.
     let shrunk = shrink_first_failure(cfg, per_job, policies, &policy_cells, &predictor_reports);
@@ -300,7 +285,6 @@ pub fn run_verification(cfg: &VerifyConfig, policies: &[PolicySpec]) -> VerifySu
         policy_cells,
         predictor_reports,
         kernel_reports,
-        train_kernel_reports,
         min_checks: (applied, cells),
         shrunk,
     }
@@ -415,7 +399,6 @@ mod tests {
         assert_eq!(summary.policy_cells.len(), 8);
         assert_eq!(summary.predictor_reports.len(), 4);
         assert_eq!(summary.kernel_reports.len(), 4);
-        assert_eq!(summary.train_kernel_reports.len(), 4);
         assert!(summary.shrunk.is_none());
         // Jobs 0..4 include one prefetch job (job 3), so 3 of 4 floors apply.
         assert_eq!(summary.min_checks.0, 6);

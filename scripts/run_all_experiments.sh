@@ -7,9 +7,7 @@
 # completed jobs are verified against their run manifests and skipped,
 # and the aggregated campaign.jsonl comes out byte-identical to an
 # uninterrupted pass. Reports still land in results/<name>.txt.
-#
-# LEGACY=1 runs the pre-orchestrator serial loop instead.
-# (No -e: both paths propagate failures explicitly, with context.)
+# (No -e: failures propagate explicitly, with context.)
 set -uo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results
@@ -34,45 +32,16 @@ CANDIDATES="${CANDIDATES:-60}"
 BIN=target/release
 cargo build --workspace --release || exit 1
 
-if [ "${LEGACY:-0}" != "1" ]; then
-  # PROCS bounds concurrent driver *processes*; each driver still
-  # fans out internally over $THREADS, so the default keeps one
-  # heavyweight driver at a time.
-  PROCS="${PROCS:-1}"
-  CAMPAIGN_DIR="${CAMPAIGN_DIR:-runs/full-campaign}"
-  $BIN/orchestrate run --plan full --dir "$CAMPAIGN_DIR" \
-    --procs "$PROCS" --worker-threads "$THREADS" \
-    --st-warmup "$ST_WARMUP" --st-measure "$ST_MEASURE" \
-    --mp-warmup "$MP_WARMUP" --mp-measure "$MP_MEASURE" \
-    --mixes "$MIXES" --sweep-mixes "$SWEEP_MIXES" \
-    --sweep-measure "$SWEEP_MEASURE" --roc-measure "$ROC_MEASURE" \
-    --candidates "$CANDIDATES" || exit 1
-  echo "all experiments complete; reports in results/, campaign in $CAMPAIGN_DIR"
-  exit 0
-fi
-
-run() {
-  local name="$1"; shift
-  echo "=== $name: $* ==="
-  # tee swallows the driver's status without the PIPESTATUS check, so
-  # a failed driver used to let the loop report success.
-  "$@" 2>&1 | tee "results/$name.txt"
-  local status="${PIPESTATUS[0]}"
-  if [ "$status" != "0" ]; then
-    echo "!!! $name failed with exit $status" >&2
-    exit "$status"
-  fi
-}
-
-run fig_roc       $BIN/fig_roc --warmup 2000000 --measure "$ROC_MEASURE" --workloads 33 --threads "$THREADS"
-run fig6          $BIN/fig6_st_speedup --warmup "$ST_WARMUP" --measure "$ST_MEASURE" --workloads 33 --threads "$THREADS"
-run fig7          $BIN/fig7_st_mpki   --warmup "$ST_WARMUP" --measure "$ST_MEASURE" --workloads 33 --threads "$THREADS"
-run fig4          $BIN/fig4_mp_speedup --warmup "$MP_WARMUP" --measure "$MP_MEASURE" --mixes "$MIXES" --threads "$THREADS"
-run fig5          $BIN/fig5_mp_mpki    --warmup "$MP_WARMUP" --measure "$MP_MEASURE" --mixes "$MIXES" --threads "$THREADS"
-run fig3_search   $BIN/fig3_search --candidates "$CANDIDATES" --workloads 10 --instructions 2000000 --threads "$THREADS"
-run fig9          $BIN/fig9_assoc --mixes "$SWEEP_MIXES" --warmup 1000000 --measure "$SWEEP_MEASURE" --step 2 --threads "$THREADS"
-run fig10         $BIN/fig10_ablation --mixes "$SWEEP_MIXES" --warmup 1000000 --measure "$SWEEP_MEASURE" --threads "$THREADS"
-run tables        $BIN/tables_features
-run table3        $BIN/table3_contrib --workloads 33 --instructions 2000000 --threads "$THREADS"
-
-echo "all experiments complete; outputs in results/"
+# PROCS bounds concurrent driver *processes*; each driver still fans
+# out internally over $THREADS, so the default keeps one heavyweight
+# driver at a time.
+PROCS="${PROCS:-1}"
+CAMPAIGN_DIR="${CAMPAIGN_DIR:-runs/full-campaign}"
+$BIN/orchestrate run --plan full --dir "$CAMPAIGN_DIR" \
+  --procs "$PROCS" --worker-threads "$THREADS" \
+  --st-warmup "$ST_WARMUP" --st-measure "$ST_MEASURE" \
+  --mp-warmup "$MP_WARMUP" --mp-measure "$MP_MEASURE" \
+  --mixes "$MIXES" --sweep-mixes "$SWEEP_MIXES" \
+  --sweep-measure "$SWEEP_MEASURE" --roc-measure "$ROC_MEASURE" \
+  --candidates "$CANDIDATES" || exit 1
+echo "all experiments complete; reports in results/, campaign in $CAMPAIGN_DIR"

@@ -380,11 +380,10 @@ proptest! {
         raw_events in proptest::collection::vec((any::<u16>(), any::<bool>()), 1..300),
         pool_cap in 1u32..=u16::MAX as u32,
     ) {
-        // The batched weight-update kernel must resolve duplicate-offset
+        // Applying a whole event buffer must resolve duplicate-offset
         // conflicts exactly as a sequential increment_at/decrement_at
-        // fold, at every level. `pool_cap` sometimes squeezes all events
-        // into a handful of offsets, making same- and mixed-sign
-        // duplicate runs common.
+        // fold. `pool_cap` sometimes squeezes all events into a handful
+        // of offsets, making same- and mixed-sign duplicate runs common.
         use mrp_core::tables::WeightTables;
         let arena = WeightTables::new(&features).arena_len() as u32;
         let pool = arena.min(pool_cap);
@@ -401,55 +400,38 @@ proptest! {
                 reference.increment_at(offset);
             }
         }
-        for &level in mrp_core::simd::available_levels() {
-            let mut tables = WeightTables::new(&features);
-            tables.apply_events_with(level, &events);
-            for (t, f) in features.iter().enumerate() {
-                for i in 0..f.table_size() as u16 {
-                    prop_assert_eq!(
-                        tables.weight(t, i), reference.weight(t, i),
-                        "{} batched apply diverged at table {} index {}",
-                        level.name(), t, i
-                    );
-                }
+        let mut tables = WeightTables::new(&features);
+        tables.apply_events(&events);
+        for (t, f) in features.iter().enumerate() {
+            for i in 0..f.table_size() as u16 {
+                prop_assert_eq!(
+                    tables.weight(t, i), reference.weight(t, i),
+                    "buffer apply diverged at table {} index {}", t, i
+                );
             }
         }
     }
 
     #[test]
-    fn saturating_runs_round_trip_through_every_level(
+    fn saturating_runs_round_trip_through_the_fold(
         m in 1usize..200,
         initial in i32::from(mrp_core::tables::WEIGHT_MIN)..=i32::from(mrp_core::tables::WEIGHT_MAX),
     ) {
         // m increments followed by m decrements on one offset: the
         // increment run may pin at WEIGHT_MAX, making the round trip
         // order-dependent — ending at clamp(clamp(initial + m) - m),
-        // not back at `initial`. The kernel's mixed-sign replay must
-        // preserve exactly that.
-        use mrp_core::simd::{self, ApplyScratch, GATHER_PAD};
-        use mrp_core::tables::{WEIGHT_MAX, WEIGHT_MIN};
-        let mut base = vec![0i8; 1 + GATHER_PAD];
-        base[0] = initial as i8;
+        // not back at `initial`. The in-order fold must preserve exactly
+        // that.
+        use mrp_core::tables::{apply_events_i8, WEIGHT_MAX, WEIGHT_MIN};
+        let mut weights = [initial as i8];
         let events: Vec<u32> = (0..2 * m).map(|i| u32::from(i >= m)).collect();
         let up = (initial + m as i32).clamp(i32::from(WEIGHT_MIN), i32::from(WEIGHT_MAX));
         let expected = (up - m as i32).clamp(i32::from(WEIGHT_MIN), i32::from(WEIGHT_MAX));
-        let mut scratch = ApplyScratch::default();
-        for &level in simd::available_levels() {
-            let mut weights = base.clone();
-            simd::apply_events_i8(
-                &mut weights,
-                &events,
-                WEIGHT_MIN,
-                WEIGHT_MAX,
-                level,
-                &mut scratch,
-            );
-            prop_assert_eq!(
-                i32::from(weights[0]), expected,
-                "{} saturation round-trip diverged (m={}, initial={})",
-                level.name(), m, initial
-            );
-        }
+        apply_events_i8(&mut weights, &events, WEIGHT_MIN, WEIGHT_MAX);
+        prop_assert_eq!(
+            i32::from(weights[0]), expected,
+            "saturation round-trip diverged (m={}, initial={})", m, initial
+        );
     }
 
     #[test]
