@@ -4,18 +4,15 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mrp_bench::BENCH_MIXES;
 use mrp_experiments::multi;
-use mrp_experiments::runner::MpParams;
+use mrp_experiments::RunScale;
 
 fn bench(c: &mut Criterion) {
-    let params = MpParams {
-        warmup: 20_000,
-        measure: 80_000,
-    };
+    let scale = RunScale::multi_core().warmup(20_000).measure(80_000);
     let mut group = c.benchmark_group("fig4_fig5");
     group.sample_size(10);
     group.bench_function("mp_comparison_1mix", |b| {
         b.iter(|| {
-            let matrix = multi::run(params, BENCH_MIXES, 1, 42);
+            let matrix = multi::run(scale, BENCH_MIXES, 1);
             criterion::black_box(matrix.geomean_speedup("MPPPB"))
         })
     });

@@ -3,20 +3,17 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mrp_bench::{BENCH_MEASURE, BENCH_WARMUP, BENCH_WORKLOADS};
-use mrp_experiments::runner::StParams;
-use mrp_experiments::single_thread;
+use mrp_experiments::{single_thread, RunScale};
 
 fn bench(c: &mut Criterion) {
-    let params = StParams {
-        warmup: BENCH_WARMUP,
-        measure: BENCH_MEASURE,
-        seed: 1,
-    };
+    let scale = RunScale::single_thread()
+        .warmup(BENCH_WARMUP)
+        .measure(BENCH_MEASURE);
     let mut group = c.benchmark_group("fig6_fig7");
     group.sample_size(10);
     group.bench_function("st_comparison_2wl", |b| {
         b.iter(|| {
-            let matrix = single_thread::run(params, BENCH_WORKLOADS, true);
+            let matrix = single_thread::run(scale, BENCH_WORKLOADS, true);
             criterion::black_box(matrix.geomean_speedup("MPPPB"))
         })
     });

@@ -34,7 +34,7 @@ type PolicyFactory = Box<dyn FnOnce(&CacheConfig) -> Box<dyn ReplacementPolicy +
 /// ```ignore
 /// let mut engine = EngineConfig::new(CacheConfig::llc_single())
 ///     .policy_with(|llc| Box::new(Mpppb::new(MpppbConfig::single_thread(llc), llc)))
-///     .options(RuntimeOptions::from_env())
+///     .options(RuntimeOptions::default())
 ///     .label("tenant-0")
 ///     .build();
 /// let decisions = engine.submit_batch(&accesses);

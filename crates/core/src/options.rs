@@ -26,9 +26,9 @@ use crate::simd;
 
 /// Typed overrides for the process-wide execution knobs.
 ///
-/// Construct with [`RuntimeOptions::from_env`] (pure env-var defaults)
-/// or [`RuntimeOptions::default`] (all `None`, also env-deferring), then
-/// refine with the builder methods and call [`install`].
+/// Construct with [`RuntimeOptions::default`] (all `None`, so every knob
+/// defers to its environment variable), refine with the builder methods
+/// and call [`install`].
 ///
 /// [`install`]: RuntimeOptions::install
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,12 +43,6 @@ pub struct RuntimeOptions {
 }
 
 impl RuntimeOptions {
-    /// Options resolved purely from the legacy environment variables —
-    /// the exact behavior of a binary that predates typed options.
-    pub fn from_env() -> Self {
-        RuntimeOptions::default()
-    }
-
     /// Pins (or un-pins) kernel dispatch to scalar.
     pub fn no_simd(mut self, no_simd: bool) -> Self {
         self.no_simd = Some(no_simd);
@@ -67,7 +61,7 @@ impl RuntimeOptions {
     /// place. One-liner glue for every driver:
     ///
     /// ```ignore
-    /// RuntimeOptions::from_env().with_cli(
+    /// RuntimeOptions::default().with_cli(
     ///     args.get_flag("no-simd", false),
     ///     args.get_usize("threads", 0),
     /// ).install();
@@ -91,7 +85,7 @@ impl RuntimeOptions {
     /// Publishes the SIMD choice to the in-crate dispatchers. A `None`
     /// field *clears* any previous override, so the environment
     /// variable decides again — installing
-    /// [`RuntimeOptions::from_env`] restores legacy behavior exactly.
+    /// [`RuntimeOptions::default`] restores legacy behavior exactly.
     ///
     /// Thread-count installation is the caller's job (this crate does
     /// not link the thread pool): pass [`Self::thread_request`] to
@@ -99,15 +93,6 @@ impl RuntimeOptions {
     pub fn install(&self) -> &Self {
         simd::set_scalar_override(self.no_simd);
         self
-    }
-
-    /// The SIMD level submissions will dispatch to once installed
-    /// (introspection for logs and manifests).
-    pub fn effective_simd(&self) -> simd::SimdLevel {
-        match self.no_simd {
-            Some(true) => simd::SimdLevel::Scalar,
-            _ => simd::level(),
-        }
     }
 }
 
@@ -117,7 +102,7 @@ mod tests {
 
     #[test]
     fn builders_set_fields() {
-        let o = RuntimeOptions::from_env().no_simd(true).threads(3);
+        let o = RuntimeOptions::default().no_simd(true).threads(3);
         assert_eq!(o.no_simd, Some(true));
         assert_eq!(o.thread_request(), 3);
         assert_eq!(RuntimeOptions::default().thread_request(), 0);
@@ -125,22 +110,18 @@ mod tests {
 
     #[test]
     fn with_cli_only_overrides_present_flags() {
-        let o = RuntimeOptions::from_env().with_cli(false, 0);
+        let o = RuntimeOptions::default().with_cli(false, 0);
         assert_eq!(o, RuntimeOptions::default());
-        let o = RuntimeOptions::from_env().with_cli(true, 2);
+        let o = RuntimeOptions::default().with_cli(true, 2);
         assert_eq!(o.no_simd, Some(true));
         assert_eq!(o.threads, Some(2));
     }
 
     #[test]
     fn install_pins_simd_to_scalar() {
-        RuntimeOptions::from_env().no_simd(true).install();
+        RuntimeOptions::default().no_simd(true).install();
         assert_eq!(simd::level(), simd::SimdLevel::Scalar);
-        assert_eq!(
-            RuntimeOptions::from_env().no_simd(true).effective_simd(),
-            simd::SimdLevel::Scalar
-        );
-        RuntimeOptions::from_env().install();
+        RuntimeOptions::default().install();
         assert_eq!(simd::level(), simd::env_level());
     }
 }

@@ -12,7 +12,7 @@ use mrp_cpu::metrics::geometric_mean;
 use mrp_trace::{workloads, MixBuilder};
 
 use crate::policies::PolicyKind;
-use crate::runner::{mix_standalone, run_mix_kind, run_mix_policy, standalone_ipcs, MpParams};
+use crate::runner::{mix_standalone, run_mix_kind, run_mix_policy, standalone_ipcs, RunScale};
 
 /// Result of the ablation study.
 #[derive(Debug, Clone)]
@@ -42,10 +42,11 @@ pub fn without(features: &[Feature], index: usize) -> Vec<Feature> {
 
 /// Runs the ablation of the Table 1(a) set over `mix_count` mixes,
 /// ablating only the first `feature_limit` features (16 = full study).
-pub fn run(params: MpParams, mix_count: usize, feature_limit: usize, seed: u64) -> Ablation {
+/// `scale.seed` draws the mixes and seeds the standalone-IPC traces.
+pub fn run(scale: RunScale, mix_count: usize, feature_limit: usize) -> Ablation {
     let suite = workloads::suite();
-    let builder = MixBuilder::new(seed);
-    let standalone = standalone_ipcs(&suite, params, seed);
+    let builder = MixBuilder::new(scale.seed);
+    let standalone = standalone_ipcs(&suite, scale);
     let config = HierarchyConfig::multi_core();
     // Fig. 10 uses the single-thread Table 1(a) features over the
     // multi-programmed setup (SRRIP default).
@@ -59,7 +60,7 @@ pub fn run(params: MpParams, mix_count: usize, feature_limit: usize, seed: u64) 
         .map(|m| mix_standalone(m, &standalone))
         .collect();
     let lru_weighted: Vec<f64> = mrp_runtime::map_indexed(mixes.len(), |mi| {
-        run_mix_kind(&mixes[mi], PolicyKind::Lru, params).weighted_ipc(&bases[mi])
+        run_mix_kind(&mixes[mi], PolicyKind::Lru, scale).weighted_ipc(&bases[mi])
     });
 
     // Candidate feature sets: the full set first, then each leave-one-out
@@ -74,7 +75,7 @@ pub fn run(params: MpParams, mix_count: usize, feature_limit: usize, seed: u64) 
         let (si, mi) = (job / n_mixes, job % n_mixes);
         let policy_config = base.clone().with_features(sets[si].clone());
         let policy = Box::new(Mpppb::new(policy_config, &config.llc));
-        run_mix_policy(&mixes[mi], policy, params).weighted_ipc(&bases[mi]) / lru_weighted[mi]
+        run_mix_policy(&mixes[mi], policy, scale).weighted_ipc(&bases[mi]) / lru_weighted[mi]
     });
     let geomean_of = |si: usize| geometric_mean(&cells[si * n_mixes..(si + 1) * n_mixes]);
 
@@ -105,11 +106,11 @@ mod tests {
 
     #[test]
     fn ablation_produces_one_entry_per_feature() {
-        let params = MpParams {
-            warmup: 10_000,
-            measure: 50_000,
-        };
-        let a = run(params, 1, 2, 5);
+        let scale = RunScale::multi_core()
+            .warmup(10_000)
+            .measure(50_000)
+            .seed(5);
+        let a = run(scale, 1, 2);
         assert_eq!(a.omitted.len(), 2);
         assert!(a.original > 0.0);
         let _ = a.most_valuable();

@@ -12,7 +12,7 @@ use mrp_cpu::metrics::geometric_mean;
 use mrp_trace::{workloads, MixBuilder};
 
 use crate::policies::PolicyKind;
-use crate::runner::{mix_standalone, run_mix_kind, run_mix_policy, standalone_ipcs, MpParams};
+use crate::runner::{mix_standalone, run_mix_kind, run_mix_policy, standalone_ipcs, RunScale};
 
 /// Result of the sweep.
 #[derive(Debug, Clone)]
@@ -32,11 +32,12 @@ pub fn with_uniform_assoc(features: &[Feature], assoc: u8) -> Vec<Feature> {
 }
 
 /// Runs the sweep over `mix_count` mixes; `assoc_step` lets reduced runs
-/// sample every k-th associativity.
-pub fn run(params: MpParams, mix_count: usize, assoc_step: usize, seed: u64) -> AssocSweep {
+/// sample every k-th associativity. `scale.seed` draws the mixes and
+/// seeds the standalone-IPC traces.
+pub fn run(scale: RunScale, mix_count: usize, assoc_step: usize) -> AssocSweep {
     let suite = workloads::suite();
-    let builder = MixBuilder::new(seed);
-    let standalone = standalone_ipcs(&suite, params, seed);
+    let builder = MixBuilder::new(scale.seed);
+    let standalone = standalone_ipcs(&suite, scale);
     let config = HierarchyConfig::multi_core();
     let base = MpppbConfig::multi_core(&config.llc);
 
@@ -49,7 +50,7 @@ pub fn run(params: MpParams, mix_count: usize, assoc_step: usize, seed: u64) -> 
         .collect();
     // LRU baselines per mix.
     let lru_weighted: Vec<f64> = mrp_runtime::map_indexed(mixes.len(), |mi| {
-        run_mix_kind(&mixes[mi], PolicyKind::Lru, params).weighted_ipc(&bases[mi])
+        run_mix_kind(&mixes[mi], PolicyKind::Lru, scale).weighted_ipc(&bases[mi])
     });
 
     // Candidate feature sets: each sampled uniform associativity, then
@@ -67,7 +68,7 @@ pub fn run(params: MpParams, mix_count: usize, assoc_step: usize, seed: u64) -> 
         let (si, mi) = (job / n_mixes, job % n_mixes);
         let policy_config = base.clone().with_features(sets[si].clone());
         let policy = Box::new(Mpppb::new(policy_config, &config.llc));
-        run_mix_policy(&mixes[mi], policy, params).weighted_ipc(&bases[mi]) / lru_weighted[mi]
+        run_mix_policy(&mixes[mi], policy, scale).weighted_ipc(&bases[mi]) / lru_weighted[mi]
     });
     let geomean_of = |si: usize| geometric_mean(&cells[si * n_mixes..(si + 1) * n_mixes]);
 
@@ -101,11 +102,11 @@ mod tests {
 
     #[test]
     fn sweep_produces_points() {
-        let params = MpParams {
-            warmup: 15_000,
-            measure: 60_000,
-        };
-        let sweep = run(params, 1, 9, 5);
+        let scale = RunScale::multi_core()
+            .warmup(15_000)
+            .measure(60_000)
+            .seed(5);
+        let sweep = run(scale, 1, 9);
         assert_eq!(sweep.uniform.len(), 2); // A = 1, 10
         assert!(sweep.original > 0.0);
         for (_, s) in &sweep.uniform {

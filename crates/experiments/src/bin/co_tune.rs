@@ -105,7 +105,6 @@ fn feature_code(f: &Feature) -> String {
 fn main() {
     let args = Args::parse();
     args.init_runtime_options();
-    args.init_replay();
     let rounds = args.get_usize("rounds", 2);
     let combos = args.get_usize("combos", 100);
     let moves = args.get_u64("moves", 120) as u32;

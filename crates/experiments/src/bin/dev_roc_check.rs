@@ -8,29 +8,24 @@
 
 use mrp_core::feature_sets;
 use mrp_experiments::roc;
-use mrp_experiments::runner::StParams;
-use mrp_experiments::{finish_manifest, Args};
+use mrp_experiments::{finish_manifest, Args, RunScale};
 
 fn main() {
     let args = Args::parse();
     args.init_runtime_options();
-    let params = StParams {
-        warmup: args.get_u64("warmup", 300_000),
-        measure: args.get_u64("measure", 1_500_000),
-        seed: args.get_u64("seed", 1),
-    };
+    let scale = args.run_scale(RunScale::single_thread().warmup(300_000).measure(1_500_000));
     let workloads = args.get_usize("workloads", 12);
-    let mut manifest = args.init_metrics("dev_roc_check", params.seed);
+    let mut manifest = args.init_metrics("dev_roc_check", scale.seed);
 
-    let baseline = roc::run(params, workloads);
+    let baseline = roc::run(scale, workloads);
     let like = roc::run_custom_features(
-        params,
+        scale,
         workloads,
         feature_sets::perceptron_like(),
         "MP(perceptron-like)",
     );
     let like_scaled = roc::run_custom_features_with(
-        params,
+        scale,
         workloads,
         feature_sets::perceptron_like(),
         160,
@@ -38,14 +33,14 @@ fn main() {
         "MP(p-like,160s,th45)",
     );
     let t1a_scaled = roc::run_custom_features_with(
-        params,
+        scale,
         workloads,
         feature_sets::table_1a(),
         160,
         45,
         "MP(t1a,160s,th45)",
     );
-    let t1b = roc::run_custom_features(params, workloads, feature_sets::table_1b(), "MP(table-1b)");
+    let t1b = roc::run_custom_features(scale, workloads, feature_sets::table_1b(), "MP(table-1b)");
 
     println!(
         "{:<22} {:>10} {:>10} {:>10}",

@@ -9,19 +9,17 @@ use mrp_cache::HierarchyConfig;
 use mrp_core::mpppb::MpppbConfig;
 use mrp_core::AdaptiveMpppb;
 use mrp_cpu::SingleCoreSim;
-use mrp_experiments::runner::{run_single_kind, StParams};
-use mrp_experiments::{finish_manifest, Args, PolicyKind};
+use mrp_experiments::runner::run_single_kind;
+use mrp_experiments::{finish_manifest, Args, PolicyKind, RunScale};
 use mrp_trace::workloads;
 
 fn main() {
     let args = Args::parse();
     args.init_runtime_options();
-    let params = StParams {
-        warmup: args.get_u64("warmup", 600_000),
-        measure: args.get_u64("measure", 2_500_000),
-        seed: 1,
-    };
-    let mut manifest = args.init_metrics("dev_timing_check", params.seed);
+    let scale = RunScale::single_thread()
+        .warmup(args.get_u64("warmup", 600_000))
+        .measure(args.get_u64("measure", 2_500_000));
+    let mut manifest = args.init_metrics("dev_timing_check", scale.seed);
     let names = [
         "scanhot.protect",
         "loop.edge",
@@ -39,8 +37,8 @@ fn main() {
     let mut geo = [0.0f64; 4];
     for name in names {
         let w = suite.iter().find(|w| w.name() == name).expect("workload");
-        let lru = run_single_kind(w, PolicyKind::Lru, params);
-        let perc = run_single_kind(w, PolicyKind::Perceptron, params);
+        let lru = run_single_kind(w, PolicyKind::Lru, scale);
+        let perc = run_single_kind(w, PolicyKind::Perceptron, scale);
 
         let config = HierarchyConfig::single_thread();
         let raw_a = {
@@ -52,7 +50,7 @@ fn main() {
                 )),
                 w.trace(1),
             );
-            sim.run(params.warmup, params.measure)
+            sim.run(scale.warmup, scale.measure)
         };
         let a_guard = {
             let mut sim = SingleCoreSim::new(
@@ -63,7 +61,7 @@ fn main() {
                 )),
                 w.trace(1),
             );
-            sim.run(params.warmup, params.measure)
+            sim.run(scale.warmup, scale.measure)
         };
         let cv_guard = {
             let mut sim = SingleCoreSim::new(
@@ -71,7 +69,7 @@ fn main() {
                 mrp_experiments::runner::mpppb_cv_policy(w),
                 w.trace(1),
             );
-            sim.run(params.warmup, params.measure)
+            sim.run(scale.warmup, scale.measure)
         };
 
         let speedups = [

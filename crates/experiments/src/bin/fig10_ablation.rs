@@ -2,10 +2,10 @@
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin fig10_ablation --
 //! [--warmup N] [--measure N] [--mixes N] [--features N] [--seed N] [--threads N]
-//! [--no-replay] [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
+//! [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
 //!
 //! The standalone-IPC baseline replays each workload's shared recording;
-//! `--no-replay` re-simulates it (mix runs are always simulated in full).
+//! mix runs are simulated in full.
 //!
 //! `--bless` regenerates the reduced-scale golden matrix at
 //! `results/fig10_golden.txt` (checked by the `golden_tables` test)
@@ -22,21 +22,14 @@ use mrp_obs::Json;
 fn main() -> ExitCode {
     let args = Args::parse();
     let threads = args.init_runtime_options();
-    args.init_replay();
-    if args.get_flag("bless", false) {
-        let path = golden::results_path("fig10_golden.txt");
-        std::fs::write(&path, golden::ablation_golden()).expect("write golden");
-        eprintln!("fig10 golden regenerated at {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-    if args.get_flag("golden-check", false) {
-        return golden::run_golden_check(
-            &args,
-            "fig10_ablation",
-            "fig10_golden.txt",
-            golden::ABLATION_SEED,
-            golden::ablation_golden,
-        );
+    if let Some(code) = golden::golden_mode(
+        &args,
+        "fig10_ablation",
+        "fig10_golden.txt",
+        golden::ABLATION_SEED,
+        golden::ablation_golden,
+    ) {
+        return code;
     }
     let scale = args.run_scale(RunScale::multi_core().warmup(1_000_000).measure(5_000_000));
     let mut manifest = args.init_metrics("fig10_ablation", scale.seed);
@@ -44,7 +37,7 @@ fn main() -> ExitCode {
     let features = args.get_usize("features", 16);
 
     eprintln!("fig10: leave-one-out over {features} features x {mixes} mixes on {threads} threads");
-    let result = ablation::run(scale.mp(), mixes, features, scale.seed);
+    let result = ablation::run(scale, mixes, features);
 
     let report_phase = mrp_obs::phase("report");
     let mut sink = args.report_sink();

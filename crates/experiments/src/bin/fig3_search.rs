@@ -12,7 +12,6 @@ use mrp_obs::Json;
 fn main() {
     let args = Args::parse();
     let threads = args.init_runtime_options();
-    args.init_replay();
     let params = SearchParams {
         candidates: args.get_usize("candidates", 80),
         workload_count: args.get_usize("workloads", 10),

@@ -3,21 +3,38 @@
 //! Usage: `cargo run -p mrp-experiments --release --bin fig4_mp_speedup --
 //! [--warmup N] [--measure N] [--mixes N] [--seed N] [--threads N]
 //! [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
+//!
+//! `--bless` regenerates the reduced-scale golden matrix at
+//! `results/fig4_golden.txt` (checked by the `golden_tables` test; it
+//! pins the `multi::run` path Fig. 5 shares) and `--golden-check`
+//! re-renders it and exits nonzero on drift (the `orchestrate ci` entry
+//! point).
+
+use std::process::ExitCode;
 
 use mrp_experiments::multi;
 use mrp_experiments::output::{pct, series_points};
-use mrp_experiments::{finish_manifest, Args, RunScale};
+use mrp_experiments::{finish_manifest, golden, Args, RunScale};
 use mrp_obs::Json;
 
-fn main() {
+fn main() -> ExitCode {
     let args = Args::parse();
     let threads = args.init_runtime_options();
+    if let Some(code) = golden::golden_mode(
+        &args,
+        "fig4_mp_speedup",
+        "fig4_golden.txt",
+        golden::FIG4_SEED,
+        golden::fig4_golden,
+    ) {
+        return code;
+    }
     let scale = args.run_scale(RunScale::multi_core());
     let mut manifest = args.init_metrics("fig4_mp_speedup", scale.seed);
     let mixes = args.get_usize("mixes", 32);
 
     eprintln!("fig4: running {mixes} 4-core mixes (test set, after 16 training mixes) on {threads} threads");
-    let matrix = multi::run(scale.mp(), mixes, 16, scale.seed);
+    let matrix = multi::run(scale, mixes, 16);
 
     let report_phase = mrp_obs::phase("report");
     let mut sink = args.report_sink();
@@ -58,4 +75,5 @@ fn main() {
     }
     drop(report_phase);
     finish_manifest(manifest);
+    ExitCode::SUCCESS
 }

@@ -17,7 +17,7 @@ fn main() {
     let mixes = args.get_usize("mixes", 32);
 
     eprintln!("fig5: running {mixes} 4-core mixes on {threads} threads");
-    let matrix = multi::run(scale.mp(), mixes, 16, scale.seed);
+    let matrix = multi::run(scale, mixes, 16);
 
     let report_phase = mrp_obs::phase("report");
     let mut sink = args.report_sink();

@@ -2,13 +2,12 @@
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin fig6_st_speedup --
 //! [--warmup N] [--measure N] [--workloads N] [--min 0|1|true|false] [--seed N] [--threads N]
-//! [--no-replay] [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
+//! [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
 //!
 //! Each workload's LLC-bound stream is recorded once and replayed into
-//! every policy (bit-identical to full simulation); `--no-replay`
-//! re-simulates every cell instead. `--metrics` additionally writes a
-//! schema-versioned JSONL run manifest (per-cell IPC/MPKI, phase
-//! timings, runtime counters) under `--manifest-dir`.
+//! every policy (bit-identical to full simulation). `--metrics`
+//! additionally writes a schema-versioned JSONL run manifest (per-cell
+//! IPC/MPKI, phase timings, runtime counters) under `--manifest-dir`.
 //!
 //! `--bless` regenerates the reduced-scale golden matrix at
 //! `results/fig6_golden.txt` (checked by the `golden` test) and
@@ -24,21 +23,14 @@ use mrp_obs::Json;
 fn main() -> ExitCode {
     let args = Args::parse();
     let threads = args.init_runtime_options();
-    let replay = args.init_replay();
-    if args.get_flag("bless", false) {
-        let path = golden::results_path("fig6_golden.txt");
-        std::fs::write(&path, golden::fig6_golden()).expect("write golden");
-        eprintln!("fig6 golden regenerated at {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-    if args.get_flag("golden-check", false) {
-        return golden::run_golden_check(
-            &args,
-            "fig6_st_speedup",
-            "fig6_golden.txt",
-            golden::FIG6_SEED,
-            golden::fig6_golden,
-        );
+    if let Some(code) = golden::golden_mode(
+        &args,
+        "fig6_st_speedup",
+        "fig6_golden.txt",
+        golden::FIG6_SEED,
+        golden::fig6_golden,
+    ) {
+        return code;
     }
     let scale = args.run_scale(RunScale::single_thread());
     let mut manifest = args.init_metrics("fig6_st_speedup", scale.seed);
@@ -48,9 +40,9 @@ fn main() -> ExitCode {
 
     eprintln!("fig6: running {workloads} workloads, warmup {} / measure {} instructions (cv={cv}, {threads} threads)", scale.warmup, scale.measure);
     let matrix = if cv {
-        single_thread::run_cv(scale.st(), workloads, include_min)
+        single_thread::run_cv(scale, workloads, include_min)
     } else {
-        single_thread::run(scale.st(), workloads, include_min)
+        single_thread::run(scale, workloads, include_min)
     };
 
     // Scoped so the report phase lands in the manifest's phase snapshot.
@@ -83,7 +75,6 @@ fn main() -> ExitCode {
 
     if let Some(m) = manifest.as_mut() {
         m.meta("threads", Json::U64(threads as u64));
-        m.meta("replay", Json::Bool(replay));
         m.meta("cv", Json::Bool(cv));
         for r in &matrix.rows {
             m.cell(

@@ -2,12 +2,11 @@
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin fig7_st_mpki --
 //! [--warmup N] [--measure N] [--workloads N] [--min 0|1|true|false] [--seed N] [--threads N]
-//! [--no-replay] [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
+//! [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
 //!
 //! Each workload's LLC-bound stream is recorded once and replayed into
-//! every policy (bit-identical to full simulation); `--no-replay`
-//! re-simulates every cell instead. `--metrics` writes a JSONL run
-//! manifest under `--manifest-dir`.
+//! every policy (bit-identical to full simulation). `--metrics` writes a
+//! JSONL run manifest under `--manifest-dir`.
 
 use mrp_experiments::{finish_manifest, single_thread, Args, RunScale};
 use mrp_obs::Json;
@@ -15,7 +14,6 @@ use mrp_obs::Json;
 fn main() {
     let args = Args::parse();
     let threads = args.init_runtime_options();
-    let replay = args.init_replay();
     let scale = args.run_scale(RunScale::single_thread());
     let mut manifest = args.init_metrics("fig7_st_mpki", scale.seed);
     let workloads = args.get_usize("workloads", 33);
@@ -24,9 +22,9 @@ fn main() {
 
     eprintln!("fig7: running {workloads} workloads (cv={cv}, {threads} threads)");
     let matrix = if cv {
-        single_thread::run_cv(scale.st(), workloads, include_min)
+        single_thread::run_cv(scale, workloads, include_min)
     } else {
-        single_thread::run(scale.st(), workloads, include_min)
+        single_thread::run(scale, workloads, include_min)
     };
 
     let report_phase = mrp_obs::phase("report");
@@ -58,7 +56,6 @@ fn main() {
 
     if let Some(m) = manifest.as_mut() {
         m.meta("threads", Json::U64(threads as u64));
-        m.meta("replay", Json::Bool(replay));
         m.meta("cv", Json::Bool(cv));
         for r in &matrix.rows {
             m.cell(

@@ -2,10 +2,10 @@
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin fig9_assoc --
 //! [--warmup N] [--measure N] [--mixes N] [--step N] [--seed N] [--threads N]
-//! [--no-replay] [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
+//! [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
 //!
 //! The standalone-IPC baseline replays each workload's shared recording;
-//! `--no-replay` re-simulates it (mix runs are always simulated in full).
+//! mix runs are simulated in full.
 
 use mrp_experiments::assoc_sweep;
 use mrp_experiments::output::pct;
@@ -15,14 +15,13 @@ use mrp_obs::Json;
 fn main() {
     let args = Args::parse();
     let threads = args.init_runtime_options();
-    args.init_replay();
     let scale = args.run_scale(RunScale::multi_core().warmup(1_000_000).measure(5_000_000));
     let mut manifest = args.init_metrics("fig9_assoc", scale.seed);
     let mixes = args.get_usize("mixes", 12);
     let step = args.get_usize("step", 1);
 
     eprintln!("fig9: sweeping uniform associativity over {mixes} mixes (A step {step}, {threads} threads)");
-    let sweep = assoc_sweep::run(scale.mp(), mixes, step, scale.seed);
+    let sweep = assoc_sweep::run(scale, mixes, step);
 
     let report_phase = mrp_obs::phase("report");
     let mut sink = args.report_sink();

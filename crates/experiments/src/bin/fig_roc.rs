@@ -2,20 +2,34 @@
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin fig_roc --
 //! [--warmup N] [--measure N] [--workloads N] [--seed N] [--threads N]
-//! [--no-replay] [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
+//! [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
 //!
 //! Each workload records once and every predictor probe replays the
-//! shared stream; `--no-replay` re-simulates each (predictor × workload)
-//! cell instead.
+//! shared stream.
+//!
+//! `--bless` regenerates the reduced-scale golden curves at
+//! `results/fig_roc_golden.txt` (checked by the `golden_tables` test)
+//! and `--golden-check` re-renders them and exits nonzero on drift (the
+//! `orchestrate ci` entry point).
+
+use std::process::ExitCode;
 
 use mrp_experiments::roc;
-use mrp_experiments::{finish_manifest, Args, RunScale};
+use mrp_experiments::{finish_manifest, golden, Args, RunScale};
 use mrp_obs::Json;
 
-fn main() {
+fn main() -> ExitCode {
     let args = Args::parse();
     let threads = args.init_runtime_options();
-    args.init_replay();
+    if let Some(code) = golden::golden_mode(
+        &args,
+        "fig_roc",
+        "fig_roc_golden.txt",
+        golden::ROC_SEED,
+        golden::roc_golden,
+    ) {
+        return code;
+    }
     let scale = args.run_scale(
         RunScale::single_thread()
             .warmup(2_000_000)
@@ -25,7 +39,7 @@ fn main() {
     let workloads = args.get_usize("workloads", 33);
 
     eprintln!("fig_roc: measuring predictor accuracy on {workloads} workloads ({threads} threads)");
-    let curves = roc::run(scale.st(), workloads);
+    let curves = roc::run(scale, workloads);
 
     let report_phase = mrp_obs::phase("report");
     let mut sink = args.report_sink();
@@ -79,4 +93,5 @@ fn main() {
     }
     drop(report_phase);
     finish_manifest(manifest);
+    ExitCode::SUCCESS
 }

@@ -18,21 +18,14 @@ use mrp_obs::Json;
 fn main() -> ExitCode {
     let args = Args::parse();
     let threads = args.init_runtime_options();
-    args.init_replay();
-    if args.get_flag("bless", false) {
-        let path = golden::results_path("table3_golden.txt");
-        std::fs::write(&path, golden::table3_golden()).expect("write golden");
-        eprintln!("table3 golden regenerated at {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-    if args.get_flag("golden-check", false) {
-        return golden::run_golden_check(
-            &args,
-            "table3_contrib",
-            "table3_golden.txt",
-            golden::TABLE3_SEED,
-            golden::table3_golden,
-        );
+    if let Some(code) = golden::golden_mode(
+        &args,
+        "table3_contrib",
+        "table3_golden.txt",
+        golden::TABLE3_SEED,
+        golden::table3_golden,
+    ) {
+        return code;
     }
     let workloads = args.get_usize("workloads", 33);
     let instructions = args.get_u64("instructions", 3_000_000);

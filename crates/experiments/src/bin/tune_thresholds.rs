@@ -7,10 +7,10 @@
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin tune_thresholds --
 //! [--combos N] [--workloads N] [--instructions N] [--seed N] [--mode st|mp] [--threads N]
-//! [--no-replay] [--metrics] [--manifest-dir DIR]`
+//! [--metrics] [--manifest-dir DIR]`
 //!
 //! Training streams come from the shared recording cache (recorded once
-//! per workload); `--no-replay` records privately instead.
+//! per workload).
 
 use mrp_cache::Cache;
 use mrp_core::mpppb::{Mpppb, MpppbConfig};
@@ -43,7 +43,6 @@ fn mean_mpki_ratio(evaluator: &FastEvaluator, lru: &[f64], config: &MpppbConfig)
 fn main() {
     let args = Args::parse();
     args.init_runtime_options();
-    args.init_replay();
     let combos = args.get_usize("combos", 200);
     let workload_count = args.get_usize("workloads", 12);
     let instructions = args.get_u64("instructions", 2_000_000);

@@ -2,8 +2,8 @@
 //!
 //! Generic `--key value` parsing lives in [`mrp_runtime::cli::Args`];
 //! this wrapper layers the experiment-stack resolution over it: run
-//! scale, report sinks, recording replay, telemetry manifests, and the
-//! typed [`RuntimeOptions`] knobs.
+//! scale, report sinks, telemetry manifests, and the typed
+//! [`RuntimeOptions`] knobs.
 
 use std::ops::Deref;
 
@@ -56,7 +56,7 @@ impl Args {
     /// environment variables, so existing scripts keep working
     /// unchanged.
     pub fn init_runtime_options(&self) -> usize {
-        let options = RuntimeOptions::from_env().with_cli(
+        let options = RuntimeOptions::default().with_cli(
             self.get_flag("no-simd", false),
             self.get_usize("threads", 0),
         );
@@ -65,26 +65,14 @@ impl Args {
         mrp_runtime::threads()
     }
 
-    /// Resolves the shared `--no-replay` switch and installs it
-    /// process-wide: when set, single-thread runners re-simulate every
-    /// (workload × policy) cell instead of replaying the shared
-    /// per-workload recording (results are bit-identical either way; see
-    /// [`crate::recording`]). Returns whether replay is enabled.
-    pub fn init_replay(&self) -> bool {
-        let enabled = !self.get_flag("no-replay", false);
-        crate::recording::set_replay_enabled(enabled);
-        enabled
-    }
-
     /// Resolves the shared scale flags (`--warmup`, `--measure`,
-    /// `--seed`, `--cores`) against a driver-supplied default, usually
+    /// `--seed`) against a driver-supplied default, usually
     /// [`RunScale::single_thread`] or [`RunScale::multi_core`].
     pub fn run_scale(&self, defaults: RunScale) -> RunScale {
         defaults
             .warmup(self.get_u64("warmup", defaults.warmup))
             .measure(self.get_u64("measure", defaults.measure))
             .seed(self.get_u64("seed", defaults.seed))
-            .cores(self.get_u64("cores", defaults.cores as u64) as u32)
     }
 
     /// The report format selected by the shared `--format` flag
@@ -171,9 +159,9 @@ mod tests {
         assert_eq!(scale.warmup, RunScale::single_thread().warmup);
         assert_eq!(scale.measure, 5000);
         assert_eq!(scale.seed, 9);
-        assert_eq!(scale.cores, 1);
-        let mp = args(&["--cores", "2"]).run_scale(RunScale::multi_core());
-        assert_eq!(mp.cores, 2);
+        let mp = args(&["--warmup", "7"]).run_scale(RunScale::multi_core());
+        assert_eq!(mp.warmup, 7);
+        assert_eq!(mp.measure, RunScale::multi_core().measure);
         assert_eq!(mp.seed, 42);
     }
 

@@ -40,21 +40,16 @@ pub fn run(workload_count: usize, instructions: u64, seed: u64) -> Vec<Contribut
     let base = MpppbConfig::single_thread(&llc).with_features(features.clone());
 
     // Record each workload's LLC stream once (fresh seed = fresh traces),
-    // through the shared recording cache so any other driver at the same
-    // parameters reuses the streams; recordings are independent
-    // simulations, so they run in parallel either way.
+    // in parallel, through the shared recording cache so any other driver
+    // at the same parameters reuses the streams.
     let selected = &suite[..count];
-    let traces: Vec<LlcTrace> = if crate::recording::replay_enabled() {
-        crate::recording::prerecord(selected, seed, 0, instructions);
-        selected
-            .iter()
-            .map(|w| {
-                LlcTrace::from_recording(crate::recording::recording_for(w, seed, 0, instructions))
-            })
-            .collect()
-    } else {
-        mrp_runtime::par_map(selected, |w| LlcTrace::record(w, seed, instructions))
-    };
+    crate::recording::prerecord(selected, seed, 0, instructions);
+    let traces: Vec<LlcTrace> = selected
+        .iter()
+        .map(|w| {
+            LlcTrace::from_recording(crate::recording::recording_for(w, seed, 0, instructions))
+        })
+        .collect();
 
     let evaluate = |features: &[Feature], trace: &LlcTrace| -> f64 {
         let config = base.clone().with_features(features.to_vec());

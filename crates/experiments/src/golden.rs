@@ -1,12 +1,12 @@
 //! Golden-file plumbing for the golden-backed drivers.
 //!
-//! The Fig. 6 matrix, ablation (Fig. 10), and feature-contribution
-//! (Table 3) drivers promise deterministic, bit-identical outputs for a
-//! given seed. Each gets a reduced-scale golden matrix in `results/`,
-//! regenerated with the driver's `--bless` flag (or
-//! `MRP_UPDATE_GOLDEN=1` on the test), in a shared format: a trace
-//! fingerprint line followed by rows carrying exact `f64::to_bits`
-//! values plus a human comment.
+//! The Fig. 6 matrix, ROC (Figs. 1/8), multi-programmed (Figs. 4/5),
+//! ablation (Fig. 10), and feature-contribution (Table 3) drivers
+//! promise deterministic, bit-identical outputs for a given seed. Each
+//! gets a reduced-scale golden matrix in `results/`, regenerated with
+//! the driver's `--bless` flag (or `MRP_UPDATE_GOLDEN=1` on the test),
+//! in a shared format: a trace fingerprint line followed by rows
+//! carrying exact `f64::to_bits` values plus a human comment.
 //!
 //! Values are only comparable when the trace streams match — they
 //! depend on the `rand` implementation backing the generators — so a
@@ -16,8 +16,8 @@
 //! Two consumers share the comparison logic ([`diff_against_committed`]
 //! / [`GoldenOutcome`]): the test harness ([`check_against_committed`]
 //! panics on drift, for `cargo test`) and the drivers' `--golden-check`
-//! mode ([`golden_check_cli`] returns pass/fail, for `orchestrate ci`
-//! to turn into a process exit code).
+//! mode ([`golden_mode`] turns [`golden_check_cli`]'s pass/fail into a
+//! process exit code for `orchestrate ci`).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -28,7 +28,9 @@ use mrp_trace::workloads;
 
 use crate::ablation;
 use crate::feature_table;
-use crate::runner::{run_single_kind, run_single_mpppb_cv, MpParams, StParams};
+use crate::multi;
+use crate::roc;
+use crate::runner::{run_single_kind, run_single_mpppb_cv, RunScale};
 use crate::PolicyKind;
 
 /// Workloads folded into the trace fingerprint (a stable, representative
@@ -68,11 +70,10 @@ const FIG6_KINDS: [PolicyKind; 3] = [PolicyKind::Lru, PolicyKind::Srrip, PolicyK
 /// Renders the reduced-scale Fig. 6 golden matrix: MPKI/IPC per
 /// (workload × policy) over the fingerprint workloads, exact to the bit.
 pub fn fig6_golden() -> String {
-    let params = StParams {
-        warmup: 50_000,
-        measure: 200_000,
-        seed: FIG6_SEED,
-    };
+    let scale = RunScale::single_thread()
+        .warmup(50_000)
+        .measure(200_000)
+        .seed(FIG6_SEED);
     let suite = workloads::suite();
     let mut out = String::new();
     let _ = writeln!(
@@ -89,11 +90,11 @@ pub fn fig6_golden() -> String {
         let mut rows: Vec<(String, f64, f64)> = FIG6_KINDS
             .iter()
             .map(|kind| {
-                let r = run_single_kind(w, *kind, params);
+                let r = run_single_kind(w, *kind, scale);
                 (kind.name().to_string(), r.mpki, r.ipc)
             })
             .collect();
-        let cv = run_single_mpppb_cv(w, params);
+        let cv = run_single_mpppb_cv(w, scale);
         rows.push(("mpppb-cv".to_string(), cv.mpki, cv.ipc));
         for (policy, mpki, ipc) in rows {
             let _ = writeln!(
@@ -112,11 +113,11 @@ pub const ABLATION_SEED: u64 = 5;
 
 /// Renders the reduced-scale Fig. 10 ablation golden matrix.
 pub fn ablation_golden() -> String {
-    let params = MpParams {
-        warmup: 10_000,
-        measure: 50_000,
-    };
-    let result = ablation::run(params, 1, 2, ABLATION_SEED);
+    let scale = RunScale::multi_core()
+        .warmup(10_000)
+        .measure(50_000)
+        .seed(ABLATION_SEED);
+    let result = ablation::run(scale, 1, 2);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -171,6 +172,88 @@ pub fn table3_golden() -> String {
             r.mpki_without,
             r.mpki_with
         );
+    }
+    out
+}
+
+/// Seed of the ROC golden run.
+pub const ROC_SEED: u64 = 1;
+
+/// Renders the reduced-scale ROC golden matrix: every predictor's mean
+/// (FPR, TPR) per threshold over the first nine suite workloads, exact
+/// to the bit. The three streams that open the suite never reuse a
+/// block and the four loops after them ignore the seed; the two pointer
+/// chases that follow make the rows depend on it, so nine is the
+/// shortest prefix where a mis-wired seed shows.
+pub fn roc_golden() -> String {
+    let scale = RunScale::single_thread()
+        .warmup(20_000)
+        .measure(100_000)
+        .seed(ROC_SEED);
+    let curves = roc::run(scale, 9);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "# fig_roc golden (reduced scale: 9 workloads, warmup 20k / measure 100k, seed {ROC_SEED})"
+    );
+    let _ = writeln!(
+        out,
+        "# regenerate: cargo run -p mrp-experiments --bin fig_roc -- --bless"
+    );
+    let _ = writeln!(out, "fingerprint {:016x}", trace_fingerprint(ROC_SEED));
+    for curve in &curves {
+        for &(threshold, fpr, tpr) in &curve.points {
+            let _ = writeln!(
+                out,
+                "{} {threshold} {:016x} {:016x} # fpr={fpr:.4} tpr={tpr:.4}",
+                curve.predictor,
+                fpr.to_bits(),
+                tpr.to_bits()
+            );
+        }
+    }
+    out
+}
+
+/// Seed of the Fig. 4 golden run (mix draw and standalone traces).
+pub const FIG4_SEED: u64 = 42;
+
+/// Renders the reduced-scale Fig. 4/5 golden matrix: weighted speedup
+/// over LRU and MPKI per policy for one 4-core test mix (drawn after
+/// the drivers' 16 training mixes). The scale is the smallest at which
+/// the shared 8MB LLC evicts enough for every policy row to differ from
+/// LRU; below it each row would only pin the trace and timing model.
+pub fn fig4_golden() -> String {
+    let scale = RunScale::multi_core()
+        .warmup(50_000)
+        .measure(300_000)
+        .seed(FIG4_SEED);
+    let matrix = multi::run(scale, 1, 16);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "# fig4 golden (reduced scale: warmup 50k / measure 300k, 1 mix, seed {FIG4_SEED})"
+    );
+    let _ = writeln!(
+        out,
+        "# regenerate: cargo run -p mrp-experiments --bin fig4_mp_speedup -- --bless"
+    );
+    let _ = writeln!(out, "fingerprint {:016x}", trace_fingerprint(FIG4_SEED));
+    for row in &matrix.rows {
+        for (policy, mpki) in &row.mpkis {
+            let speedup = row
+                .speedups
+                .iter()
+                .find(|(name, _)| name == policy)
+                .map_or(1.0, |&(_, s)| s);
+            let _ = writeln!(
+                out,
+                "{} {policy} {:016x} {:016x} # speedup={speedup:.6} mpki={mpki:.4}",
+                row.label,
+                speedup.to_bits(),
+                mpki.to_bits()
+            );
+        }
     }
     out
 }
@@ -322,19 +405,34 @@ pub fn golden_check_cli(file: &str, rendered: &str) -> bool {
     }
 }
 
-/// The shared `--golden-check` driver mode behind `orchestrate ci`:
-/// renders the reduced-scale golden, diffs it against the committed
-/// `file`, reports on stderr, and — with `--metrics` — records the
-/// outcome in the run manifest (`golden.match` scalar, `golden_file`
-/// meta). Returns the process exit code: failure on drift or a missing
-/// golden, success on match or fingerprint skip.
-pub fn run_golden_check(
+/// The shared golden driver modes of every golden-backed driver.
+///
+/// * `--bless` renders the reduced-scale golden and writes it to
+///   `results/<file>`.
+/// * `--golden-check` (the mode `orchestrate ci` spawns) renders it,
+///   diffs it against the committed `file`, reports on stderr, and —
+///   with `--metrics` — records the outcome in the run manifest
+///   (`golden.match` scalar, `golden_file` meta).
+///
+/// Returns the process exit code when either flag is set (failure on
+/// drift or a missing golden, success on match or fingerprint skip), or
+/// `None` when neither is, so the driver runs its full study.
+pub fn golden_mode(
     args: &crate::Args,
     bin: &str,
     file: &str,
     seed: u64,
     render: impl FnOnce() -> String,
-) -> ExitCode {
+) -> Option<ExitCode> {
+    if args.get_flag("bless", false) {
+        let path = results_path(file);
+        std::fs::write(&path, render()).expect("write golden");
+        eprintln!("golden regenerated at {}", path.display());
+        return Some(ExitCode::SUCCESS);
+    }
+    if !args.get_flag("golden-check", false) {
+        return None;
+    }
     let mut manifest = args.init_metrics(bin, seed);
     let simulate_phase = mrp_obs::phase("simulate");
     let rendered = render();
@@ -348,11 +446,11 @@ pub fn run_golden_check(
     }
     drop(report_phase);
     crate::finish_manifest(manifest);
-    if ok {
+    Some(if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 #[cfg(test)]

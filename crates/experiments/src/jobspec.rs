@@ -23,7 +23,7 @@
 //!
 //! # Plans
 //!
-//! Three canned campaigns: [`ci_plan`] (the golden-backed drivers in
+//! Three canned campaigns: [`ci_plan`] (the five golden-backed drivers in
 //! `--golden-check` mode — CI's single entry point), [`full_plan`] (the
 //! ten-driver suite `scripts/run_all_experiments.sh` runs), and
 //! [`smoke_plan`] (tiny self-worker cells for the crash-injection
@@ -207,6 +207,8 @@ impl JobSpec {
 pub fn ci_plan() -> Vec<JobSpec> {
     vec![
         JobSpec::new("golden.fig6", "fig6_st_speedup").arg("golden-check", "1"),
+        JobSpec::new("golden.fig_roc", "fig_roc").arg("golden-check", "1"),
+        JobSpec::new("golden.fig4", "fig4_mp_speedup").arg("golden-check", "1"),
         JobSpec::new("golden.fig10", "fig10_ablation").arg("golden-check", "1"),
         JobSpec::new("golden.table3", "table3_contrib").arg("golden-check", "1"),
     ]
@@ -413,6 +415,7 @@ mod tests {
             }
         }
         assert_eq!(smoke_plan(7, 2000, 8000, 0).len(), 6);
+        assert_eq!(ci_plan().len(), 5);
         assert_eq!(full_plan(&scale).len(), 10);
     }
 

@@ -41,7 +41,7 @@ pub use cli::{finish_manifest, Args};
 pub use jobspec::{FullScale, JobSpec, SELF_BIN};
 pub use output::{ReportFormat, ReportSink};
 pub use policies::PolicyKind;
-pub use runner::{MpParams, RunScale, StParams};
+pub use runner::RunScale;
 
 /// The fixed cross-validation split seed shared by the feature-tuning
 /// binaries (`co_tune`, `derive_features`) and the reporting experiments:

@@ -4,7 +4,7 @@ use mrp_cpu::metrics::{arithmetic_mean, geometric_mean};
 use mrp_trace::{workloads, MixBuilder};
 
 use crate::policies::PolicyKind;
-use crate::runner::{mix_standalone, run_mix_hawkeye, run_mix_kind, standalone_ipcs, MpParams};
+use crate::runner::{mix_standalone, run_mix_hawkeye, run_mix_kind, standalone_ipcs, RunScale};
 
 /// Per-mix results of the multi-programmed comparison.
 #[derive(Debug, Clone)]
@@ -75,11 +75,12 @@ impl MpMatrix {
 /// Runs the multi-programmed comparison over `mix_count` test mixes.
 ///
 /// Mixes are drawn after `train_skip` training mixes (the paper trains on
-/// the first 100 of 1000 and reports the remaining 900).
-pub fn run(params: MpParams, mix_count: usize, train_skip: usize, seed: u64) -> MpMatrix {
+/// the first 100 of 1000 and reports the remaining 900). `scale.seed`
+/// draws the mixes and seeds the standalone-IPC traces.
+pub fn run(scale: RunScale, mix_count: usize, train_skip: usize) -> MpMatrix {
     let suite = workloads::suite();
-    let builder = MixBuilder::new(seed);
-    let standalone = standalone_ipcs(&suite, params, seed);
+    let builder = MixBuilder::new(scale.seed);
+    let standalone = standalone_ipcs(&suite, scale);
 
     // One job per (mix × policy) cell, collected by index; the weighted
     // speedups are normalized against each mix's LRU cell afterward.
@@ -90,10 +91,10 @@ pub fn run(params: MpParams, mix_count: usize, train_skip: usize, seed: u64) -> 
     let cells = mrp_runtime::map_indexed(mixes.len() * COLS, |job| {
         let mix = &mixes[job / COLS];
         match job % COLS {
-            0 => run_mix_kind(mix, PolicyKind::Lru, params),
-            1 => run_mix_hawkeye(mix, params),
-            2 => run_mix_kind(mix, PolicyKind::Perceptron, params),
-            _ => run_mix_kind(mix, PolicyKind::MpppbMulti, params),
+            0 => run_mix_kind(mix, PolicyKind::Lru, scale),
+            1 => run_mix_hawkeye(mix, scale),
+            2 => run_mix_kind(mix, PolicyKind::Perceptron, scale),
+            _ => run_mix_kind(mix, PolicyKind::MpppbMulti, scale),
         }
     });
 
@@ -137,11 +138,11 @@ mod tests {
 
     #[test]
     fn matrix_shape_and_metrics() {
-        let params = MpParams {
-            warmup: 20_000,
-            measure: 100_000,
-        };
-        let m = run(params, 2, 1, 5);
+        let scale = RunScale::multi_core()
+            .warmup(20_000)
+            .measure(100_000)
+            .seed(5);
+        let m = run(scale, 2, 1);
         assert_eq!(m.rows.len(), 2);
         assert_eq!(m.speedups("MPPPB").len(), 2);
         assert_eq!(m.mpkis("LRU").len(), 2);

@@ -13,15 +13,9 @@
 //! Concurrency: fan-outs from `mrp_runtime` hit the cache from many
 //! workers; [`mrp_runtime::Memo`] guarantees exactly one worker records
 //! a given key while the rest block for the result.
-//!
-//! Debugging escape hatch: `--no-replay` on the figure drivers (or
-//! [`set_replay_enabled`]`(false)`) routes every run back through full
-//! simulation. Results are bit-identical either way — the flag exists to
-//! *demonstrate* that, and to keep full simulation reachable when
-//! bisecting the replay layer itself.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use mrp_cache::replay::LlcRecording;
@@ -66,21 +60,6 @@ fn memo_telemetry() -> &'static MemoTelemetry {
 
 fn lru_order() -> &'static Mutex<VecDeque<Key>> {
     LRU_ORDER.get_or_init(|| Mutex::new(VecDeque::new()))
-}
-
-/// Whether drivers replay recordings (default) or re-run full
-/// simulation per cell (`--no-replay`).
-static REPLAY_DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// True when experiment runners should use the replay fast path.
-pub fn replay_enabled() -> bool {
-    !REPLAY_DISABLED.load(Ordering::Relaxed)
-}
-
-/// Enables or disables the replay fast path process-wide (the figure
-/// drivers wire their `--no-replay` flag here).
-pub fn set_replay_enabled(enabled: bool) {
-    REPLAY_DISABLED.store(!enabled, Ordering::Relaxed);
 }
 
 fn memo() -> &'static Memo<Key, Arc<LlcRecording>> {
@@ -166,12 +145,8 @@ pub fn prerecord(workloads: &[Workload], seed: u64, warmup: u64, measure: u64) {
 /// Builds a [`FastEvaluator`] whose traces come from the shared
 /// recording cache (warmup 0, matching the fast simulator's cold
 /// recording), so the search loops and the figure drivers never record
-/// the same `(workload, seed, instructions)` stream twice. Falls back
-/// to the evaluator's own recording pass under `--no-replay`.
+/// the same `(workload, seed, instructions)` stream twice.
 pub fn fast_evaluator(workloads: &[Workload], seed: u64, instructions: u64) -> FastEvaluator {
-    if !replay_enabled() {
-        return FastEvaluator::new(workloads, seed, instructions);
-    }
     prerecord(workloads, seed, 0, instructions);
     let traces = workloads
         .iter()
@@ -207,21 +182,5 @@ mod tests {
         let c = recording_for(&suite[0], 0xDEAD, 1_000, 4_000);
         assert!(!Arc::ptr_eq(&a, &c), "different measure must re-record");
         assert!(cached_recordings() >= 2);
-    }
-
-    #[test]
-    fn replay_toggle_round_trips() {
-        // Sole owner of the global toggle among tests, to avoid races.
-        assert!(replay_enabled(), "replay defaults to on");
-        set_replay_enabled(false);
-        assert!(!replay_enabled());
-        set_replay_enabled(true);
-        assert!(replay_enabled());
-        // The drivers' `--no-replay` flag wires through `Args::init_replay`.
-        let args = crate::Args::from_args(["--no-replay".to_string()]);
-        assert!(!args.init_replay());
-        assert!(!replay_enabled());
-        assert!(crate::Args::from_args(std::iter::empty()).init_replay());
-        assert!(replay_enabled());
     }
 }

@@ -14,11 +14,11 @@ use std::sync::{Arc, Mutex};
 use mrp_baselines::{PerceptronPolicy, Sdbp};
 use mrp_cache::{AccessInfo, Cache, CacheConfig, HierarchyConfig, ReplacementPolicy};
 use mrp_core::mpppb::{Mpppb, MpppbConfig};
-use mrp_cpu::{replay_single, SingleCoreSim};
+use mrp_cpu::replay_single;
 use mrp_trace::{workloads, MemoryAccess, Workload};
 
 use crate::recording;
-use crate::runner::StParams;
+use crate::runner::RunScale;
 
 /// A policy that exposes the confidence of its most recent prediction.
 pub trait ConfidenceSource: ReplacementPolicy {
@@ -207,21 +207,15 @@ impl RocCurve {
     }
 }
 
-/// Drives one measure-only probe over a workload, discarding the timing
-/// result (only the probe's resolved samples matter). Replays the shared
-/// recording when enabled — the probe observes the identical LLC
-/// operation sequence either way, so the samples are bit-identical —
-/// and falls back to full simulation under `--no-replay`.
-fn drive_probe(workload: &Workload, params: StParams, policy: Box<dyn ReplacementPolicy + Send>) {
+/// Drives one measure-only probe over a workload's shared recording,
+/// discarding the timing result (only the probe's resolved samples
+/// matter). The probe observes the same LLC operation sequence full
+/// simulation would produce, so the samples are bit-identical to it.
+fn drive_probe(workload: &Workload, scale: RunScale, policy: Box<dyn ReplacementPolicy + Send>) {
     let config = HierarchyConfig::single_thread();
-    if recording::replay_enabled() {
-        let rec = recording::recording_for(workload, params.seed, params.warmup, params.measure);
-        let mut cache = Cache::new(config.llc, policy);
-        let _ = replay_single(&rec, &mut cache, &config.latencies);
-    } else {
-        let mut sim = SingleCoreSim::new(config, policy, workload.trace(params.seed));
-        let _ = sim.run(params.warmup, params.measure);
-    }
+    let rec = recording::recording_for(workload, scale.seed, scale.warmup, scale.measure);
+    let mut cache = Cache::new(config.llc, policy);
+    let _ = replay_single(&rec, &mut cache, &config.latencies);
 }
 
 /// Computes per-threshold (FPR, TPR) for one workload's samples.
@@ -253,18 +247,18 @@ pub fn rates(samples: &[Sample], thresholds: &[i32]) -> Vec<(f64, f64)> {
 /// Runs the ROC for a multiperspective predictor with a *custom* feature
 /// set (used to isolate feature-set effects from the training machinery).
 pub fn run_custom_features(
-    params: StParams,
+    scale: RunScale,
     workload_count: usize,
     features: Vec<mrp_core::Feature>,
     label: &str,
 ) -> RocCurve {
-    run_custom_features_with(params, workload_count, features, 64, 35, label)
+    run_custom_features_with(scale, workload_count, features, 64, 35, label)
 }
 
 /// Like [`run_custom_features`] but also overriding the sampler set count
 /// and training threshold.
 pub fn run_custom_features_with(
-    params: StParams,
+    scale: RunScale,
     workload_count: usize,
     features: Vec<mrp_core::Feature>,
     sampler_sets: u32,
@@ -273,9 +267,7 @@ pub fn run_custom_features_with(
 ) -> RocCurve {
     let suite = workloads::suite();
     let count = workload_count.min(suite.len()).max(1);
-    if recording::replay_enabled() {
-        recording::prerecord(&suite[..count], params.seed, params.warmup, params.measure);
-    }
+    recording::prerecord(&suite[..count], scale.seed, scale.warmup, scale.measure);
     let thresholds: Vec<i32> = (-300..=300).step_by(4).collect();
     // One measure-only job per workload; the per-workload rate curves are
     // averaged afterward in suite order, exactly as the serial loop did.
@@ -292,7 +284,7 @@ pub fn run_custom_features_with(
             Mpppb::new(mp_config, &config.llc),
             samples.clone(),
         ));
-        drive_probe(w, params, policy);
+        drive_probe(w, scale, policy);
         let collected = samples.lock().expect("sample lock");
         rates(&collected, &thresholds)
     });
@@ -314,12 +306,10 @@ pub fn run_custom_features_with(
 }
 
 /// Runs the ROC experiment over `workload_count` workloads.
-pub fn run(params: StParams, workload_count: usize) -> Vec<RocCurve> {
+pub fn run(scale: RunScale, workload_count: usize) -> Vec<RocCurve> {
     let suite = workloads::suite();
     let count = workload_count.min(suite.len()).max(1);
-    if recording::replay_enabled() {
-        recording::prerecord(&suite[..count], params.seed, params.warmup, params.measure);
-    }
+    recording::prerecord(&suite[..count], scale.seed, scale.warmup, scale.measure);
     let predictors = [
         RocPredictor::Sdbp,
         RocPredictor::Perceptron,
@@ -336,7 +326,7 @@ pub fn run(params: StParams, workload_count: usize) -> Vec<RocCurve> {
             let config = HierarchyConfig::single_thread();
             let samples = Arc::new(Mutex::new(Vec::new()));
             let policy = predictor.build_probe(&config.llc, samples.clone());
-            drive_probe(w, params, policy);
+            drive_probe(w, scale, policy);
             let collected = samples.lock().expect("sample lock");
             rates(&collected, &thresholds)
         });
@@ -397,12 +387,8 @@ mod tests {
 
     #[test]
     fn probe_collects_resolved_samples() {
-        let params = StParams {
-            warmup: 20_000,
-            measure: 100_000,
-            seed: 1,
-        };
-        let curves = run(params, 1);
+        let scale = RunScale::single_thread().warmup(20_000).measure(100_000);
+        let curves = run(scale, 1);
         assert_eq!(curves.len(), 3);
         for c in &curves {
             assert!(!c.points.is_empty());

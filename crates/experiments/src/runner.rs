@@ -1,29 +1,28 @@
 //! Shared run orchestration: single-thread runs (including Belady MIN's
 //! two passes), multi-programmed runs, and the standalone-IPC baseline
-//! needed for weighted speedup.
+//! needed for weighted speedup. Every single-thread cell replays its
+//! workload's shared [`crate::recording`]; multi-programmed mixes run the
+//! full shared-LLC co-simulation.
 
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use mrp_baselines::MinPolicy;
-use mrp_cache::replay::LlcRecording;
 use mrp_cache::{CacheConfig, HierarchyConfig, ReplacementPolicy};
 use mrp_core::{EngineConfig, PredictionEngine};
-use mrp_cpu::{replay_single, MulticoreResult, MulticoreSim, SingleCoreResult, SingleCoreSim};
+use mrp_cpu::{replay_single, MulticoreResult, MulticoreSim, SingleCoreResult};
 use mrp_trace::{Mix, Workload};
 
 use crate::policies::PolicyKind;
 use crate::recording;
 
-/// Unified run-scale parameters for every experiment driver.
+/// Run-scale parameters for every experiment driver.
 ///
-/// One type covers both the single-thread and multi-programmed runners:
-/// `cores == 1` means a single-thread run (the paper warms 500M and
-/// measures 1B instructions per simpoint; the presets here are
-/// laptop-scale with the same warm/measure ratio), `cores > 1` a shared-
-/// LLC co-simulation where `warmup`/`measure` are per core. The legacy
-/// [`StParams`]/[`MpParams`] views convert losslessly in both directions
-/// (`From` impls), so call sites migrate mechanically.
+/// Single-thread runs use [`RunScale::single_thread`] (the paper warms
+/// 500M and measures 1B instructions per simpoint; the presets here are
+/// laptop-scale with the same warm/measure ratio); 4-core shared-LLC
+/// co-simulations use [`RunScale::multi_core`], where `warmup`/`measure`
+/// are per core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunScale {
     /// Warmup instructions (per core), not measured.
@@ -32,8 +31,6 @@ pub struct RunScale {
     pub measure: u64,
     /// Trace seed (single-thread traces) or mix seed (multi-core).
     pub seed: u64,
-    /// Simulated core count: 1 = single-thread, 4 = the paper's mixes.
-    pub cores: u32,
 }
 
 impl RunScale {
@@ -43,7 +40,6 @@ impl RunScale {
             warmup: 4_000_000,
             measure: 20_000_000,
             seed: 1,
-            cores: 1,
         }
     }
 
@@ -53,7 +49,6 @@ impl RunScale {
             warmup: 2_000_000,
             measure: 8_000_000,
             seed: 42,
-            cores: 4,
         }
     }
 
@@ -74,29 +69,6 @@ impl RunScale {
         self.seed = seed;
         self
     }
-
-    /// Replaces the core count.
-    pub fn cores(mut self, cores: u32) -> Self {
-        self.cores = cores;
-        self
-    }
-
-    /// This scale's single-thread view.
-    pub fn st(&self) -> StParams {
-        StParams {
-            warmup: self.warmup,
-            measure: self.measure,
-            seed: self.seed,
-        }
-    }
-
-    /// This scale's multi-programmed view.
-    pub fn mp(&self) -> MpParams {
-        MpParams {
-            warmup: self.warmup,
-            measure: self.measure,
-        }
-    }
 }
 
 impl Default for RunScale {
@@ -105,90 +77,23 @@ impl Default for RunScale {
     }
 }
 
-impl From<RunScale> for StParams {
-    fn from(scale: RunScale) -> Self {
-        scale.st()
-    }
-}
-
-impl From<RunScale> for MpParams {
-    fn from(scale: RunScale) -> Self {
-        scale.mp()
-    }
-}
-
-impl From<StParams> for RunScale {
-    fn from(p: StParams) -> Self {
-        RunScale::single_thread()
-            .warmup(p.warmup)
-            .measure(p.measure)
-            .seed(p.seed)
-    }
-}
-
-impl From<MpParams> for RunScale {
-    fn from(p: MpParams) -> Self {
-        RunScale::multi_core().warmup(p.warmup).measure(p.measure)
-    }
-}
-
-/// Scale parameters for single-thread runs (the single-thread view of
-/// [`RunScale`]).
-#[derive(Debug, Clone, Copy)]
-pub struct StParams {
-    /// Warmup instructions (not measured).
-    pub warmup: u64,
-    /// Measured instructions.
-    pub measure: u64,
-    /// Trace seed.
-    pub seed: u64,
-}
-
-impl Default for StParams {
-    fn default() -> Self {
-        RunScale::single_thread().st()
-    }
-}
-
-/// Scale parameters for 4-core runs (the multi-programmed view of
-/// [`RunScale`]).
-#[derive(Debug, Clone, Copy)]
-pub struct MpParams {
-    /// Warmup instructions per core.
-    pub warmup: u64,
-    /// Measured instructions per core.
-    pub measure: u64,
-}
-
-impl Default for MpParams {
-    fn default() -> Self {
-        RunScale::multi_core().mp()
-    }
-}
-
 /// Runs one workload on the single-thread hierarchy with a given policy.
 ///
-/// By default this replays the workload's shared [`crate::recording`]
-/// stream (recorded once per `(workload, seed, warmup, measure)`) into
-/// the policy under test — bit-identical to full simulation and much
-/// cheaper once a second policy asks for the same workload. Pass
-/// `--no-replay` (see [`recording::set_replay_enabled`]) to force full
-/// simulation per cell.
+/// Replays the workload's shared [`crate::recording`] stream (recorded
+/// once per `(workload, seed, warmup, measure)`) into the policy under
+/// test: bit-identical to full simulation (`mrp-verify`'s replay pass
+/// proves it) and much cheaper once a second policy asks for the same
+/// workload.
 pub fn run_single(
     workload: &Workload,
     policy: Box<dyn ReplacementPolicy + Send>,
-    params: StParams,
+    scale: RunScale,
 ) -> SingleCoreResult {
     let config = HierarchyConfig::single_thread();
     let mut engine = single_engine(config.llc, workload, policy);
-    if recording::replay_enabled() {
-        let rec = recording::recording_for(workload, params.seed, params.warmup, params.measure);
-        let _phase = mrp_obs::phase("replay");
-        return replay_single(&rec, engine.cache_mut(), &config.latencies);
-    }
-    let _phase = mrp_obs::phase("simulate");
-    let mut sim = SingleCoreSim::with_llc(config, engine.into_llc(), workload.trace(params.seed));
-    sim.run(params.warmup, params.measure)
+    let rec = recording::recording_for(workload, scale.seed, scale.warmup, scale.measure);
+    let _phase = mrp_obs::phase("replay");
+    replay_single(&rec, engine.cache_mut(), &config.latencies)
 }
 
 /// Builds the facade engine every single-thread run drives: the policy
@@ -205,19 +110,15 @@ fn single_engine(
 }
 
 /// Runs one workload under a named policy.
-pub fn run_single_kind(
-    workload: &Workload,
-    kind: PolicyKind,
-    params: StParams,
-) -> SingleCoreResult {
+pub fn run_single_kind(workload: &Workload, kind: PolicyKind, scale: RunScale) -> SingleCoreResult {
     let config = HierarchyConfig::single_thread();
-    run_single(workload, kind.build(&config.llc), params)
+    run_single(workload, kind.build(&config.llc), scale)
 }
 
 /// Runs one workload under Hawkeye.
-pub fn run_single_hawkeye(workload: &Workload, params: StParams) -> SingleCoreResult {
+pub fn run_single_hawkeye(workload: &Workload, scale: RunScale) -> SingleCoreResult {
     let config = HierarchyConfig::single_thread();
-    run_single(workload, PolicyKind::hawkeye(&config.llc), params)
+    run_single(workload, PolicyKind::hawkeye(&config.llc), scale)
 }
 
 /// Builds the cross-validated MPPPB policy for a workload: workloads in
@@ -262,8 +163,8 @@ pub fn in_tuning_half_a(workload: &Workload) -> bool {
 }
 
 /// Runs one workload under the cross-validated MPPPB configuration.
-pub fn run_single_mpppb_cv(workload: &Workload, params: StParams) -> SingleCoreResult {
-    run_single(workload, mpppb_cv_policy(workload), params)
+pub fn run_single_mpppb_cv(workload: &Workload, scale: RunScale) -> SingleCoreResult {
+    run_single(workload, mpppb_cv_policy(workload), scale)
 }
 
 /// Builds the headline MPPPB policy: the configuration co-tuned on the
@@ -285,55 +186,41 @@ pub fn mpppb_headline_policy(workload: &Workload) -> Box<dyn ReplacementPolicy +
 }
 
 /// Runs one workload under the headline MPPPB configuration.
-pub fn run_single_mpppb(workload: &Workload, params: StParams) -> SingleCoreResult {
-    run_single(workload, mpppb_headline_policy(workload), params)
+pub fn run_single_mpppb(workload: &Workload, scale: RunScale) -> SingleCoreResult {
+    run_single(workload, mpppb_headline_policy(workload), scale)
 }
 
 /// Runs one workload under Belady MIN with optimal bypass: pass 1 is the
 /// workload's shared recording (the LLC stream is policy-independent, so
 /// MIN's lookahead pass is the same recording every other policy replays),
-/// pass 2 replays under MIN. With `--no-replay`, pass 2 re-runs full
-/// simulation instead; pass 1 still needs a recording, taken off-cache.
-pub fn run_single_min(workload: &Workload, params: StParams) -> SingleCoreResult {
+/// pass 2 replays under MIN.
+pub fn run_single_min(workload: &Workload, scale: RunScale) -> SingleCoreResult {
     let config = HierarchyConfig::single_thread();
-    if recording::replay_enabled() {
-        let rec = recording::recording_for(workload, params.seed, params.warmup, params.measure);
-        let _phase = mrp_obs::phase("replay");
-        let min = MinPolicy::new(&config.llc, &rec.llc_blocks());
-        let mut engine = single_engine(config.llc, workload, Box::new(min));
-        return replay_single(&rec, engine.cache_mut(), &config.latencies);
-    }
-    let _phase = mrp_obs::phase("simulate");
-    let rec = LlcRecording::record(
-        workload.name(),
-        workload.trace(params.seed),
-        &config,
-        params.warmup,
-        params.measure,
-    );
+    let rec = recording::recording_for(workload, scale.seed, scale.warmup, scale.measure);
+    let _phase = mrp_obs::phase("replay");
     let min = MinPolicy::new(&config.llc, &rec.llc_blocks());
-    let engine = single_engine(config.llc, workload, Box::new(min));
-    let mut sim = SingleCoreSim::with_llc(config, engine.into_llc(), workload.trace(params.seed));
-    sim.run(params.warmup, params.measure)
+    let mut engine = single_engine(config.llc, workload, Box::new(min));
+    replay_single(&rec, engine.cache_mut(), &config.latencies)
 }
 
 /// Runs a mix under a named policy on the shared 8MB LLC.
-pub fn run_mix_kind(mix: &Mix, kind: PolicyKind, params: MpParams) -> MulticoreResult {
+pub fn run_mix_kind(mix: &Mix, kind: PolicyKind, scale: RunScale) -> MulticoreResult {
     let config = HierarchyConfig::multi_core();
-    run_mix_policy(mix, kind.build(&config.llc), params)
+    run_mix_policy(mix, kind.build(&config.llc), scale)
 }
 
 /// Runs a mix under Hawkeye.
-pub fn run_mix_hawkeye(mix: &Mix, params: MpParams) -> MulticoreResult {
+pub fn run_mix_hawkeye(mix: &Mix, scale: RunScale) -> MulticoreResult {
     let config = HierarchyConfig::multi_core();
-    run_mix_policy(mix, PolicyKind::hawkeye(&config.llc), params)
+    run_mix_policy(mix, PolicyKind::hawkeye(&config.llc), scale)
 }
 
 /// Runs a mix under an arbitrary prebuilt policy (ablation experiments).
+/// Only `scale`'s instruction counts apply: the mix carries its own seed.
 pub fn run_mix_policy(
     mix: &Mix,
     policy: Box<dyn ReplacementPolicy + Send>,
-    params: MpParams,
+    scale: RunScale,
 ) -> MulticoreResult {
     let _phase = mrp_obs::phase("simulate");
     let config = HierarchyConfig::multi_core();
@@ -342,28 +229,23 @@ pub fn run_mix_policy(
         .label(mix.label())
         .build();
     let mut sim = MulticoreSim::with_llc(config, engine.into_llc(), mix);
-    sim.run(params.warmup, params.measure)
+    sim.run(scale.warmup, scale.measure)
 }
 
 /// Standalone-IPC baseline: each workload alone on the 8MB LLC with LRU
 /// (§4.5 "SingleIPC_i ... running in isolation with a 8MB cache with LRU
 /// replacement"). Returns IPC per suite index.
-pub fn standalone_ipcs(workloads: &[Workload], params: MpParams, seed: u64) -> Vec<f64> {
+///
+/// Recordings are LLC-geometry-independent, so the same cached stream
+/// the single-thread figures replay against the 2MB LLC replays here
+/// against the standalone 8MB LLC.
+pub fn standalone_ipcs(workloads: &[Workload], scale: RunScale) -> Vec<f64> {
     mrp_runtime::par_map(workloads, |w| {
         let config = HierarchyConfig::multi_core();
-        if recording::replay_enabled() {
-            // Recordings are LLC-geometry-independent, so the same cached
-            // stream the single-thread figures replay against the 2MB LLC
-            // replays here against the standalone 8MB LLC.
-            let rec = recording::recording_for(w, seed, params.warmup, params.measure);
-            let _phase = mrp_obs::phase("replay");
-            let mut engine = PolicyKind::Lru.engine(config.llc).label(w.name()).build();
-            return replay_single(&rec, engine.cache_mut(), &config.latencies).ipc;
-        }
-        let _phase = mrp_obs::phase("simulate");
-        let engine = PolicyKind::Lru.engine(config.llc).label(w.name()).build();
-        let mut sim = SingleCoreSim::with_llc(config, engine.into_llc(), w.trace(seed));
-        sim.run(params.warmup, params.measure).ipc
+        let rec = recording::recording_for(w, scale.seed, scale.warmup, scale.measure);
+        let _phase = mrp_obs::phase("replay");
+        let mut engine = PolicyKind::Lru.engine(config.llc).label(w.name()).build();
+        replay_single(&rec, engine.cache_mut(), &config.latencies).ipc
     })
 }
 
@@ -377,40 +259,8 @@ mod tests {
     use super::*;
     use mrp_trace::{workloads, MixBuilder};
 
-    fn tiny() -> StParams {
-        StParams {
-            warmup: 50_000,
-            measure: 200_000,
-            seed: 1,
-        }
-    }
-
-    #[test]
-    fn run_scale_round_trips_through_legacy_params() {
-        let scale = RunScale::single_thread().warmup(123).measure(456).seed(7);
-        let st: StParams = scale.into();
-        assert_eq!((st.warmup, st.measure, st.seed), (123, 456, 7));
-        let back: RunScale = st.into();
-        assert_eq!(back, scale);
-
-        let mp_scale = RunScale::multi_core().warmup(11).measure(22);
-        let mp: MpParams = mp_scale.into();
-        assert_eq!((mp.warmup, mp.measure), (11, 22));
-        let back: RunScale = mp.into();
-        assert_eq!(back, mp_scale);
-        assert_eq!(back.cores, 4);
-
-        // Presets mirror the legacy defaults exactly.
-        let st_default = StParams::default();
-        assert_eq!(RunScale::from(st_default), RunScale::single_thread());
-        let mp_default = MpParams::default();
-        assert_eq!(
-            (mp_default.warmup, mp_default.measure),
-            (
-                RunScale::multi_core().warmup,
-                RunScale::multi_core().measure
-            )
-        );
+    fn tiny() -> RunScale {
+        RunScale::single_thread().warmup(50_000).measure(200_000)
     }
 
     #[test]
@@ -426,6 +276,30 @@ mod tests {
             lru.mpki
         );
         assert!(min.ipc >= lru.ipc);
+    }
+
+    #[test]
+    fn min_replay_matches_full_simulation_bit_for_bit() {
+        // MIN is the one policy `mrp-verify`'s replay pass does not
+        // cover: pin its replayed cell against a full `SingleCoreSim`
+        // run under the same lookahead.
+        let suite = workloads::suite();
+        let scale = tiny();
+        for name in ["loop.edge", "scanhot.protect"] {
+            let w = suite.iter().find(|w| w.name() == name).expect(name);
+            let replayed = run_single_min(w, scale);
+            let config = HierarchyConfig::single_thread();
+            let rec = recording::recording_for(w, scale.seed, scale.warmup, scale.measure);
+            let min = MinPolicy::new(&config.llc, &rec.llc_blocks());
+            let llc = single_engine(config.llc, w, Box::new(min)).into_llc();
+            let mut sim = mrp_cpu::SingleCoreSim::with_llc(config, llc, w.trace(scale.seed));
+            let simulated = sim.run(scale.warmup, scale.measure);
+            assert_eq!(replayed.stats, simulated.stats, "{name} stats diverge");
+            assert_eq!(replayed.instructions, simulated.instructions, "{name}");
+            assert_eq!(replayed.cycles, simulated.cycles, "{name}");
+            assert_eq!(replayed.ipc.to_bits(), simulated.ipc.to_bits(), "{name}");
+            assert_eq!(replayed.mpki.to_bits(), simulated.mpki.to_bits(), "{name}");
+        }
     }
 
     #[test]
@@ -451,15 +325,15 @@ mod tests {
         // engine-built cache and through a hand-built `Cache` must agree
         // on every counter, for a fig6 baseline and the MPPPB row alike.
         let suite = workloads::suite();
-        let params = tiny();
+        let scale = tiny();
         let config = HierarchyConfig::single_thread();
         let w = suite
             .iter()
             .find(|w| w.name() == "loop.edge")
             .expect("fig6 fingerprint workload");
-        let rec = recording::recording_for(w, params.seed, params.warmup, params.measure);
+        let rec = recording::recording_for(w, scale.seed, scale.warmup, scale.measure);
         for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::MpppbSingle] {
-            let facade = run_single(w, kind.build(&config.llc), params);
+            let facade = run_single(w, kind.build(&config.llc), scale);
             let mut cache = mrp_cache::Cache::new(config.llc, kind.build(&config.llc));
             let legacy = replay_single(&rec, &mut cache, &config.latencies);
             assert_eq!(facade.stats, legacy.stats, "{kind:?} stats diverge");
@@ -474,12 +348,12 @@ mod tests {
     fn mix_runner_produces_weighted_speedup_near_one_for_lru() {
         let suite = workloads::suite();
         let mix = MixBuilder::new(5).mix(0);
-        let params = MpParams {
-            warmup: 30_000,
-            measure: 150_000,
-        };
-        let standalone = standalone_ipcs(&suite, params, mix.seed());
-        let result = run_mix_kind(&mix, PolicyKind::Lru, params);
+        let scale = RunScale::multi_core()
+            .warmup(30_000)
+            .measure(150_000)
+            .seed(mix.seed());
+        let standalone = standalone_ipcs(&suite, scale);
+        let result = run_mix_kind(&mix, PolicyKind::Lru, scale);
         let ws = result.weighted_ipc(&mix_standalone(&mix, &standalone));
         // Four programs sharing a cache are at most as fast as standalone.
         assert!(ws > 0.5 && ws <= 4.2, "weighted IPC {ws}");

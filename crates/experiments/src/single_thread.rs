@@ -6,7 +6,7 @@ use mrp_trace::workloads;
 use crate::policies::PolicyKind;
 use crate::runner::{
     run_single_hawkeye, run_single_kind, run_single_min, run_single_mpppb, run_single_mpppb_cv,
-    StParams,
+    RunScale,
 };
 
 /// Per-workload results for all compared policies.
@@ -80,16 +80,16 @@ impl StMatrix {
 /// cross-validated variant (each workload reported with features tuned
 /// on the other half, plus the dueling guard — a sensitivity check on
 /// feature generalization) use [`run_cv`].
-pub fn run(params: StParams, workload_count: usize, include_min: bool) -> StMatrix {
-    run_inner(params, workload_count, include_min, false)
+pub fn run(scale: RunScale, workload_count: usize, include_min: bool) -> StMatrix {
+    run_inner(scale, workload_count, include_min, false)
 }
 
 /// The cross-validated sensitivity variant of [`run`].
-pub fn run_cv(params: StParams, workload_count: usize, include_min: bool) -> StMatrix {
-    run_inner(params, workload_count, include_min, true)
+pub fn run_cv(scale: RunScale, workload_count: usize, include_min: bool) -> StMatrix {
+    run_inner(scale, workload_count, include_min, true)
 }
 
-fn run_inner(params: StParams, workload_count: usize, include_min: bool, cv: bool) -> StMatrix {
+fn run_inner(scale: RunScale, workload_count: usize, include_min: bool, cv: bool) -> StMatrix {
     let suite = workloads::suite();
     let count = workload_count.min(suite.len()).max(1);
     let selected = &suite[..count];
@@ -98,9 +98,7 @@ fn run_inner(params: StParams, workload_count: usize, include_min: bool, cv: boo
     // fan-out below has `cols` cells per workload, and without this the
     // first cell to touch a workload would record it while its siblings
     // block on the memo.
-    if crate::recording::replay_enabled() {
-        crate::recording::prerecord(selected, params.seed, params.warmup, params.measure);
-    }
+    crate::recording::prerecord(selected, scale.seed, scale.warmup, scale.measure);
 
     // One job per (workload × policy) cell: every cell owns its own trace
     // stream and policy instance, and cells are collected by index, so
@@ -109,17 +107,17 @@ fn run_inner(params: StParams, workload_count: usize, include_min: bool, cv: boo
     let cells = mrp_runtime::map_indexed(count * cols, |job| {
         let w = &selected[job / cols];
         match job % cols {
-            0 => run_single_kind(w, PolicyKind::Lru, params),
-            1 => run_single_hawkeye(w, params),
-            2 => run_single_kind(w, PolicyKind::Perceptron, params),
+            0 => run_single_kind(w, PolicyKind::Lru, scale),
+            1 => run_single_hawkeye(w, scale),
+            2 => run_single_kind(w, PolicyKind::Perceptron, scale),
             3 => {
                 if cv {
-                    run_single_mpppb_cv(w, params)
+                    run_single_mpppb_cv(w, scale)
                 } else {
-                    run_single_mpppb(w, params)
+                    run_single_mpppb(w, scale)
                 }
             }
-            _ => run_single_min(w, params),
+            _ => run_single_min(w, scale),
         }
     });
 
@@ -158,12 +156,8 @@ mod tests {
 
     #[test]
     fn matrix_has_requested_shape() {
-        let params = StParams {
-            warmup: 20_000,
-            measure: 100_000,
-            seed: 1,
-        };
-        let m = run(params, 2, true);
+        let scale = RunScale::single_thread().warmup(20_000).measure(100_000);
+        let m = run(scale, 2, true);
         assert_eq!(m.rows.len(), 2);
         assert_eq!(m.policy_names.len(), 4);
         for row in &m.rows {
@@ -176,12 +170,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "no policy")]
     fn unknown_policy_name_panics() {
-        let params = StParams {
-            warmup: 10_000,
-            measure: 50_000,
-            seed: 1,
-        };
-        let m = run(params, 1, false);
+        let scale = RunScale::single_thread().warmup(10_000).measure(50_000);
+        let m = run(scale, 1, false);
         let _ = m.rows[0].speedup("Nonexistent");
     }
 }

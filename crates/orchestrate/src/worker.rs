@@ -19,8 +19,8 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use mrp_experiments::runner::{run_single_kind, StParams};
-use mrp_experiments::{Args, JobSpec, PolicyKind};
+use mrp_experiments::runner::run_single_kind;
+use mrp_experiments::{Args, JobSpec, PolicyKind, RunScale};
 use mrp_obs::{Json, RunManifest};
 
 /// Entry point for the `worker` subcommand.
@@ -45,11 +45,10 @@ fn run(args: &Args) -> Result<(), String> {
     let workload_name = spec.get_arg("workload").ok_or("spec missing workload")?;
     let policy_name = spec.get_arg("policy").ok_or("spec missing policy")?;
     let seed = spec_u64(&spec, "seed", 1)?;
-    let params = StParams {
-        warmup: spec_u64(&spec, "warmup", 2_000)?,
-        measure: spec_u64(&spec, "measure", 8_000)?,
-        seed,
-    };
+    let scale = RunScale::single_thread()
+        .warmup(spec_u64(&spec, "warmup", 2_000)?)
+        .measure(spec_u64(&spec, "measure", 8_000)?)
+        .seed(seed);
     // Result-neutral padding so the crash tests can reliably land a
     // SIGKILL mid-campaign even at tiny debug-profile scales.
     let spin_ms = spec_u64(&spec, "spin-ms", 0)?;
@@ -64,7 +63,7 @@ fn run(args: &Args) -> Result<(), String> {
         .ok_or_else(|| format!("unknown workload {workload_name:?}"))?;
     let kind = PolicyKind::from_name(policy_name)
         .ok_or_else(|| format!("unknown policy {policy_name:?}"))?;
-    let result = run_single_kind(workload, kind, params);
+    let result = run_single_kind(workload, kind, scale);
 
     // `orch-<job id>` keeps worker manifests from colliding with driver
     // manifests for the same seed + second.

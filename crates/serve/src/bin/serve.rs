@@ -51,7 +51,7 @@ fn manifest_path(args: &Args) -> String {
 
 fn run(args: &Args) -> ExitCode {
     let smoke = args.get_flag("smoke", false);
-    let options = RuntimeOptions::from_env().with_cli(
+    let options = RuntimeOptions::default().with_cli(
         args.get_flag("no-simd", false),
         args.get_usize("threads", 0),
     );

@@ -5,8 +5,8 @@
 
 use mrp_cache::HierarchyConfig;
 use mrp_cpu::MulticoreSim;
-use mrp_experiments::runner::{mix_standalone, standalone_ipcs, MpParams};
-use mrp_experiments::{Args, PolicyKind};
+use mrp_experiments::runner::{mix_standalone, standalone_ipcs};
+use mrp_experiments::{Args, PolicyKind, RunScale};
 use mrp_trace::{workloads, MixBuilder};
 
 fn main() {
@@ -15,13 +15,13 @@ fn main() {
     let mix = MixBuilder::new(42).mix(100 + mix_index);
     println!("mix {}: {}", mix_index, mix.label());
 
-    let params = MpParams {
-        warmup: 1_000_000,
-        measure: 4_000_000,
-    };
+    let scale = RunScale::multi_core()
+        .warmup(1_000_000)
+        .measure(4_000_000)
+        .seed(mix.seed());
     let suite = workloads::suite();
     println!("computing standalone-LRU baselines for weighted speedup...");
-    let standalone = standalone_ipcs(&suite, params, mix.seed());
+    let standalone = standalone_ipcs(&suite, scale);
     let base = mix_standalone(&mix, &standalone);
 
     let config = HierarchyConfig::multi_core();
@@ -31,7 +31,7 @@ fn main() {
         PolicyKind::MpppbMulti,
     ] {
         let mut sim = MulticoreSim::new(config, kind.build(&config.llc), &mix);
-        let result = sim.run(params.warmup, params.measure);
+        let result = sim.run(scale.warmup, scale.measure);
         println!(
             "{:<12} weighted IPC {:.3}  aggregate MPKI {:>6.2}  per-core IPC {:?}",
             kind.name(),

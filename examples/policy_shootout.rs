@@ -2,8 +2,8 @@
 //!
 //! Run with: `cargo run -p mrp-experiments --release --example policy_shootout -- [--workload name]`
 
-use mrp_experiments::runner::{run_single_hawkeye, run_single_kind, run_single_min, StParams};
-use mrp_experiments::{Args, PolicyKind};
+use mrp_experiments::runner::{run_single_hawkeye, run_single_kind, run_single_min};
+use mrp_experiments::{Args, PolicyKind, RunScale};
 use mrp_trace::workloads;
 
 fn main() {
@@ -15,11 +15,9 @@ fn main() {
         .unwrap_or_else(|| panic!("unknown workload {name}; see mrp_trace::workloads::suite()"));
     println!("workload: {} — {}", workload.name(), workload.description());
 
-    let params = StParams {
-        warmup: args.get_u64("warmup", 1_000_000),
-        measure: args.get_u64("measure", 5_000_000),
-        seed: 1,
-    };
+    let scale = RunScale::single_thread()
+        .warmup(args.get_u64("warmup", 1_000_000))
+        .measure(args.get_u64("measure", 5_000_000));
 
     println!(
         "{:<12} {:>8} {:>8} {:>10}",
@@ -39,7 +37,7 @@ fn main() {
         PolicyKind::MpppbAdaptive,
     ];
     for kind in kinds {
-        let r = run_single_kind(&workload, kind, params);
+        let r = run_single_kind(&workload, kind, scale);
         println!(
             "{:<12} {:>8.3} {:>8.2} {:>10}",
             kind.name(),
@@ -48,12 +46,12 @@ fn main() {
             r.stats.llc.bypasses
         );
     }
-    let hawkeye = run_single_hawkeye(&workload, params);
+    let hawkeye = run_single_hawkeye(&workload, scale);
     println!(
         "{:<12} {:>8.3} {:>8.2} {:>10}",
         "Hawkeye", hawkeye.ipc, hawkeye.mpki, hawkeye.stats.llc.bypasses
     );
-    let min = run_single_min(&workload, params);
+    let min = run_single_min(&workload, scale);
     println!(
         "{:<12} {:>8.3} {:>8.2} {:>10}",
         "MIN", min.ipc, min.mpki, min.stats.llc.bypasses

@@ -3,17 +3,12 @@
 //!
 //! Run with: `cargo run -p mrp-experiments --release --example roc_curve`
 
-use mrp_experiments::roc;
-use mrp_experiments::runner::StParams;
+use mrp_experiments::{roc, RunScale};
 
 fn main() {
-    let params = StParams {
-        warmup: 500_000,
-        measure: 3_000_000,
-        seed: 1,
-    };
+    let scale = RunScale::single_thread().warmup(500_000).measure(3_000_000);
     println!("measuring reuse-predictor accuracy on 8 workloads (measure-only mode)...");
-    let curves = roc::run(params, 8);
+    let curves = roc::run(scale, 8);
 
     for curve in &curves {
         println!("\n{} — selected operating points:", curve.predictor);

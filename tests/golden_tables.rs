@@ -1,10 +1,12 @@
-//! Golden regression tests for the table-producing drivers: the Fig. 10
-//! ablation and Table 3 feature-contribution matrices at reduced scale
-//! must match their committed references bit-for-bit.
+//! Golden regression tests for the table-producing drivers: the ROC
+//! curves, the Fig. 4/5 multi-programmed matrix, the Fig. 10 ablation
+//! and the Table 3 feature-contribution matrix at reduced scale must
+//! match their committed references bit-for-bit.
 //!
 //! Regenerate after an *intentional* output change with the driver's
 //! `--bless` flag (`cargo run -p mrp-experiments --bin fig10_ablation --
-//! --bless`, likewise `table3_contrib`), or with
+//! --bless`, likewise `fig_roc`, `fig4_mp_speedup` and `table3_contrib`),
+//! or with
 //! `MRP_UPDATE_GOLDEN=1 cargo test -p mrp-experiments --test golden_tables`.
 //!
 //! Values depend on the rand implementation backing the trace generators;
@@ -12,6 +14,16 @@
 //! `mrp_experiments::golden`).
 
 use mrp_experiments::golden;
+
+#[test]
+fn fig_roc_matches_committed_golden() {
+    golden::check_against_committed("fig_roc_golden.txt", &golden::roc_golden());
+}
+
+#[test]
+fn fig4_multiprogrammed_matches_committed_golden() {
+    golden::check_against_committed("fig4_golden.txt", &golden::fig4_golden());
+}
 
 #[test]
 fn fig10_ablation_matches_committed_golden() {

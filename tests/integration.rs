@@ -4,18 +4,12 @@
 
 use mrp_cache::{HierarchyConfig, ReplacementPolicy};
 use mrp_cpu::SingleCoreSim;
-use mrp_experiments::runner::{
-    run_single_hawkeye, run_single_kind, run_single_min, MpParams, StParams,
-};
-use mrp_experiments::PolicyKind;
+use mrp_experiments::runner::{run_single_hawkeye, run_single_kind, run_single_min};
+use mrp_experiments::{PolicyKind, RunScale};
 use mrp_trace::{workloads, MixBuilder};
 
-fn tiny() -> StParams {
-    StParams {
-        warmup: 100_000,
-        measure: 400_000,
-        seed: 1,
-    }
+fn tiny() -> RunScale {
+    RunScale::single_thread().warmup(100_000).measure(400_000)
 }
 
 #[test]
@@ -94,28 +88,27 @@ fn instruction_accounting_is_consistent_between_cache_and_cpu() {
 
 #[test]
 fn multicore_weighted_speedup_is_bounded_by_core_count() {
-    let params = MpParams {
-        warmup: 50_000,
-        measure: 200_000,
-    };
     let suite = workloads::suite();
     let mix = MixBuilder::new(7).mix(3);
-    let standalone = mrp_experiments::runner::standalone_ipcs(&suite, params, mix.seed());
+    let scale = RunScale::multi_core()
+        .warmup(50_000)
+        .measure(200_000)
+        .seed(mix.seed());
+    let standalone = mrp_experiments::runner::standalone_ipcs(&suite, scale);
     let base = mrp_experiments::runner::mix_standalone(&mix, &standalone);
-    let result = mrp_experiments::runner::run_mix_kind(&mix, PolicyKind::MpppbMulti, params);
+    let result = mrp_experiments::runner::run_mix_kind(&mix, PolicyKind::MpppbMulti, scale);
     let ws = result.weighted_ipc(&base);
     assert!(ws > 0.0 && ws <= 4.3, "weighted IPC out of range: {ws}");
 }
 
 #[test]
 fn every_workload_runs_under_mpppb_without_panic() {
-    let params = StParams {
-        warmup: 10_000,
-        measure: 60_000,
-        seed: 3,
-    };
+    let scale = RunScale::single_thread()
+        .warmup(10_000)
+        .measure(60_000)
+        .seed(3);
     for w in workloads::suite() {
-        let r = run_single_kind(&w, PolicyKind::MpppbSingle, params);
+        let r = run_single_kind(&w, PolicyKind::MpppbSingle, scale);
         assert!(r.ipc > 0.0, "{} produced zero IPC", w.name());
         assert!(r.mpki.is_finite());
     }
@@ -174,15 +167,14 @@ fn parallel_single_thread_matrix_is_bit_identical_to_serial() {
     // the serial results exactly, bit for bit. Run the full single-thread
     // matrix (all policy columns incl. MIN) serially and on 4 workers and
     // compare every float through to_bits().
-    let params = StParams {
-        warmup: 20_000,
-        measure: 80_000,
-        seed: 3,
-    };
+    let scale = RunScale::single_thread()
+        .warmup(20_000)
+        .measure(80_000)
+        .seed(3);
     mrp_runtime::set_threads(1);
-    let serial = mrp_experiments::single_thread::run(params, 3, true);
+    let serial = mrp_experiments::single_thread::run(scale, 3, true);
     mrp_runtime::set_threads(4);
-    let parallel = mrp_experiments::single_thread::run(params, 3, true);
+    let parallel = mrp_experiments::single_thread::run(scale, 3, true);
     mrp_runtime::set_threads(0);
 
     assert_eq!(serial.policy_names, parallel.policy_names);

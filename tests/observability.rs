@@ -5,8 +5,8 @@
 
 use std::path::PathBuf;
 
-use mrp_experiments::runner::{run_single_kind, StParams};
-use mrp_experiments::PolicyKind;
+use mrp_experiments::runner::run_single_kind;
+use mrp_experiments::{PolicyKind, RunScale};
 use mrp_obs::{Json, RunManifest};
 use mrp_trace::workloads;
 
@@ -70,11 +70,7 @@ fn metrics_toggle_is_invisible_to_results() {
     assert_eq!(gauge.get(), 0, "disabled gauge must stay zero");
 
     // The golden cells, metrics off.
-    let params = StParams {
-        warmup: 20_000,
-        measure: 80_000,
-        seed: 1,
-    };
+    let scale = RunScale::single_thread().warmup(20_000).measure(80_000);
     let suite = workloads::suite();
     let cells: Vec<_> = ["zipf.hot", "stream.rw"]
         .iter()
@@ -83,7 +79,7 @@ fn metrics_toggle_is_invisible_to_results() {
     let baseline: Vec<(u64, u64)> = cells
         .iter()
         .map(|w| {
-            let r = run_single_kind(w, PolicyKind::MpppbSingle, params);
+            let r = run_single_kind(w, PolicyKind::MpppbSingle, scale);
             (r.ipc.to_bits(), r.mpki.to_bits())
         })
         .collect();
@@ -95,7 +91,7 @@ fn metrics_toggle_is_invisible_to_results() {
     let with_metrics: Vec<(u64, u64)> = cells
         .iter()
         .map(|w| {
-            let r = run_single_kind(w, PolicyKind::MpppbSingle, params);
+            let r = run_single_kind(w, PolicyKind::MpppbSingle, scale);
             (r.ipc.to_bits(), r.mpki.to_bits())
         })
         .collect();
