@@ -80,16 +80,15 @@ fn run(args: &Args) -> ExitCode {
     let manifest_every = args.get_u64("manifest-every", 16).max(1);
     let path = manifest_path(args);
 
+    let mut fleet = Fleet::new(config);
     eprintln!(
         "serve: {} tenants on {} shards, policy {}, quota {}/round, {} workers",
         config.traffic.tenants,
         config.shards,
         config.policy.name(),
         config.traffic.round_quota,
-        mrp_runtime::threads(),
+        fleet.workers(),
     );
-
-    let mut fleet = Fleet::new(config);
     // Warmup rounds fill the cold LLCs and predictor tables, then the
     // drain window reopens so reported throughput is the sustained
     // steady-state rate (the wall rate still covers the whole run).

@@ -9,9 +9,10 @@
 //!   workloads, fleet volume follows Zipf tenant popularity, and
 //!   per-tenant burst phases make the load non-stationary.
 //! * [`fleet`] — the serving fleet: one `PredictionEngine` (LLC +
-//!   predictor) per tenant, tenants routed round-robin across shard
-//!   workers, rounds drained in parallel via `mrp-runtime` with
-//!   `HIERARCHY_BATCH`-sized delivery into each engine.
+//!   predictor) per tenant, each round's tenants drained in parallel
+//!   from one `mrp-runtime` work queue, largest first, with
+//!   `HIERARCHY_BATCH`-sized delivery into each engine; shards are the
+//!   tenants' accounting homes (`tenant % shards`).
 //!
 //! Telemetry is two-plane: live `mrp-obs` counters/gauges
 //! (`serve.accesses`, `serve.rounds`, `serve.queue_depth`) and the
@@ -20,9 +21,9 @@
 //! subcommand and `manifest_check --fleet` read.
 //!
 //! The core guarantee: per-tenant results are bit-identical across
-//! shard counts, because shards are worker groups only — every tenant
-//! owns its full microarchitectural state and its traffic is a pure
-//! function of `(config, tenant, round)`.
+//! shard counts, because shards only keep counters and cap the fan-out
+//! width — every tenant owns its full microarchitectural state and its
+//! traffic is a pure function of `(config, tenant, round)`.
 
 pub mod fleet;
 pub mod traffic;

@@ -134,8 +134,16 @@ impl TenantTraffic {
     /// many were produced.
     pub fn fill(&mut self, config: &TrafficConfig, round: u64, out: &mut Vec<MemoryAccess>) -> u64 {
         let quota = config.quota(&self.spec, round);
-        self.stream.fill(quota as usize, out);
+        self.fill_next(quota as usize, out);
         quota
+    }
+
+    /// Appends the stream's next `n` accesses to `out`. The stream is one
+    /// sequence however it is sliced, so filling a round's quota in
+    /// several calls yields exactly what one [`TenantTraffic::fill`]
+    /// would.
+    pub(crate) fn fill_next(&mut self, n: usize, out: &mut Vec<MemoryAccess>) {
+        self.stream.fill(n, out);
     }
 }
 
