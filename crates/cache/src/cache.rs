@@ -41,7 +41,13 @@ impl AccessResult {
 /// halves tag-array memory traffic (no discriminant byte + padding per
 /// way) and lets the hit scan run branch-light over a dense `u64` slice
 /// once a set is full — the steady state for every warmed-up workload.
-pub struct Cache {
+///
+/// The policy type `P` is a parameter the way a `HashMap`'s hasher is.
+/// The default, `dyn ReplacementPolicy + Send`, picks the policy at run
+/// time (the LLC, whose policy is the experiment's variable); a concrete
+/// `P` such as [`crate::policies::Lru`] compiles every hook call inline
+/// (the private L1D/L2). Both run this one `access` body.
+pub struct Cache<P: ReplacementPolicy + ?Sized = dyn ReplacementPolicy + Send> {
     config: CacheConfig,
     /// `tags[set * assoc + way]` is the resident block's tag; meaningful
     /// only when bit `way` of `valid[set]` is set.
@@ -50,7 +56,10 @@ pub struct Cache {
     valid: Vec<u64>,
     /// `(1 << assoc) - 1`: the bitmask of a full set.
     full_mask: u64,
-    policy: Box<dyn ReplacementPolicy + Send>,
+    policy: Box<P>,
+    /// Per-set way prediction: the way the set last hit or filled. The
+    /// hit scan tries it first; most private-level hits land there.
+    last_way: Vec<u8>,
     /// Cached [`ReplacementPolicy::uses_victim_occupants`] (the
     /// capability is constant); misses skip the occupant snapshot when
     /// the policy never reads it.
@@ -61,7 +70,7 @@ pub struct Cache {
     occupants: Vec<u64>,
 }
 
-impl fmt::Debug for Cache {
+impl<P: ReplacementPolicy + ?Sized> fmt::Debug for Cache<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cache")
             .field("config", &self.config)
@@ -72,13 +81,38 @@ impl fmt::Debug for Cache {
 }
 
 impl Cache {
-    /// Creates the cache with the given geometry and policy.
+    /// Creates the cache with the given geometry and a policy chosen at
+    /// run time.
+    ///
+    /// Defined only for the default policy type, as `HashMap::new` is
+    /// only for the default hasher, so `Cache::new(config, Box::new(..))`
+    /// infers the boxed form without annotations. Concrete policies use
+    /// [`Cache::with_policy`].
     ///
     /// # Panics
     ///
     /// Panics if the associativity exceeds 64 (the per-set valid bitmask
     /// width).
     pub fn new(config: CacheConfig, policy: Box<dyn ReplacementPolicy + Send>) -> Self {
+        Cache::from_box(config, policy)
+    }
+}
+
+impl<P: ReplacementPolicy> Cache<P> {
+    /// Creates the cache with the given geometry and a statically known
+    /// policy, whose hooks then inline into [`Cache::access`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the associativity exceeds 64 (the per-set valid bitmask
+    /// width).
+    pub fn with_policy(config: CacheConfig, policy: P) -> Self {
+        Cache::from_box(config, Box::new(policy))
+    }
+}
+
+impl<P: ReplacementPolicy + ?Sized> Cache<P> {
+    fn from_box(config: CacheConfig, policy: Box<P>) -> Self {
         let assoc = config.associativity();
         assert!(assoc <= 64, "associativity {assoc} exceeds valid bitmask");
         let slots = config.sets() as usize * assoc as usize;
@@ -91,6 +125,7 @@ impl Cache {
             } else {
                 (1u64 << assoc) - 1
             },
+            last_way: vec![0; config.sets() as usize],
             policy_wants_occupants: policy.uses_victim_occupants(),
             policy,
             stats: CacheStats::default(),
@@ -109,13 +144,13 @@ impl Cache {
     }
 
     /// The policy driving replacement (for experiment-side introspection).
-    pub fn policy(&self) -> &(dyn ReplacementPolicy + Send) {
-        self.policy.as_ref()
+    pub fn policy(&self) -> &P {
+        &self.policy
     }
 
     /// Mutable access to the policy.
-    pub fn policy_mut(&mut self) -> &mut (dyn ReplacementPolicy + Send) {
-        self.policy.as_mut()
+    pub fn policy_mut(&mut self) -> &mut P {
+        &mut self.policy
     }
 
     #[inline]
@@ -147,8 +182,15 @@ impl Cache {
             let set = self.config.set_of(block);
             let base = self.slot(set, 0);
             let assoc = self.config.associativity() as usize;
-            // SAFETY: `set < sets` and the tag row lies inside `tags`;
-            // prefetch never faults regardless.
+            debug_assert!((set as usize) < self.valid.len());
+            debug_assert!(base + assoc <= self.tags.len());
+            // SAFETY: `ptr.add` must stay inside its allocation even
+            // though only a prefetch reads the pointer. `set_of` masks the
+            // block with `sets - 1` (`sets` is a power of two), so
+            // `set < sets == valid.len()`. `tags` holds `sets * assoc`
+            // slots and neither vector is ever resized, so the row starts
+            // at `base = set * assoc` and `base + assoc <= tags.len()`;
+            // every `line < assoc` keeps `base + line` in bounds.
             unsafe {
                 _mm_prefetch::<_MM_HINT_T0>(self.valid.as_ptr().add(set as usize) as *const i8);
                 // One prefetch per cache line of the row (8 u64 tags).
@@ -181,17 +223,21 @@ impl Cache {
     /// Simulates one access. `is_prefetch` marks hardware prefetch
     /// requests, which fill with the fake prefetch PC and are not counted
     /// as demand traffic.
+    #[inline]
     pub fn access(&mut self, access: &MemoryAccess, is_prefetch: bool) -> AccessResult {
         let info = AccessInfo::from_access(access, &self.config, is_prefetch);
         self.policy.on_access(&info);
 
-        // The hit scan splits on set fullness. A full set — the steady
-        // state once warmed up — compares every packed tag with no
-        // validity checks; the occupant snapshot for the victim scan is
-        // the tag slice itself. A partially filled set walks only its
-        // valid bits, and the first invalid way is a `trailing_zeros` of
-        // the inverted mask. `occupants` aligns way-for-way with the set
-        // only in the full case, which is the only case that reads it.
+        // The hit scan first tries the way the set last hit or filled: at
+        // the private levels most hits land there, and such a hit skips
+        // the scan and its data-dependent exit. Otherwise the scan splits
+        // on set fullness. A full set — the steady state once warmed up —
+        // compares every packed tag with no validity checks; the occupant
+        // snapshot for the victim scan is the tag slice itself. A
+        // partially filled set walks only its valid bits, and the first
+        // invalid way is a `trailing_zeros` of the inverted mask.
+        // `occupants` aligns way-for-way with the set only in the full
+        // miss case, which is the only case that reads it.
         let assoc = self.config.associativity();
         let base = self.slot(info.set, 0);
         let vmask = self.valid[info.set as usize];
@@ -202,10 +248,13 @@ impl Cache {
             info.set
         );
         let set_tags = &self.tags[base..base + assoc as usize];
+        let predicted = u32::from(self.last_way[info.set as usize]);
         let mut hit_way = None;
         let mut invalid_way = None;
         self.occupants.clear();
-        if vmask == self.full_mask {
+        if vmask >> predicted & 1 != 0 && set_tags[predicted as usize] == info.block {
+            hit_way = Some(predicted);
+        } else if vmask == self.full_mask {
             for (way, &tag) in set_tags.iter().enumerate() {
                 if tag == info.block {
                     hit_way = Some(way as u32);
@@ -229,6 +278,7 @@ impl Cache {
         }
 
         if let Some(way) = hit_way {
+            self.last_way[info.set as usize] = way as u8;
             if is_prefetch {
                 self.stats.prefetch_hits += 1;
             } else {
@@ -267,6 +317,7 @@ impl Cache {
         let slot = self.slot(info.set, way);
         self.tags[slot] = info.block;
         self.valid[info.set as usize] |= 1u64 << way;
+        self.last_way[info.set as usize] = way as u8;
         self.policy.on_fill(&info, way);
         debug_assert!(self.probe(info.block), "filled block not resident");
         AccessResult::Miss { evicted }
@@ -359,6 +410,25 @@ mod tests {
         assert!(c.probe(6));
         assert!(!c.probe(7));
         assert_eq!(*c.stats(), before);
+    }
+
+    /// Drives `prefetch_block` and `access` at the last set, whose tag row
+    /// ends exactly at the end of `tags`, so the debug asserts bounding
+    /// the prefetch pointers run at the edge.
+    #[test]
+    fn last_set_prefetch_stays_in_bounds() {
+        for assoc in [1u32, 8, 16, 64] {
+            let config = CacheConfig::new(64 * 4 * u64::from(assoc), assoc); // 4 sets
+            let mut c = Cache::with_policy(config, Lru::new(config.sets(), assoc));
+            let last = u64::from(config.sets() - 1);
+            for i in 0..=u64::from(assoc) {
+                let block = last + i * u64::from(config.sets());
+                c.prefetch_block(block);
+                assert!(c.access(&load(block), false).is_miss());
+            }
+            assert_eq!(c.valid_mask(config.sets() - 1).count_ones(), assoc);
+            assert_eq!(c.stats().evictions, 1);
+        }
     }
 
     #[test]

@@ -97,6 +97,22 @@ pub struct HierarchyAccess {
     pub latency: u64,
 }
 
+impl HierarchyAccess {
+    /// An access serviced by `level`, charged every latency down to it.
+    fn new(level: ServicedBy, lat: &LevelLatencies) -> Self {
+        let latency = match level {
+            ServicedBy::L1 => lat.l1,
+            ServicedBy::L2 => lat.l1 + lat.l2,
+            ServicedBy::Llc => lat.l1 + lat.l2 + lat.llc,
+            ServicedBy::Dram => lat.l1 + lat.l2 + lat.llc + lat.dram,
+        };
+        HierarchyAccess {
+            serviced_by: level,
+            latency,
+        }
+    }
+}
+
 /// A private L1D + L2 in front of an LLC with a pluggable policy.
 ///
 /// For single-core runs this owns all three levels. For multi-core runs,
@@ -166,55 +182,34 @@ impl Hierarchy {
         out.clear();
         self.batch_ops.clear();
         let lat = self.latencies;
-        // Policies that ignore `on_core_access` (the default) get no
-        // `CoreAccess` ops queued at all — they dominate the op stream
-        // (every trace access queues one, vs. ~1 in 6 reaching the
-        // LLC), and draining them into a no-op hook is pure overhead.
-        let core_hook = self.llc.policy().uses_core_accesses();
         // Phase 1: private levels, deferring all LLC operations.
+        let mut deferred = Deferred {
+            llc: &self.llc,
+            // Policies that ignore `on_core_access` (the default) get no
+            // `CoreAccess` ops queued at all — they dominate the op
+            // stream (every trace access queues one, vs. ~1 in 6 reaching
+            // the LLC), and draining them into a no-op hook is pure
+            // overhead.
+            core_hook: self.llc.policy().uses_core_accesses(),
+            ops: &mut self.batch_ops,
+        };
         for (slot, access) in accesses.iter().enumerate() {
-            let serviced = self.private.access_deferred(
-                access,
-                slot as u32,
-                core_hook,
-                &self.llc,
-                &mut self.batch_ops,
-            );
-            out.push(match serviced {
-                Some(ServicedBy::L1) => HierarchyAccess {
-                    serviced_by: ServicedBy::L1,
-                    latency: lat.l1,
-                },
-                Some(_) => HierarchyAccess {
-                    serviced_by: ServicedBy::L2,
-                    latency: lat.l1 + lat.l2,
-                },
+            out.push(match self.private.step(access, &mut deferred) {
+                Some(level) => HierarchyAccess::new(level, &lat),
                 // LLC-bound: placeholder, overwritten by the drain.
-                None => HierarchyAccess {
-                    serviced_by: ServicedBy::Dram,
-                    latency: 0,
-                },
+                None => {
+                    deferred.ops.push(LlcOp::Demand(slot as u32, *access));
+                    HierarchyAccess::new(ServicedBy::Dram, &lat)
+                }
             });
         }
         // Phase 2: drain the LLC operations in fused order.
         for op in &self.batch_ops {
             match op {
-                LlcOp::CoreAccess(a) => self.llc.policy_mut().on_core_access(a),
-                LlcOp::PrefetchFill(pf) => {
-                    let _ = self.llc.access(pf, true);
-                }
+                LlcOp::CoreAccess(a) => self.llc.core_access(a),
+                LlcOp::PrefetchFill(pf) => self.llc.prefetch_fill(pf),
                 LlcOp::Demand(slot, a) => {
-                    out[*slot as usize] = if self.llc.access(a, false).is_hit() {
-                        HierarchyAccess {
-                            serviced_by: ServicedBy::Llc,
-                            latency: lat.l1 + lat.l2 + lat.llc,
-                        }
-                    } else {
-                        HierarchyAccess {
-                            serviced_by: ServicedBy::Dram,
-                            latency: lat.l1 + lat.l2 + lat.llc + lat.dram,
-                        }
-                    };
+                    out[*slot as usize] = HierarchyAccess::new(llc_demand(&mut self.llc, a), &lat);
                 }
             }
         }
@@ -244,10 +239,49 @@ impl Hierarchy {
 /// memory system does.
 const PREFETCH_FILL_DELAY_ACCESSES: u64 = 6;
 
+/// Where the LLC-bound operations of one private-level step
+/// ([`CorePrivate::step`]) go: the live LLC, the deferred-op queue of a
+/// grouped drain, or a recording. The step calls them in the order a
+/// live LLC observes them.
+pub(crate) trait LlcSink {
+    /// The demand access, in `on_core_access` position (before any of
+    /// its prefetch drains or its own LLC access).
+    fn core_access(&mut self, access: &MemoryAccess);
+    /// A prefetch fill whose delay elapsed and which missed the L2.
+    fn prefetch_fill(&mut self, pf: &MemoryAccess);
+    /// The demand access missed L1 and may reach the LLC: a hint to
+    /// start pulling its tag row in while the L2 probe runs.
+    fn l1_miss(&mut self, block: u64);
+}
+
+impl LlcSink for Cache {
+    fn core_access(&mut self, access: &MemoryAccess) {
+        self.policy_mut().on_core_access(access);
+    }
+
+    fn prefetch_fill(&mut self, pf: &MemoryAccess) {
+        let _ = self.access(pf, true);
+    }
+
+    fn l1_miss(&mut self, block: u64) {
+        self.prefetch_block(block);
+    }
+}
+
+/// The demand LLC access of an access the private levels did not
+/// service: where it was serviced.
+fn llc_demand(llc: &mut Cache, access: &MemoryAccess) -> ServicedBy {
+    if llc.access(access, false).is_hit() {
+        ServicedBy::Llc
+    } else {
+        ServicedBy::Dram
+    }
+}
+
 /// One deferred LLC operation, queued by the private-level phase of a
 /// grouped access drain ([`Hierarchy::access_batch`]) and replayed
 /// against the LLC in the exact order the fused path would execute it.
-pub(crate) enum LlcOp {
+enum LlcOp {
     /// `on_core_access` position of a demand access.
     CoreAccess(MemoryAccess),
     /// A prefetch fill whose L2 probe missed.
@@ -256,11 +290,38 @@ pub(crate) enum LlcOp {
     Demand(u32, MemoryAccess),
 }
 
+/// The sink of [`Hierarchy::access_batch`]'s private-level phase: queues
+/// LLC operations instead of executing them. When `core_hook` is false
+/// the LLC policy ignores `on_core_access`, so the `CoreAccess` op is
+/// elided instead of queued and drained into a no-op.
+struct Deferred<'a> {
+    llc: &'a Cache,
+    core_hook: bool,
+    ops: &'a mut Vec<LlcOp>,
+}
+
+impl LlcSink for Deferred<'_> {
+    fn core_access(&mut self, access: &MemoryAccess) {
+        if self.core_hook {
+            self.ops.push(LlcOp::CoreAccess(*access));
+        }
+    }
+
+    fn prefetch_fill(&mut self, pf: &MemoryAccess) {
+        self.ops.push(LlcOp::PrefetchFill(*pf));
+    }
+
+    fn l1_miss(&mut self, block: u64) {
+        self.llc.prefetch_block(block);
+    }
+}
+
 /// The per-core private levels (L1D, L2, prefetcher), decoupled from the
-/// LLC so four cores can share one.
+/// LLC so four cores can share one. L1D and L2 are always LRU, so they
+/// are [`Cache<Lru>`] and every probe inlines the policy.
 pub struct CorePrivate {
-    l1d: Cache,
-    l2: Cache,
+    l1d: Cache<Lru>,
+    l2: Cache<Lru>,
     prefetcher: Option<StreamPrefetcher>,
     /// Prefetch fills waiting out their memory latency: (due, request).
     in_flight: std::collections::VecDeque<(u64, MemoryAccess)>,
@@ -280,15 +341,10 @@ impl fmt::Debug for CorePrivate {
 impl CorePrivate {
     /// Builds the private levels from `config` (LLC geometry ignored).
     pub fn new(config: &HierarchyConfig) -> Self {
+        let lru = |c: CacheConfig| Cache::with_policy(c, Lru::new(c.sets(), c.associativity()));
         CorePrivate {
-            l1d: Cache::new(
-                config.l1d,
-                Box::new(Lru::new(config.l1d.sets(), config.l1d.associativity())),
-            ),
-            l2: Cache::new(
-                config.l2,
-                Box::new(Lru::new(config.l2.sets(), config.l2.associativity())),
-            ),
+            l1d: lru(config.l1d),
+            l2: lru(config.l2),
             prefetcher: config.prefetch.then(StreamPrefetcher::new),
             in_flight: std::collections::VecDeque::new(),
             accesses: 0,
@@ -322,9 +378,40 @@ impl CorePrivate {
         llc: &mut Cache,
         latencies: &LevelLatencies,
     ) -> HierarchyAccess {
+        let level = self
+            .step(access, llc)
+            .unwrap_or_else(|| llc_demand(llc, access));
+        HierarchyAccess::new(level, latencies)
+    }
+
+    /// Simulates one demand access against the private levels with *no*
+    /// LLC, logging into `recording` every event an LLC would observe.
+    ///
+    /// The private levels never consult the LLC, so the logged stream is
+    /// exactly what any LLC policy at any geometry would see: the demand
+    /// access (in `on_core_access` position, its servicing level patched
+    /// once the L1/L2 probes resolve), then the prefetch fills whose
+    /// delay elapsed and which missed the L2.
+    pub fn access_recorded(&mut self, access: &MemoryAccess, recording: &mut LlcRecording) {
+        let event = recording.len();
+        let level = match self.step(access, recording) {
+            Some(ServicedBy::L1) => ServiceLevel::L1,
+            Some(_) => ServiceLevel::L2,
+            None => ServiceLevel::Llc,
+        };
+        recording.set_level(event, level);
+    }
+
+    /// The private-level step every front-end shares: fills the due
+    /// prefetches into L2, probes L1, trains the prefetcher on an L1
+    /// miss, then probes L2. Every LLC-bound operation goes to `llc`, in
+    /// live-LLC order. Returns the servicing level when the access
+    /// resolves privately (L1/L2 hit), `None` when its demand access
+    /// goes on to the LLC — which the caller performs.
+    fn step(&mut self, access: &MemoryAccess, llc: &mut impl LlcSink) -> Option<ServicedBy> {
         self.instructions += access.instructions();
         self.accesses += 1;
-        llc.policy_mut().on_core_access(access);
+        llc.core_access(access);
 
         // Complete prefetches whose memory latency has elapsed: fill them
         // into L2 + LLC (not L1, as a stream prefetcher typically fills
@@ -335,89 +422,7 @@ impl CorePrivate {
             }
             self.in_flight.pop_front();
             if self.l2.access(&pf, true).is_miss() {
-                let _ = llc.access(&pf, true);
-            }
-        }
-
-        if self.l1d.access(access, false).is_hit() {
-            return HierarchyAccess {
-                serviced_by: ServicedBy::L1,
-                latency: latencies.l1,
-            };
-        }
-
-        // Train the prefetcher on the L1 miss stream; issued requests
-        // spend PREFETCH_FILL_DELAY_ACCESSES in flight before filling.
-        if let Some(prefetcher) = &mut self.prefetcher {
-            let requests = prefetcher.on_l1_miss(access.block());
-            self.prefetches_issued += requests.len() as u64;
-            for block in requests {
-                let pf = MemoryAccess {
-                    address: block * mrp_trace::BLOCK_BYTES,
-                    ..*access
-                };
-                self.in_flight
-                    .push_back((self.accesses + PREFETCH_FILL_DELAY_ACCESSES, pf));
-            }
-        }
-
-        // The L1 miss may reach the LLC; start pulling its tag row in
-        // while the L2 probe runs.
-        llc.prefetch_block(access.block());
-
-        if self.l2.access(access, false).is_hit() {
-            return HierarchyAccess {
-                serviced_by: ServicedBy::L2,
-                latency: latencies.l1 + latencies.l2,
-            };
-        }
-
-        if llc.access(access, false).is_hit() {
-            return HierarchyAccess {
-                serviced_by: ServicedBy::Llc,
-                latency: latencies.l1 + latencies.l2 + latencies.llc,
-            };
-        }
-
-        HierarchyAccess {
-            serviced_by: ServicedBy::Dram,
-            latency: latencies.l1 + latencies.l2 + latencies.llc + latencies.dram,
-        }
-    }
-
-    /// The private-level phase of a grouped access drain: runs L1, L2,
-    /// and the prefetcher for one demand access, queueing every LLC
-    /// operation into `ops` instead of executing it. Returns the
-    /// servicing level when the access resolves privately (L1/L2 hit),
-    /// `None` when it is LLC-bound (a [`LlcOp::Demand`] was queued).
-    ///
-    /// Mirrors [`CorePrivate::access_with_llc`] step for step; the
-    /// queued operation order — core-access hook, due prefetch fills,
-    /// then the demand access — is exactly the fused execution order.
-    /// When `core_hook` is false the caller's policy ignores
-    /// `on_core_access`, so the `CoreAccess` op is elided instead of
-    /// queued and drained into a no-op.
-    pub(crate) fn access_deferred(
-        &mut self,
-        access: &MemoryAccess,
-        slot: u32,
-        core_hook: bool,
-        llc: &Cache,
-        ops: &mut Vec<LlcOp>,
-    ) -> Option<ServicedBy> {
-        self.instructions += access.instructions();
-        self.accesses += 1;
-        if core_hook {
-            ops.push(LlcOp::CoreAccess(*access));
-        }
-
-        while let Some(&(due, pf)) = self.in_flight.front() {
-            if due > self.accesses {
-                break;
-            }
-            self.in_flight.pop_front();
-            if self.l2.access(&pf, true).is_miss() {
-                ops.push(LlcOp::PrefetchFill(pf));
+                llc.prefetch_fill(&pf);
             }
         }
 
@@ -425,10 +430,12 @@ impl CorePrivate {
             return Some(ServicedBy::L1);
         }
 
+        // Train the prefetcher on the L1 miss stream; issued requests
+        // spend PREFETCH_FILL_DELAY_ACCESSES in flight before filling.
         if let Some(prefetcher) = &mut self.prefetcher {
             let requests = prefetcher.on_l1_miss(access.block());
             self.prefetches_issued += requests.len() as u64;
-            for block in requests {
+            for &block in requests.iter() {
                 let pf = MemoryAccess {
                     address: block * mrp_trace::BLOCK_BYTES,
                     ..*access
@@ -438,65 +445,12 @@ impl CorePrivate {
             }
         }
 
-        // Start pulling the tag row in ahead of the (deferred) LLC work.
-        llc.prefetch_block(access.block());
+        llc.l1_miss(access.block());
 
         if self.l2.access(access, false).is_hit() {
             return Some(ServicedBy::L2);
         }
-
-        ops.push(LlcOp::Demand(slot, *access));
         None
-    }
-
-    /// Simulates one demand access against the private levels with *no*
-    /// LLC, logging into `recording` every event an LLC would observe.
-    ///
-    /// Mirrors [`CorePrivate::access_with_llc`] step for step — the
-    /// private levels never consult the LLC, so the logged stream is
-    /// exactly what any LLC policy at any geometry would see: the demand
-    /// access (in `on_core_access` position, its servicing level patched
-    /// once the L1/L2 probes resolve), then the prefetch fills whose
-    /// delay elapsed and which missed the L2.
-    pub fn access_recorded(&mut self, access: &MemoryAccess, recording: &mut LlcRecording) {
-        self.instructions += access.instructions();
-        self.accesses += 1;
-        let event = recording.push_core(access);
-
-        while let Some(&(due, pf)) = self.in_flight.front() {
-            if due > self.accesses {
-                break;
-            }
-            self.in_flight.pop_front();
-            if self.l2.access(&pf, true).is_miss() {
-                recording.push_prefetch(&pf);
-            }
-        }
-
-        if self.l1d.access(access, false).is_hit() {
-            recording.set_level(event, ServiceLevel::L1);
-            return;
-        }
-
-        if let Some(prefetcher) = &mut self.prefetcher {
-            let requests = prefetcher.on_l1_miss(access.block());
-            self.prefetches_issued += requests.len() as u64;
-            for block in requests {
-                let pf = MemoryAccess {
-                    address: block * mrp_trace::BLOCK_BYTES,
-                    ..*access
-                };
-                self.in_flight
-                    .push_back((self.accesses + PREFETCH_FILL_DELAY_ACCESSES, pf));
-            }
-        }
-
-        if self.l2.access(access, false).is_hit() {
-            recording.set_level(event, ServiceLevel::L2);
-            return;
-        }
-
-        recording.set_level(event, ServiceLevel::Llc);
     }
 }
 

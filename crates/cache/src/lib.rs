@@ -44,7 +44,7 @@ pub use cache::{AccessResult, Cache};
 pub use config::CacheConfig;
 pub use hierarchy::{Hierarchy, HierarchyConfig, LevelLatencies};
 pub use policy::{AccessInfo, ReplacementPolicy, UpcomingAccess};
-pub use prefetch::StreamPrefetcher;
+pub use prefetch::{PrefetchRequests, StreamPrefetcher};
 pub use replay::{LlcRecording, RecordedWindow};
 pub use stats::{CacheStats, HierarchyStats};
 

@@ -13,8 +13,9 @@ pub const MAX_STREAMS: usize = 16;
 /// matched to it.
 const MATCH_WINDOW: i64 = 16;
 
-/// Prefetch degree: blocks issued per confirmed-stream advance.
-const DEGREE: usize = 4;
+/// Prefetch degree: blocks issued per confirmed-stream advance, and so the
+/// capacity of [`PrefetchRequests`].
+pub const DEGREE: usize = 4;
 
 /// Prefetch distance: how far ahead of the stream head requests run.
 /// Must outrun the in-flight fill delay modeled by the hierarchy.
@@ -34,12 +35,35 @@ struct StreamEntry {
     last_used: u64,
 }
 
+/// The at most [`DEGREE`] prefetch block addresses one L1 miss issues,
+/// held inline so the miss path does not allocate. Derefs to the issued
+/// blocks in issue order.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PrefetchRequests {
+    blocks: [u64; DEGREE],
+    len: usize,
+}
+
+impl PrefetchRequests {
+    fn push(&mut self, block: u64) {
+        self.blocks[self.len] = block;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for PrefetchRequests {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.blocks[..self.len]
+    }
+}
+
 /// A 16-entry stream prefetcher trained on L1 miss blocks.
 #[derive(Debug, Default)]
 pub struct StreamPrefetcher {
     streams: Vec<StreamEntry>,
     clock: u64,
-    issued: u64,
 }
 
 impl StreamPrefetcher {
@@ -48,14 +72,10 @@ impl StreamPrefetcher {
         StreamPrefetcher::default()
     }
 
-    /// Total prefetch requests issued.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
     /// Observes an L1 miss to `block`; returns the prefetch block
-    /// addresses to issue (possibly empty).
-    pub fn on_l1_miss(&mut self, block: u64) -> Vec<u64> {
+    /// addresses to issue (possibly none).
+    pub fn on_l1_miss(&mut self, block: u64) -> PrefetchRequests {
+        let mut requests = PrefetchRequests::default();
         self.clock += 1;
         let block = block as i64;
 
@@ -84,14 +104,13 @@ impl StreamPrefetcher {
                     s.issued_until = block;
                 }
                 s.head = block;
-                return Vec::new();
+                return requests;
             }
             s.head = block;
             // Confirmed stream: run requests up to DISTANCE ahead,
             // starting strictly beyond both the current miss and anything
             // already issued.
             let target = block + s.direction * DISTANCE;
-            let mut requests = Vec::new();
             let mut next = if s.direction > 0 {
                 (s.issued_until + 1).max(block + 1)
             } else {
@@ -110,7 +129,6 @@ impl StreamPrefetcher {
                 };
                 next += s.direction;
             }
-            self.issued += requests.len() as u64;
             return requests;
         }
 
@@ -134,7 +152,7 @@ impl StreamPrefetcher {
                 .expect("streams nonempty");
             self.streams[lru] = entry;
         }
-        Vec::new()
+        requests
     }
 }
 
@@ -185,7 +203,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let mut p2 = StreamPrefetcher::new();
         for b in 0..40u64 {
-            for r in p2.on_l1_miss(b) {
+            for &r in p2.on_l1_miss(b).iter() {
                 assert!(seen.insert(r), "block {r} prefetched twice");
             }
         }
@@ -202,12 +220,47 @@ mod tests {
 
     #[test]
     fn issued_counter_matches_requests() {
+        use crate::{Hierarchy, HierarchyConfig};
+        use mrp_trace::MemoryAccess;
+        // Prefetches fill L2 and the LLC, never L1, so every access of a
+        // fresh block misses L1 and the hierarchy's prefetcher sees the
+        // same miss stream as `p`.
+        let config = HierarchyConfig::single_thread();
+        let llc = crate::policies::Lru::new(config.llc.sets(), config.llc.associativity());
+        let mut h = Hierarchy::new(config, Box::new(llc));
         let mut p = StreamPrefetcher::new();
         let mut total = 0u64;
         for b in 0..50u64 {
+            h.access(&MemoryAccess::load(0x400000, b * 64));
             total += p.on_l1_miss(b).len() as u64;
         }
-        assert_eq!(p.issued(), total);
+        let stats = h.stats();
+        assert_eq!(stats.l1d.demand_misses, 50);
+        assert_eq!(stats.prefetches_issued, total);
         assert!(total > 0);
+    }
+
+    #[test]
+    fn no_call_returns_more_than_degree() {
+        // Ascending, descending and interleaved streams, plus jumps that
+        // allocate and evict streams.
+        let mut p = StreamPrefetcher::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut full = 0;
+        for i in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let block = match x % 4 {
+                0 => 1_000_000 + i,
+                1 => 5_000_000 - i,
+                2 => 9_000_000 + 3 * i,
+                _ => x >> 20,
+            };
+            let reqs = p.on_l1_miss(block);
+            assert!(reqs.len() <= DEGREE, "{} requests", reqs.len());
+            full += usize::from(reqs.len() == DEGREE);
+        }
+        assert!(full > 0, "the degree was never reached");
     }
 }

@@ -32,7 +32,7 @@ use mrp_trace::codec::{self, FLAG_PREFETCH, LEVEL_MASK, LEVEL_SHIFT};
 use mrp_trace::{AccessKind, MemoryAccess, ServiceLevel, StreamEvent};
 
 use crate::cache::Cache;
-use crate::hierarchy::{CorePrivate, HierarchyConfig};
+use crate::hierarchy::{CorePrivate, HierarchyConfig, LlcSink};
 use crate::stats::{CacheStats, HierarchyStats};
 
 /// Magic of the recording trailer that follows the v2 event stream.
@@ -138,7 +138,9 @@ impl LlcRecording {
     ) -> Self {
         let mut private = CorePrivate::new(config);
         let mut rec = LlcRecording::empty(name);
-        // Rough sizing: one event per few accesses once the L1 warms up.
+        // Every demand access is an event, and LLC-bound prefetch fills
+        // add more; the vectors start at one event per eight instructions
+        // and grow past that as needed.
         let hint = ((warmup + measure) / 8) as usize;
         rec.pcs.reserve(hint);
         rec.addresses.reserve(hint);
@@ -326,23 +328,6 @@ impl LlcRecording {
 
     // --- recording hooks driven by `CorePrivate::access_recorded` ---
 
-    /// Appends a demand access (level patched later); returns its index.
-    pub(crate) fn push_core(&mut self, access: &MemoryAccess) -> usize {
-        let index = self.pcs.len();
-        self.push_raw(access, 0);
-        index
-    }
-
-    /// Appends an LLC-bound prefetch fill.
-    pub(crate) fn push_prefetch(&mut self, access: &MemoryAccess) {
-        let index = self.pcs.len();
-        self.push_raw(
-            access,
-            FLAG_PREFETCH | (ServiceLevel::Llc.encode() << LEVEL_SHIFT),
-        );
-        self.llc_events.push(index as u32);
-    }
-
     /// Patches the servicing level of demand event `index`; LLC-bound
     /// events join the LLC-order index list (after any prefetch drains
     /// logged during the same access, matching the order a real LLC
@@ -463,6 +448,27 @@ impl LlcRecording {
         }
         Ok(rec)
     }
+}
+
+/// The recording as the private-level step's LLC: it logs what a live
+/// LLC would observe and, having no tag array, ignores the L1-miss hint.
+impl LlcSink for LlcRecording {
+    /// Appends a demand access; `CorePrivate::access_recorded` patches
+    /// its level once the private probes resolve.
+    fn core_access(&mut self, access: &MemoryAccess) {
+        self.push_raw(access, 0);
+    }
+
+    fn prefetch_fill(&mut self, pf: &MemoryAccess) {
+        let index = self.pcs.len();
+        self.push_raw(
+            pf,
+            FLAG_PREFETCH | (ServiceLevel::Llc.encode() << LEVEL_SHIFT),
+        );
+        self.llc_events.push(index as u32);
+    }
+
+    fn l1_miss(&mut self, _block: u64) {}
 }
 
 fn write_cache_stats<W: Write>(writer: &mut W, stats: &CacheStats) -> io::Result<()> {

@@ -365,6 +365,54 @@ mod tests {
         assert!(report.recorded[0].access.is_some(), "context captured");
     }
 
+    /// The private levels run `Cache<Lru>`, whose hooks are statically
+    /// dispatched; the LLC runs the boxed `Cache` with a run-time policy.
+    /// Both must match the reference cache access for access, across
+    /// every associativity the valid bitmask admits.
+    #[test]
+    fn static_lru_cache_matches_boxed_and_reference() {
+        use crate::fuzzer::SplitMix;
+        let mut rng = SplitMix::new(0x5eed_0001);
+        for assoc in [1u32, 2, 4, 8, 16, 64] {
+            for sets_log2 in [0u32, 1, 3, 6, 9] {
+                let sets = 1u32 << sets_log2;
+                let c = CacheConfig::new(64 * u64::from(sets) * u64::from(assoc), assoc);
+                let lru = || Lru::new(c.sets(), c.associativity());
+                let mut statically = Cache::with_policy(c, lru());
+                let mut boxed = Cache::new(c, Box::new(lru()));
+                let mut reference = ReferenceCache::new(c, Box::new(lru()));
+                // Twice the capacity in distinct blocks, half of the
+                // accesses drawn from a hot quarter, so sets fill, hit,
+                // and evict.
+                let blocks = 2 * u64::from(sets * assoc);
+                for i in 0..4000.max(4 * sets * assoc) {
+                    let x = rng.next_u64();
+                    let block = if x & 1 == 0 {
+                        (x >> 8) % blocks.div_ceil(4)
+                    } else {
+                        (x >> 8) % blocks
+                    };
+                    let access = MemoryAccess::load(0x400000 + (x >> 50) * 4, block * 64);
+                    let is_prefetch = x & 0x30 == 0;
+                    let a = statically.access(&access, is_prefetch);
+                    let b = boxed.access(&access, is_prefetch);
+                    let r = reference.access(&access, is_prefetch);
+                    assert_eq!(a, b, "assoc {assoc} sets {sets} access {i}");
+                    assert_eq!(a, r, "assoc {assoc} sets {sets} access {i}");
+                }
+                assert_eq!(statically.stats(), boxed.stats());
+                assert_eq!(statically.stats(), reference.stats());
+                for set in 0..sets {
+                    for way in 0..assoc {
+                        let w = statically.way_block(set, way);
+                        assert_eq!(w, boxed.way_block(set, way));
+                        assert_eq!(w, reference.way_block(set, way));
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn predictor_pair_stays_in_lockstep() {
         let features = vec![

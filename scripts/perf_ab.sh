@@ -24,6 +24,17 @@
 # many pairs CHANGE won (in the metric's "better" direction from
 # BENCHMARK.json; ties count for neither side).
 #
+# After the table it prints one verdict line per metric, the rule a gain
+# claim and a no-regression claim are judged by:
+#   gain met | gain not met: met when CHANGE wins at least 9/10 of the pairs
+#     and the medians differ in the better direction by more than PARENT's
+#     Q3 - Q1;
+#   no regression | worse beyond bound | unresolved: worse beyond bound when
+#     CHANGE's median is worse than PARENT's by more than the metric's
+#     BENCHMARK.json bound (a fraction of PARENT's median); otherwise
+#     unresolved when PARENT's own Q3 - Q1 exceeds that bound and not every
+#     CHANGE run beats every PARENT run.
+#
 # Exits non-zero if a run fails, if a run reports `failed > 0`, or if any of
 # the four simulated metrics (ipc_geomean, mpki_mean, mpppb_speedup_geomean,
 # llc_hit_rate) differs between the two sides of a pair.
@@ -139,5 +150,30 @@ for metric in metrics:
             if x != y:
                 print(f"FAIL: {name} differs on seed {s}: parent {x!r}, change {y!r}")
                 ok = False
+
+
+def verdicts(a, b, higher, bound):
+    (a1, a2, a3), (_, b2, _) = quartiles(a), quartiles(b)
+    sign = 1 if higher else -1
+    wins = sum(1 for x, y in zip(a, b) if sign * (y - x) > 0)
+    met = 10 * wins >= 9 * len(a) and sign * (b2 - a2) > a3 - a1
+    gain = "gain met" if met else "gain not met"
+    if sign * (b2 - a2) < -bound * abs(a2):
+        regression = "worse beyond bound"
+    elif a3 - a1 > bound * abs(a2) and not all(sign * (y - x) > 0 for x in a for y in b):
+        regression = "unresolved"
+    else:
+        regression = "no regression"
+    return gain, regression
+
+
+print("verdicts (gain: >= 9/10 wins and median gain > parent Q3-Q1; "
+      "regression: BENCHMARK.json bound)")
+for metric in metrics:
+    name = metric["name"]
+    a = [runs["parent"][s][name] for s in seeds]
+    b = [runs["change"][s][name] for s in seeds]
+    gain, regression = verdicts(a, b, metric["better"] == "higher", metric["bound"])
+    print(f"{name:<22} {gain:<14} {regression} (bound {metric['bound']})")
 sys.exit(0 if ok else 1)
 PY
