@@ -160,8 +160,8 @@ pub struct Mpppb {
     histories: Vec<PcHistory>,
     set_state: SetState,
     default_state: DefaultState,
-    /// Confidence + indices computed in `should_bypass`, consumed by
-    /// `on_fill` for the same access.
+    /// Confidence computed in `should_bypass`, consumed by `on_fill` for
+    /// the same access.
     pending_fill: Option<i32>,
     /// Confidence of the most recent prediction (for ROC measurement).
     last_confidence: i32,

@@ -43,6 +43,14 @@
 //! built straight from the [`FeatureContext`], and lane selection is two
 //! register permutes instead of a memory gather.
 //!
+//! [`FeaturePlan::predict`] is the predictor's per-access form: the same
+//! lane pass that also sums the confidence. At AVX-512 each 8-lane group
+//! gathers its weights straight from the offset register, masked to the
+//! live lanes; AVX2 and scalar run the lane pass and then sum the stored
+//! offsets. The gather bound is proved once per plan (`max_offset`, the
+//! largest `base + index_mask` over live lanes) and checked with one
+//! compare per call, so no per-access max-reduce runs.
+//!
 //! The lowering is semantics-preserving: for every context, the emitted
 //! offset is exactly `base(feature) + Feature::index(ctx)`. Unit tests
 //! here, the property tests in `tests/properties.rs`, and `mrp-verify`'s
@@ -50,7 +58,7 @@
 
 use crate::context::{FeatureContext, HISTORY_DEPTH};
 use crate::feature::{fold, Feature, FeatureKind, MAX_INDEX_BITS, MAX_TABLE_SIZE};
-use crate::simd::{self, SimdLevel};
+use crate::simd::{self, SimdLevel, GATHER_PAD};
 
 /// Where a compiled feature reads its raw bits from. Shift/mask are
 /// precomputed from the feature's bit range with `Feature::index`'s
@@ -302,6 +310,13 @@ struct LanePlan {
     base: Box<[u64]>,
     /// Lane count (a [`LANE_WIDTH`] multiple, ≥ the feature count).
     padded: usize,
+    /// Live lanes (the feature count); lanes `live..padded` are pad.
+    live: usize,
+    /// The largest `base + index_mask` over live lanes. A lane emits
+    /// `base + (v & index_mask)`, so every live offset is at most this:
+    /// the one bound the fused gather needs, proved once per plan so a
+    /// call checks it with one compare.
+    max_offset: usize,
     /// Whether every lane fits the universal branch-free formula. Always
     /// true for [`Feature::new`] features; cleared defensively for `Loop`
     /// folds or out-of-range history depths, falling the plan back to the
@@ -320,6 +335,8 @@ impl LanePlan {
             index_mask: vec![0; padded].into_boxed_slice(),
             base: vec![0; padded].into_boxed_slice(),
             padded,
+            live: compiled.len(),
+            max_offset: 0,
             ok: true,
         };
         for (i, c) in compiled.iter().enumerate() {
@@ -354,6 +371,9 @@ impl LanePlan {
             plan.xor_mask[i] = if c.xor_pc { 0xff } else { 0 };
             plan.index_mask[i] = c.index_mask;
             plan.base[i] = u64::from(c.base);
+            plan.max_offset = plan
+                .max_offset
+                .max((u64::from(c.base) + c.index_mask) as usize);
         }
         plan
     }
@@ -385,13 +405,18 @@ fn lanes_scalar(plan: &LanePlan, lane_ctx: &LaneContext, out: &mut [u16]) {
 ///
 /// # Safety
 ///
-/// Requires AVX2. `out` must hold at least `plan.padded` entries.
+/// Requires AVX2. Every `plan.src` entry must be `< LANE_VALS`, because
+/// the `vals` gather reads `lane_ctx.vals[src]` unchecked
+/// (`LanePlan::build` emits no other selector). The plan arrays hold
+/// `plan.padded` entries, a multiple of 4, so each group's 4-lane loads
+/// stay inside them. `out` must hold at least `plan.padded` entries.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn lanes_avx2(plan: &LanePlan, lane_ctx: &LaneContext, out: &mut [u16]) {
     use core::arch::x86_64::*;
 
     debug_assert!(out.len() >= plan.padded);
+    debug_assert!(plan.src.iter().all(|&s| (s as usize) < LANE_VALS));
     let vals = lane_ctx.vals.as_ptr() as *const i64;
     let pc_fold = _mm256_set1_epi64x(lane_ctx.pc_fold8 as i64);
     let byte_mask = _mm256_set1_epi64x(0xff);
@@ -435,17 +460,38 @@ unsafe fn lanes_avx2(plan: &LanePlan, lane_ctx: &LaneContext, out: &mut [u16]) {
 /// registers (history slots masked-loaded with the current-PC fallback),
 /// lane selection is two `vpermi2q` register permutes blended on source
 /// bit 4, and the eight u16 offsets are narrowed with one `vpmovqw`
-/// store. No [`LaneContext`] is materialized and no memory gather runs.
+/// store. No [`LaneContext`] is materialized and no memory gather reads
+/// the value table.
+///
+/// With `SUM` the kernel is also the fused predict: each group gathers
+/// its selected weights straight from the offset register with
+/// `vpgatherqd`, masked to the group's live lanes so pad lanes load and
+/// add nothing, and the sum is reduced once after the last group. The
+/// offsets are still stored, for sampler training. Without `SUM`,
+/// `weights` is not read and the kernel returns 0.
 ///
 /// # Safety
 ///
-/// Requires AVX-512 F. `out` must hold at least `plan.padded` entries.
+/// Requires AVX-512 F. `out` must hold at least `plan.padded` entries
+/// (each group stores `out[i..i + 8]`), and the plan arrays hold
+/// `plan.padded` entries, a multiple of 8. With `SUM`,
+/// `plan.max_offset + GATHER_PAD <= weights.len()` must hold: every live
+/// lane's offset is `base + (v & index_mask) <= plan.max_offset`, so its
+/// 4-byte gather reads inside `weights`. Selectors `>= LANE_VALS` would
+/// read a wrong slot but no memory (the permutes read registers).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn lanes_avx512(plan: &LanePlan, ctx: &FeatureContext<'_>, out: &mut [u16]) {
+unsafe fn lanes_avx512<const SUM: bool>(
+    plan: &LanePlan,
+    ctx: &FeatureContext<'_>,
+    out: &mut [u16],
+    weights: &[i8],
+) -> i32 {
     use core::arch::x86_64::*;
 
     debug_assert!(out.len() >= plan.padded);
+    debug_assert!(plan.src.iter().all(|&s| (s as usize) < LANE_VALS));
+    debug_assert!(!SUM || plan.max_offset + GATHER_PAD <= weights.len());
     // Value-table slots 0..8 and 8..16: history entries, with slots past
     // the recorded depth holding the current PC (the `history_pc`
     // fallback `LaneContext::new` also applies). Masked loads read only
@@ -486,6 +532,8 @@ unsafe fn lanes_avx512(plan: &LanePlan, ctx: &FeatureContext<'_>, out: &mut [u16
     let pc_fold = _mm512_set1_epi64(fold8(ctx.pc) as i64);
     let byte_mask = _mm512_set1_epi64(0xff);
     let high_bit = _mm512_set1_epi64(16);
+    let arena = weights.as_ptr() as *const i32;
+    let mut acc = _mm256_setzero_si256();
     let mut i = 0;
     while i < plan.padded {
         let src32 = _mm256_loadu_si256(plan.src.as_ptr().add(i) as *const __m256i);
@@ -518,8 +566,15 @@ unsafe fn lanes_avx512(plan: &LanePlan, ctx: &FeatureContext<'_>, out: &mut [u16
         );
         let packed = _mm512_cvtepi64_epi16(v);
         _mm_storeu_si128(out.as_mut_ptr().add(i) as *mut __m128i, packed);
+        if SUM {
+            let live = ((1u32 << plan.live.saturating_sub(i).min(8)) - 1) as __mmask8;
+            // scale = 1: offsets address individual bytes of the i8 arena.
+            let words = _mm512_mask_i64gather_epi32(_mm256_setzero_si256(), live, v, arena, 1);
+            acc = _mm256_add_epi32(acc, _mm256_srai_epi32(_mm256_slli_epi32(words, 24), 24));
+        }
         i += 8;
     }
+    _mm512_reduce_add_epi32(_mm512_zextsi256_si512(acc))
 }
 
 /// A feature set lowered for the hot path, plus the arena geometry the
@@ -606,8 +661,47 @@ impl FeaturePlan {
         }
         out.clear();
         out.resize(self.lanes.padded, 0);
-        self.run_lane_kernel(level, ctx, out);
-        out.truncate(self.compiled.len());
+        // SAFETY: without `SUM` no weight is read.
+        unsafe { self.run_lane_kernel::<false>(level, ctx, out, &[]) };
+        out.truncate(self.lanes.live);
+    }
+
+    /// The predictor's per-access predict: computes every feature's arena
+    /// offset into `out` (as [`Self::compute_offsets`] does, for sampler
+    /// training) and returns the sum of the `weights` they select — the
+    /// confidence — from the same lane pass. `weights` is the padded
+    /// arena ([`crate::tables::WeightTables::padded_arena`]).
+    #[inline]
+    pub fn predict(&self, ctx: &FeatureContext<'_>, out: &mut Vec<u16>, weights: &[i8]) -> i32 {
+        self.predict_with(simd::level(), ctx, out, weights)
+    }
+
+    /// [`Self::predict`] with an explicit kernel level, for verification.
+    ///
+    /// The gather bound is proved once per plan (`LanePlan::max_offset`),
+    /// so each call costs one compare. An arena too short for it, or a
+    /// plan the lanes cannot express, takes [`Self::compute_offsets_with`]
+    /// plus the checked [`simd::gather_sum_i8`] instead: same result, and
+    /// a mismatched arena can never make the gather read out of bounds.
+    #[inline]
+    pub fn predict_with(
+        &self,
+        level: SimdLevel,
+        ctx: &FeatureContext<'_>,
+        out: &mut Vec<u16>,
+        weights: &[i8],
+    ) -> i32 {
+        if !self.lanes.ok || self.lanes.max_offset + GATHER_PAD > weights.len() {
+            self.compute_offsets_with(level, ctx, out);
+            return simd::gather_sum_i8(weights, out, level);
+        }
+        out.clear();
+        out.resize(self.lanes.padded, 0);
+        // SAFETY: `max_offset + GATHER_PAD <= weights.len()` checked above.
+        let sum = unsafe { self.run_lane_kernel::<true>(level, ctx, out, weights) };
+        out.truncate(self.lanes.live);
+        debug_assert!(out.iter().all(|&o| usize::from(o) <= self.lanes.max_offset));
+        sum
     }
 
     /// The per-feature interpretation of the compiled plan: the reference
@@ -623,26 +717,54 @@ impl FeaturePlan {
         out.extend(self.compiled.iter().map(|c| c.index_offset(ctx, pc_fold8)));
     }
 
-    /// Runs the lane kernel `level` selects; `out` holds the padded lane
-    /// count.
-    fn run_lane_kernel(&self, level: SimdLevel, ctx: &FeatureContext<'_>, out: &mut [u16]) {
+    /// Runs the lane kernel `level` selects into `out`, which holds the
+    /// padded lane count. With `SUM` it also returns the sum of the
+    /// weights the live lanes select; without, it returns 0 and reads no
+    /// weight.
+    ///
+    /// # Safety
+    ///
+    /// With `SUM`, `self.lanes.max_offset + GATHER_PAD <= weights.len()`:
+    /// the AVX-512 and AVX2 gathers read 4 bytes at each live offset
+    /// unchecked.
+    #[inline]
+    unsafe fn run_lane_kernel<const SUM: bool>(
+        &self,
+        level: SimdLevel,
+        ctx: &FeatureContext<'_>,
+        out: &mut [u16],
+        weights: &[i8],
+    ) -> i32 {
+        let live = self.lanes.live;
         #[cfg(target_arch = "x86_64")]
         {
             if level == SimdLevel::Avx512 && std::arch::is_x86_feature_detected!("avx512f") {
                 // SAFETY: AVX-512 F presence just checked; `out` holds the
-                // padded lane count.
-                unsafe { lanes_avx512(&self.lanes, ctx, out) };
-                return;
+                // padded lane count; `LanePlan::build` emits selectors
+                // `< LANE_VALS`; with `SUM` the caller proves the bound.
+                return unsafe { lanes_avx512::<SUM>(&self.lanes, ctx, out, weights) };
             }
             if level == SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: AVX2 presence just checked; `out` holds the
-                // padded lane count.
+                // padded lane count; `LanePlan::build` emits selectors
+                // `< LANE_VALS`.
                 unsafe { lanes_avx2(&self.lanes, &LaneContext::new(ctx), out) };
-                return;
+                if !SUM {
+                    return 0;
+                }
+                // SAFETY: AVX2 present; every live offset is at most
+                // `max_offset`, and the caller proves
+                // `max_offset + GATHER_PAD <= weights.len()`.
+                return unsafe { simd::gather_sum_i8_avx2(weights, &out[..live]) };
             }
         }
         let _ = level;
         lanes_scalar(&self.lanes, &LaneContext::new(ctx), out);
+        if SUM {
+            simd::gather_sum_i8_scalar(weights, &out[..live])
+        } else {
+            0
+        }
     }
 }
 
@@ -838,6 +960,135 @@ mod tests {
                 &mut out,
             );
             assert_eq!(out.len(), 1, "{level:?}");
+        }
+    }
+
+    /// A padded arena for `plan` with pseudo-random weights in
+    /// `-32..=31` (pad entries stay zero, as `WeightTables` keeps them).
+    fn random_arena(plan: &FeaturePlan, seed: u64) -> Vec<i8> {
+        let mut x = seed;
+        let mut weights: Vec<i8> = (0..plan.arena_len())
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((x >> 58) as i8) - 32
+            })
+            .collect();
+        weights.resize(plan.arena_len() + GATHER_PAD, 0);
+        weights
+    }
+
+    /// `predict_with` at every level must emit the compiled offsets and
+    /// return the plain sum of the weights they select.
+    fn assert_predict_matches(features: &[Feature], weights: &[i8]) {
+        let plan = FeaturePlan::new(features);
+        let history: Vec<u64> = (0..18).map(|i| 0x40_0000 + i * 0x1351).collect();
+        let (mut compiled, mut out) = (Vec::new(), Vec::new());
+        for ctx in contexts(&history) {
+            plan.compute_offsets_compiled(&ctx, &mut compiled);
+            let expected: i32 = compiled
+                .iter()
+                .map(|&o| i32::from(weights[usize::from(o)]))
+                .sum();
+            for &level in simd::available_levels() {
+                let sum = plan.predict_with(level, &ctx, &mut out, weights);
+                assert_eq!(out, compiled, "{level:?} offsets at pc={:#x}", ctx.pc);
+                assert_eq!(sum, expected, "{level:?} sum at pc={:#x}", ctx.pc);
+            }
+        }
+    }
+
+    /// Seventeen features: a full 16-lane row plus a second row with one
+    /// live lane and fifteen pad lanes, which emit offset 0.
+    fn seventeen_features() -> Vec<Feature> {
+        let mut features = feature_sets::table_2();
+        features.truncate(16);
+        features.push(Feature::new(5, FeatureKind::LastMiss, true));
+        features
+    }
+
+    #[test]
+    fn predict_matches_offsets_plus_sum_on_every_level() {
+        for (seed, features) in [
+            feature_sets::table_1a(),
+            feature_sets::table_1b(),
+            feature_sets::table_2(),
+            vec![Feature::new(3, FeatureKind::Burst, true)],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let plan = FeaturePlan::new(&features);
+            assert_predict_matches(&features, &random_arena(&plan, seed as u64));
+        }
+    }
+
+    #[test]
+    fn seventeen_feature_plan_masks_its_pad_lanes() {
+        let features = seventeen_features();
+        let plan = FeaturePlan::new(&features);
+        assert_eq!((plan.lanes.live, plan.lanes.padded), (17, 32));
+        let mut weights = random_arena(&plan, 17);
+        // Pad lanes select offset 0: a nonzero weight there counts 15
+        // extra times if the live-lane mask is lost.
+        weights[0] = 9;
+        assert_predict_matches(&features, &weights);
+    }
+
+    #[test]
+    fn predict_gathers_the_last_arena_entry_into_the_pad() {
+        // The last feature's table ends the arena; address bits 0..7 all
+        // set select its last entry, whose 4-byte gather reads 3 pad
+        // bytes.
+        let features = vec![
+            Feature::new(4, FeatureKind::Bias, false),
+            Feature::new(4, FeatureKind::Address { begin: 0, end: 7 }, false),
+        ];
+        let plan = FeaturePlan::new(&features);
+        assert_eq!(plan.lanes.max_offset, plan.arena_len() - 1);
+        let mut weights = vec![0i8; plan.arena_len() + GATHER_PAD];
+        weights[0] = -3;
+        weights[plan.arena_len() - 1] = 31;
+        let ctx = FeatureContext {
+            pc: 0x400000,
+            address: 0xff,
+            pc_history: &[],
+            is_mru: false,
+            is_insert: false,
+            last_miss: false,
+        };
+        let mut out = Vec::new();
+        for &level in simd::available_levels() {
+            assert_eq!(
+                plan.predict_with(level, &ctx, &mut out, &weights),
+                28,
+                "{level:?}"
+            );
+            assert_eq!(out, [0, plan.arena_len() as u16 - 1], "{level:?}");
+        }
+    }
+
+    #[test]
+    fn predict_on_an_unpadded_arena_takes_the_checked_path() {
+        // One byte short of the bound: the fused gather must not run,
+        // and the checked fallback still returns the exact sum.
+        let features = feature_sets::table_1a();
+        let plan = FeaturePlan::new(&features);
+        let padded = random_arena(&plan, 5);
+        let short = &padded[..plan.lanes.max_offset + GATHER_PAD - 1];
+        let history: Vec<u64> = (0..18).map(|i| 0x40_0000 + i * 0x77).collect();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for ctx in contexts(&history) {
+            for &level in simd::available_levels() {
+                let full = plan.predict_with(level, &ctx, &mut a, &padded);
+                assert_eq!(
+                    plan.predict_with(level, &ctx, &mut b, short),
+                    full,
+                    "{level:?}"
+                );
+                assert_eq!(a, b, "{level:?}");
+            }
         }
     }
 

@@ -156,19 +156,26 @@ impl MultiperspectivePredictor {
         self.tables.confidence(indices)
     }
 
-    /// Fused predict + train for one access: computes the arena offsets,
-    /// gathers the confidence sum, and trains the sampler from the *same*
-    /// offset vector — one index pass and one gather where the unfused
-    /// `compute_indices` / `confidence` / `train` sequence would make a
-    /// caller thread the buffers through itself. Returns the confidence.
+    /// Fused predict + train for one access: one
+    /// [`FeaturePlan::predict`] computes the arena offsets and sums the
+    /// confidence in the same lane pass, and the sampler trains from the
+    /// *same* offset vector. Returns the confidence; the offsets stay
+    /// readable through [`Self::last_offsets`].
     pub fn access(&mut self, ctx: &FeatureContext<'_>, llc_set: u32, block: u64) -> i32 {
-        let mut indices = std::mem::take(&mut self.indices_buf);
-        self.plan.compute_offsets(ctx, &mut indices);
+        let mut offsets = std::mem::take(&mut self.indices_buf);
         self.stats.predictions += 1;
-        let confidence = self.tables.confidence(&indices);
-        self.train(llc_set, block, &indices, confidence);
-        self.indices_buf = indices;
+        let confidence = self
+            .plan
+            .predict(ctx, &mut offsets, self.tables.padded_arena());
+        self.train(llc_set, block, &offsets, confidence);
+        self.indices_buf = offsets;
         confidence
+    }
+
+    /// The arena offsets the last [`Self::access`] computed (empty
+    /// before the first), for verification.
+    pub fn last_offsets(&self) -> &[u16] {
+        &self.indices_buf
     }
 
     /// Presents an access to the sampler if its set is sampled, applying

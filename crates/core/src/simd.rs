@@ -2,19 +2,24 @@
 //!
 //! The predictor hot path has two data-parallel inner loops: the 16-lane
 //! feature-index computation ([`crate::plan::FeaturePlan`]) and the
-//! 16-weight confidence gather-sum ([`crate::tables::WeightTables`], and
-//! the perceptron baseline's smaller arena). Both have a branch-free
-//! scalar form that LLVM autovectorizes on stable Rust, plus an explicit
-//! AVX2 form behind runtime feature detection. Which one runs is decided
-//! **once per process** here:
+//! 16-weight confidence gather-sum. Both have a branch-free scalar form
+//! that LLVM autovectorizes on stable Rust, plus explicit AVX2 and
+//! AVX-512 forms behind runtime feature detection. On the predictor's
+//! per-access path the two loops are one:
+//! [`crate::plan::FeaturePlan::predict`] sums the confidence in the lane
+//! pass (at AVX-512 straight from the offset registers), with its gather
+//! bound proved once per plan. [`gather_sum_i8`] here is the standalone,
+//! per-call-checked form that [`crate::tables::WeightTables::confidence`]
+//! and the perceptron baseline's smaller arena use. Which kernel family
+//! runs is decided **once per process** here:
 //!
 //! * `MRP_NO_SIMD=1` (any value other than `0`/empty) forces the scalar
 //!   kernels, so the fallback path stays exercised on AVX2 machines (CI
 //!   runs one leg with this set);
 //! * otherwise the widest of `avx512f`+`avx512bw` and `avx2` the
 //!   hardware reports wins (AVX-512 needs both: the lane kernel's
-//!   64-bit permutes/shifts are F, the 512-bit `cvtepu16_epi32` widen
-//!   in the gather-sum is BW).
+//!   64-bit permutes/shifts and masked gather are F, the 512-bit
+//!   `cvtepu16_epi32` widen in [`gather_sum_i8`] is BW).
 //!
 //! Every kernel pair is bit-identical by construction (same integer
 //! operations, no floating point); `mrp-verify`'s kernel-identity pass
@@ -122,33 +127,36 @@ pub fn level() -> SimdLevel {
 }
 
 /// Extra zeroed entries every i8 weight arena allocates past its logical
-/// length, so the AVX2 gather (which reads 4 bytes per lane and keeps the
-/// low byte) never reads past the allocation for any in-arena offset.
+/// length. The AVX2 and AVX-512 gathers read 4 bytes per lane and keep
+/// the low byte, so a gather at offset `o` needs `o + GATHER_PAD <=
+/// weights.len()`; with the pad that holds for every in-arena offset,
+/// the last one included.
 pub const GATHER_PAD: usize = 4;
 
 /// Sums the `i8` weights selected by `offsets`, dispatching to the AVX2
 /// or AVX-512 gather when `level` asks for it and every offset leaves
 /// [`GATHER_PAD`] readable bytes (callers allocate arenas with the pad;
 /// anything else falls back to the scalar sum, which bounds-checks
-/// normally).
+/// normally). The reference form for arbitrary offsets; the predictor's
+/// own path is [`crate::plan::FeaturePlan::predict`].
 #[inline]
 pub fn gather_sum_i8(weights: &[i8], offsets: &[u16], level: SimdLevel) -> i32 {
     #[cfg(target_arch = "x86_64")]
     {
         // Branchless bounds proof: one max-reduce over the offsets (LLVM
-        // lowers it to vector max) and a single compare, instead of the
-        // early-exit `all()` scan this used to burn ~n branches on for
-        // every confidence gather.
-        if level != SimdLevel::Scalar
-            && usize::from(offsets.iter().copied().max().unwrap_or(0)) + GATHER_PAD <= weights.len()
-        {
-            // SAFETY: the feature set is detected before the matching
-            // level is ever produced, and the bound above keeps every
-            // 4-byte gather inside `weights`.
-            return match level {
-                SimdLevel::Avx512 => unsafe { gather_sum_i8_avx512(weights, offsets) },
-                _ => unsafe { gather_sum_i8_avx2(weights, offsets) },
-            };
+        // lowers it to vector max) and a single compare.
+        let max = usize::from(offsets.iter().copied().max().unwrap_or(0));
+        if level != SimdLevel::Scalar && max + GATHER_PAD <= weights.len() {
+            use std::arch::is_x86_feature_detected as has;
+            // SAFETY (both arms): the features are checked on the spot,
+            // and every offset is at most `max`, so each 4-byte gather
+            // ends at or before `max + GATHER_PAD <= weights.len()`.
+            if level == SimdLevel::Avx512 && has!("avx512f") && has!("avx512bw") {
+                return unsafe { gather_sum_i8_avx512(weights, offsets) };
+            }
+            if level == SimdLevel::Avx2 && has!("avx2") {
+                return unsafe { gather_sum_i8_avx2(weights, offsets) };
+            }
         }
     }
     let _ = level;
@@ -157,7 +165,7 @@ pub fn gather_sum_i8(weights: &[i8], offsets: &[u16], level: SimdLevel) -> i32 {
 
 /// The scalar gather-sum (also the tail loop of the AVX2 kernel).
 #[inline]
-fn gather_sum_i8_scalar(weights: &[i8], offsets: &[u16]) -> i32 {
+pub(crate) fn gather_sum_i8_scalar(weights: &[i8], offsets: &[u16]) -> i32 {
     offsets
         .iter()
         .map(|&o| i32::from(weights[usize::from(o)]))
@@ -170,13 +178,19 @@ fn gather_sum_i8_scalar(weights: &[i8], offsets: &[u16]) -> i32 {
 ///
 /// # Safety
 ///
-/// Requires AVX2, and `usize::from(o) + 4 <= weights.len()` for every
-/// offset (each lane reads 4 bytes starting at its offset).
+/// Requires AVX2, and `usize::from(o) + GATHER_PAD <= weights.len()` for
+/// every offset (each lane reads 4 bytes starting at its offset; the
+/// scalar tail is bounds-checked). [`gather_sum_i8`] proves it with a
+/// max-reduce per call, `FeaturePlan::predict` with the plan's
+/// `max_offset` once per plan.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gather_sum_i8_avx2(weights: &[i8], offsets: &[u16]) -> i32 {
+pub(crate) unsafe fn gather_sum_i8_avx2(weights: &[i8], offsets: &[u16]) -> i32 {
     use core::arch::x86_64::*;
 
+    debug_assert!(offsets
+        .iter()
+        .all(|&o| usize::from(o) + GATHER_PAD <= weights.len()));
     let base = weights.as_ptr() as *const i32;
     let mut acc = _mm256_setzero_si256();
     let chunks = offsets.len() / 8;
@@ -203,13 +217,18 @@ unsafe fn gather_sum_i8_avx2(weights: &[i8], offsets: &[u16]) -> i32 {
 ///
 /// # Safety
 ///
-/// Requires AVX-512 F+BW, and `usize::from(o) + 4 <= weights.len()` for
-/// every offset (each lane reads 4 bytes starting at its offset).
+/// Requires AVX-512 F+BW, and `usize::from(o) + GATHER_PAD <=
+/// weights.len()` for every offset (each lane reads 4 bytes starting at
+/// its offset; the scalar tail is bounds-checked). [`gather_sum_i8`]
+/// proves it with a max-reduce per call.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw")]
 unsafe fn gather_sum_i8_avx512(weights: &[i8], offsets: &[u16]) -> i32 {
     use core::arch::x86_64::*;
 
+    debug_assert!(offsets
+        .iter()
+        .all(|&o| usize::from(o) + GATHER_PAD <= weights.len()));
     let base = weights.as_ptr() as *const i32;
     let mut acc = _mm512_setzero_si512();
     let chunks = offsets.len() / 16;
@@ -263,6 +282,21 @@ mod tests {
         let offsets = vec![15u16; 16];
         for &l in available_levels() {
             assert_eq!(gather_sum_i8(&weights, &offsets, l), 80, "{l:?}");
+        }
+    }
+
+    #[test]
+    fn gather_sum_reads_the_last_entry_into_the_pad() {
+        // A nonzero weight at the last arena entry, 17 times: the 4-byte
+        // gathers there read three pad bytes and must keep only the low
+        // one. 17 offsets cover a 16-wide chunk, an 8-wide chunk, and
+        // the scalar tail.
+        let arena = 40;
+        let mut weights = vec![0i8; arena + GATHER_PAD];
+        weights[arena - 1] = -7;
+        let offsets = vec![(arena - 1) as u16; 17];
+        for &l in available_levels() {
+            assert_eq!(gather_sum_i8(&weights, &offsets, l), -119, "{l:?}");
         }
     }
 

@@ -3,10 +3,12 @@
 //! All per-feature tables live in one contiguous `Vec<i8>` arena with
 //! per-feature base offsets (cumulative table sizes, in feature order —
 //! the same layout [`crate::plan::FeaturePlan`] bakes into its compiled
-//! features). The hot path addresses weights by precombined arena offset,
-//! so [`WeightTables::confidence`] is a single gather-sum over one slice;
-//! the `(table, index)` API remains for tests, ablations, and storage
-//! accounting.
+//! features). The hot path addresses weights by precombined arena offset:
+//! [`crate::plan::FeaturePlan::predict`] gathers straight from
+//! [`WeightTables::padded_arena`] in its lane pass, and
+//! [`WeightTables::confidence`] is the standalone gather-sum over given
+//! offsets; the `(table, index)` API remains for tests, ablations, and
+//! storage accounting.
 
 use crate::feature::Feature;
 use crate::simd::{self, SimdLevel, GATHER_PAD};
@@ -21,9 +23,10 @@ pub const WEIGHT_MAX: i8 = 31;
 /// One saturating weight table per feature, flattened into a single arena.
 ///
 /// The backing vector is allocated [`GATHER_PAD`] entries past the
-/// logical arena so the AVX2 gather-sum kernel (which reads 4 bytes per
-/// selected weight) stays in bounds for every in-arena offset; the pad
-/// entries are never addressed by any offset and stay zero.
+/// logical arena so the AVX2 and AVX-512 gathers (which read 4 bytes per
+/// selected weight and keep the low byte) stay in bounds for every
+/// in-arena offset, the last one included; the pad entries are never
+/// addressed by any offset and stay zero.
 #[derive(Debug, Clone)]
 pub struct WeightTables {
     weights: Vec<i8>,
@@ -114,6 +117,12 @@ impl WeightTables {
         self.arena
     }
 
+    /// The whole backing arena, [`GATHER_PAD`] zero entries included:
+    /// what [`crate::plan::FeaturePlan::predict`] gathers from.
+    pub fn padded_arena(&self) -> &[i8] {
+        &self.weights
+    }
+
     /// The `(min, max)` saturation bounds of these tables.
     pub fn weight_bounds(&self) -> (i8, i8) {
         (self.weight_min, self.weight_max)
@@ -132,9 +141,10 @@ impl WeightTables {
     /// Sums the weights selected by `offsets` (one precombined arena
     /// offset per table, as emitted by
     /// [`crate::plan::FeaturePlan::compute_offsets`]) — the predictor's
-    /// confidence value. One batched gather-sum kernel serves every
-    /// confidence consumer; the kernel family follows
-    /// [`crate::simd::level`].
+    /// confidence value, via the per-call-checked
+    /// [`crate::simd::gather_sum_i8`] at [`crate::simd::level`]. The
+    /// reference and introspection form: the predictor's per-access path
+    /// sums in [`crate::plan::FeaturePlan::predict`] instead.
     #[inline]
     pub fn confidence(&self, offsets: &[u16]) -> i32 {
         self.confidence_with(simd::level(), offsets)

@@ -128,8 +128,23 @@ pub fn gen_stream(seed: u64, job: usize, len: usize) -> Vec<StreamItem> {
 /// pair: 1–12 features whose parameters respect [`Feature::new`]'s
 /// validity rules.
 pub fn gen_features(seed: u64, job: usize) -> Vec<Feature> {
-    let mut rng = SplitMix::new(seed ^ (job as u64).wrapping_mul(0x9fb2_1c65_1e98_df25));
+    let mut rng = feature_rng(seed, job);
     let count = 1 + rng.below(12) as usize;
+    draw_features(&mut rng, count)
+}
+
+/// [`gen_features`] with the feature count fixed by the caller, for
+/// passes that need plans filling a whole 16-lane row or spilling into a
+/// second one.
+pub fn gen_features_with_count(seed: u64, job: usize, count: usize) -> Vec<Feature> {
+    draw_features(&mut feature_rng(seed, job), count)
+}
+
+fn feature_rng(seed: u64, job: usize) -> SplitMix {
+    SplitMix::new(seed ^ (job as u64).wrapping_mul(0x9fb2_1c65_1e98_df25))
+}
+
+fn draw_features(rng: &mut SplitMix, count: usize) -> Vec<Feature> {
     (0..count)
         .map(|_| {
             let assoc = 1 + rng.below(18) as u8;

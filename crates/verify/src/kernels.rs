@@ -13,11 +13,13 @@
 //!    [`simd::available_levels`], which pairs AVX2 against scalar on
 //!    machines that have it).
 //!
-//! This pass fuzzes feature sets ([`gen_features`]) and access contexts
-//! per job and asserts all three agree bit for bit, then randomizes the
-//! weight arena and asserts [`WeightTables::confidence_with`] agrees
-//! across levels with a per-table weight-sum reference. Any mismatch
-//! reproduces from `(seed, job)` alone.
+//! This pass fuzzes feature sets ([`kernel_features`]) and access
+//! contexts per job and asserts all three agree bit for bit, then
+//! randomizes the weight arena and asserts that
+//! [`WeightTables::confidence_with`] and the predictor's fused
+//! [`FeaturePlan::predict_with`] (offsets and confidence from one lane
+//! pass) agree at every level with a per-table weight-sum reference. Any
+//! mismatch reproduces from `(seed, job)` alone.
 
 use mrp_core::context::{FeatureContext, HISTORY_DEPTH};
 use mrp_core::simd;
@@ -26,7 +28,7 @@ use mrp_core::{Feature, FeaturePlan};
 use mrp_runtime::map_indexed;
 
 use crate::divergence::{Divergence, DivergenceReport};
-use crate::fuzzer::{gen_features, SplitMix};
+use crate::fuzzer::{gen_features, gen_features_with_count, SplitMix};
 
 /// Fuzzed contexts checked per job. Each context is compared across all
 /// kernels and levels, so a few hundred already cover the flag
@@ -133,10 +135,22 @@ fn notation(features: &[Feature]) -> String {
         .join(" ")
 }
 
+/// The feature set job `job` checks. [`gen_features`] draws 1–12
+/// features, which never fill a 16-lane row, so every third job draws
+/// exactly 16 and every third 17–24 (a full row plus a second row that
+/// is mostly pad lanes).
+fn kernel_features(seed: u64, job: usize, rng: &mut SplitMix) -> Vec<Feature> {
+    match job % 3 {
+        0 => gen_features(seed, job),
+        1 => gen_features_with_count(seed, job, 16),
+        _ => gen_features_with_count(seed, job, 17 + rng.below(8) as usize),
+    }
+}
+
 /// Runs the kernel-identity check for one `(seed, job)` pair.
 pub fn check_kernels_job(seed: u64, job: usize) -> DivergenceReport {
     let mut rng = SplitMix::new(seed ^ (job as u64).wrapping_mul(0xd6e8_feb8_6659_fd93));
-    let features = gen_features(seed, job);
+    let features = kernel_features(seed, job, &mut rng);
     let subject = notation(&features);
     let plan = FeaturePlan::new(&features);
     let mut tables = WeightTables::new(&features);
@@ -164,11 +178,13 @@ pub fn check_kernels_job(seed: u64, job: usize) -> DivergenceReport {
     };
 
     // Per-context identity: reference vs compiled vs each lane level,
-    // and the confidence kernel family vs the per-table weight sum.
+    // and the confidence kernel family and the fused predict vs the
+    // per-table weight sum.
     let mut out = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         let ctx = spec.view();
         let reference = reference_offsets(&features, &bases, &ctx);
+        let expected = reference_confidence(&tables, &features, &ctx);
         plan.compute_offsets_compiled(&ctx, &mut out);
         if out != reference {
             push(
@@ -190,13 +206,23 @@ pub fn check_kernels_job(seed: u64, job: usize) -> DivergenceReport {
                 );
             }
             let confidence = tables.confidence_with(level, &reference);
-            let expected = reference_confidence(&tables, &features, &ctx);
             if confidence != expected {
                 push(
                     &mut report,
                     i,
                     format!(
                         "{} confidence {confidence} != reference {expected}",
+                        level.name()
+                    ),
+                );
+            }
+            let predicted = plan.predict_with(level, &ctx, &mut out, tables.padded_arena());
+            if out != reference || predicted != expected {
+                push(
+                    &mut report,
+                    i,
+                    format!(
+                        "{} predict ({predicted}, {out:?}) != reference ({expected}, {reference:?})",
                         level.name()
                     ),
                 );
@@ -231,6 +257,26 @@ mod tests {
         let b = check_kernels_job(7, 2);
         assert_eq!(a.total, b.total);
         assert!(a.is_clean());
+    }
+
+    #[test]
+    fn kernel_pass_draws_full_and_two_row_plans() {
+        // The kernel pass covers plans of 1-12, exactly 16 and 17-24
+        // features; the lockstep passes' `gen_features` draws are the
+        // ones they always were.
+        let mut counts = Vec::new();
+        for job in 0..24 {
+            let mut rng = SplitMix::new(job as u64);
+            let features = kernel_features(5, job, &mut rng);
+            if job % 3 == 0 {
+                assert_eq!(notation(&features), notation(&gen_features(5, job)));
+            }
+            counts.push(features.len());
+        }
+        assert!(counts.iter().any(|&n| (1..=12).contains(&n)));
+        assert!(counts.contains(&16));
+        assert!(counts.iter().any(|&n| n > 16) && counts.iter().all(|&n| n <= 24));
+        assert!((0..16).all(|job| (1..=12).contains(&gen_features(11, job).len())));
     }
 
     #[test]

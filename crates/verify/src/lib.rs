@@ -16,9 +16,10 @@
 //!    pool with index-ordered collection, plus a greedy shrinker that
 //!    minimizes a failing stream before it is reported.
 //! 4. **Kernel identity** ([`kernels`]): the lane-SoA/SIMD index
-//!    kernels and the gather-sum confidence kernel checked bit-identical
-//!    to the interpretive `Feature::index` reference on fuzzed feature
-//!    sets, at every SIMD level the machine offers.
+//!    kernels, the gather-sum confidence kernel and the fused predict
+//!    kernel checked bit-identical to the interpretive `Feature::index`
+//!    reference on fuzzed feature sets, at every SIMD level the machine
+//!    offers.
 //!
 //! A separately-invoked pillar ([`replay_check`]) proves the
 //! record-once/replay-many fast path bit-identical to full simulation
@@ -267,9 +268,10 @@ pub fn run_verification(cfg: &VerifyConfig, policies: &[PolicySpec]) -> VerifySu
         run_predictor_lockstep(&features, 256, sampler_sets, theta, &stream)
     });
 
-    // Phase 4: kernel identity — the lane/SIMD index kernels and
-    // the gather-sum confidence kernel against the interpretive
-    // reference, on fuzzed feature sets and contexts. A failure here
+    // Phase 4: kernel identity — the lane/SIMD index kernels, the
+    // gather-sum confidence kernel and the fused predict kernel against
+    // the interpretive reference, on fuzzed feature sets and contexts
+    // (including full 16-lane and two-row plans). A failure here
     // reproduces from (seed, job) alone, so no stream shrinking applies.
     let kernel_reports = kernels::run_kernel_check(cfg.seed, jobs);
 

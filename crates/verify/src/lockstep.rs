@@ -4,8 +4,9 @@
 //! [`ReferenceCache`] with the same access stream and two
 //! identically-constructed policy instances, comparing access results,
 //! per-set contents, structural invariants, and final statistics.
-//! [`PredictorPair`] does the same for the predictor: compiled feature
-//! plan + flat weight arena vs interpretive indices + per-table vectors,
+//! [`PredictorPair`] does the same for the predictor: the production
+//! [`MultiperspectivePredictor::access`] path (compiled feature plan +
+//! flat weight arena) vs interpretive indices + per-table vectors,
 //! comparing index vectors, confidence sums, and (periodically) the
 //! entire weight state.
 
@@ -146,7 +147,6 @@ pub struct PredictorPair {
     /// Arena base offset of each feature's table, for the
     /// `offset == base + index` comparison.
     bases: Vec<u16>,
-    idx_buf: Vec<u16>,
     history: PcHistory,
     llc_sets: u32,
     subject: String,
@@ -170,7 +170,6 @@ impl PredictorPair {
             opt: MultiperspectivePredictor::new(features.clone(), llc_sets, sampler_sets, theta),
             reference: ReferencePredictor::new(features, llc_sets, sampler_sets, theta),
             bases,
-            idx_buf: Vec::new(),
             history: PcHistory::new(),
             llc_sets,
             subject,
@@ -186,10 +185,12 @@ impl PredictorPair {
         }
     }
 
-    /// Steps both predictors on one access: compares the compiled arena
-    /// offsets against `base + reference_index` per feature and the
-    /// confidence sums, then trains both sides. Every 1024 steps the full
-    /// weight state is swept.
+    /// Steps both predictors on one access. The optimized side runs
+    /// [`MultiperspectivePredictor::access`], the one path MPPPB takes
+    /// (fused predict, then training); its confidence and recorded
+    /// offsets are compared against the reference's confidence and
+    /// `base + reference_index` per feature, then the reference trains.
+    /// Every 1024 steps the full weight state is swept.
     pub fn step(&mut self, index: usize, access: &MemoryAccess, report: &mut DivergenceReport) {
         self.history.push(access.pc);
         let h = stable_hash(access.pc, access.address);
@@ -201,21 +202,23 @@ impl PredictorPair {
             is_insert: h & 2 != 0,
             last_miss: h & 4 != 0,
         };
+        let set = (access.block() % u64::from(self.llc_sets)) as u32;
         let ref_indices = self.reference.compute_indices(&ctx);
-        self.opt.compute_indices(&ctx, &mut self.idx_buf);
-        if self.idx_buf.len() != ref_indices.len() {
+        let c_ref = self.reference.confidence(&ref_indices);
+        let c_opt = self.opt.access(&ctx, set, access.block());
+        let offsets = self.opt.last_offsets();
+        if offsets.len() != ref_indices.len() {
             report.push(self.divergence(
                 index,
                 Some(*access),
                 format!(
                     "index arity diverged: plan emitted {}, reference {}",
-                    self.idx_buf.len(),
+                    offsets.len(),
                     ref_indices.len()
                 ),
             ));
-            return;
         }
-        for (f, (&offset, &ref_index)) in self.idx_buf.iter().zip(&ref_indices).enumerate() {
+        for (f, (&offset, &ref_index)) in offsets.iter().zip(&ref_indices).enumerate() {
             let expected = self.bases[f] + ref_index;
             if offset != expected {
                 report.push(self.divergence(
@@ -229,8 +232,6 @@ impl PredictorPair {
                 ));
             }
         }
-        let c_opt = self.opt.confidence(&self.idx_buf);
-        let c_ref = self.reference.confidence(&ref_indices);
         if c_opt != c_ref {
             report.push(self.divergence(
                 index,
@@ -238,8 +239,6 @@ impl PredictorPair {
                 format!("confidence diverged: arena sum {c_opt}, loop-fold sum {c_ref}"),
             ));
         }
-        let set = (access.block() % u64::from(self.llc_sets)) as u32;
-        self.opt.train(set, access.block(), &self.idx_buf, c_opt);
         self.reference
             .train(set, access.block(), &ref_indices, c_ref);
         if index % 1024 == 1023 {
