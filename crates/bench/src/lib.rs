@@ -1,19 +1,11 @@
 //! Shared scale constants for the criterion benches.
 //!
-//! Criterion runs each bench body repeatedly, so every experiment here is
-//! a reduced configuration of the corresponding `mrp-experiments` binary:
-//! same code path, much smaller instruction budgets. The binaries are the
-//! tool for regenerating the paper's numbers; the benches keep every
-//! experiment continuously exercised and timed.
+//! The benches time the hot paths and design choices that DESIGN.md and
+//! EXPERIMENTS.md cite; the figure binaries in `mrp-experiments` (and
+//! their goldens) are the tool for regenerating the paper's numbers.
 
 /// Warmup instructions for bench-scale single-thread runs.
 pub const BENCH_WARMUP: u64 = 20_000;
 
 /// Measured instructions for bench-scale single-thread runs.
 pub const BENCH_MEASURE: u64 = 100_000;
-
-/// Mixes for bench-scale multi-programmed runs.
-pub const BENCH_MIXES: usize = 1;
-
-/// Workloads sampled in bench-scale suite sweeps.
-pub const BENCH_WORKLOADS: usize = 2;

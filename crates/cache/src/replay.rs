@@ -22,21 +22,25 @@
 //!
 //! Recording is single-threaded and lock-free: events append to plain
 //! `Vec`s owned by the recording (no `Arc<Mutex<…>>` side channels).
-//! Recordings persist via the v2 `MRPT` stream codec plus an `MRPR`
-//! trailer carrying the window snapshots that are not reconstructible
-//! from the event log alone (L1/L2 counters, prefetches issued).
+//! Recordings live in process memory only; there is no on-disk form.
 
-use std::io::{self, Read, Write};
-
-use mrp_trace::codec::{self, FLAG_PREFETCH, LEVEL_MASK, LEVEL_SHIFT};
-use mrp_trace::{AccessKind, MemoryAccess, ServiceLevel, StreamEvent};
+use mrp_trace::{AccessKind, MemoryAccess, ServiceLevel};
 
 use crate::cache::Cache;
 use crate::hierarchy::{CorePrivate, HierarchyConfig, LlcSink};
 use crate::stats::{CacheStats, HierarchyStats};
 
-/// Magic of the recording trailer that follows the v2 event stream.
-pub const TRAILER_MAGIC: [u8; 4] = *b"MRPR";
+// Layout of a recorded event's `flags` byte.
+/// The access is a store.
+const FLAG_STORE: u8 = 1 << 0;
+/// The access's address depends on the previous access.
+const FLAG_DEPENDENT: u8 = 1 << 1;
+/// The event is a hardware prefetch fill.
+const FLAG_PREFETCH: u8 = 1 << 2;
+/// Shift of the two servicing-level bits ([`ServiceLevel::encode`]).
+const LEVEL_SHIFT: u8 = 3;
+/// Mask of the two servicing-level bits.
+const LEVEL_MASK: u8 = 0b11 << LEVEL_SHIFT;
 
 /// Snapshot of the recorded private-level state at a window edge
 /// (warmup/measure boundary or end of recording).
@@ -107,21 +111,6 @@ impl std::fmt::Debug for LlcRecording {
 }
 
 impl LlcRecording {
-    fn empty(name: &str) -> Self {
-        LlcRecording {
-            name: name.to_string(),
-            pcs: Vec::new(),
-            addresses: Vec::new(),
-            cores: Vec::new(),
-            flags: Vec::new(),
-            gaps: Vec::new(),
-            llc_events: Vec::new(),
-            warmup_events: 0,
-            boundary: RecordedWindow::default(),
-            end: RecordedWindow::default(),
-        }
-    }
-
     /// Records `warmup` then `measure` retired instructions of `trace`
     /// through the private levels of `config` (its LLC geometry is
     /// ignored — the recording is LLC-independent).
@@ -137,16 +126,22 @@ impl LlcRecording {
         measure: u64,
     ) -> Self {
         let mut private = CorePrivate::new(config);
-        let mut rec = LlcRecording::empty(name);
         // Every demand access is an event, and LLC-bound prefetch fills
         // add more; the vectors start at one event per eight instructions
         // and grow past that as needed.
         let hint = ((warmup + measure) / 8) as usize;
-        rec.pcs.reserve(hint);
-        rec.addresses.reserve(hint);
-        rec.cores.reserve(hint);
-        rec.flags.reserve(hint);
-        rec.gaps.reserve(hint);
+        let mut rec = LlcRecording {
+            name: name.to_string(),
+            pcs: Vec::with_capacity(hint),
+            addresses: Vec::with_capacity(hint),
+            cores: Vec::with_capacity(hint),
+            flags: Vec::with_capacity(hint),
+            gaps: Vec::with_capacity(hint),
+            llc_events: Vec::new(),
+            warmup_events: 0,
+            boundary: RecordedWindow::default(),
+            end: RecordedWindow::default(),
+        };
 
         let mut retired = 0u64;
         while retired < warmup {
@@ -221,13 +216,13 @@ impl LlcRecording {
             pc: self.pcs[index],
             address: self.addresses[index],
             core: self.cores[index],
-            kind: if flags & codec::FLAG_STORE != 0 {
+            kind: if flags & FLAG_STORE != 0 {
                 AccessKind::Store
             } else {
                 AccessKind::Load
             },
             non_memory_before: self.gaps[index],
-            dependent: flags & codec::FLAG_DEPENDENT != 0,
+            dependent: flags & FLAG_DEPENDENT != 0,
         }
     }
 
@@ -249,7 +244,7 @@ impl LlcRecording {
     /// access.
     #[inline]
     pub fn dependent_at(&self, index: usize) -> bool {
-        self.flags[index] & codec::FLAG_DEPENDENT != 0
+        self.flags[index] & FLAG_DEPENDENT != 0
     }
 
     /// Servicing level of event `index` (always `Llc` for prefetches).
@@ -257,15 +252,6 @@ impl LlcRecording {
     pub fn level_at(&self, index: usize) -> ServiceLevel {
         ServiceLevel::decode((self.flags[index] & LEVEL_MASK) >> LEVEL_SHIFT)
             .expect("recordings only store valid levels")
-    }
-
-    /// Reconstructs event `index` in codec form.
-    pub fn event_at(&self, index: usize) -> StreamEvent {
-        StreamEvent {
-            access: self.access_at(index),
-            is_prefetch: self.is_prefetch(index),
-            level: self.level_at(index),
-        }
     }
 
     /// Block addresses of the LLC-reaching events, in LLC-access order —
@@ -345,108 +331,13 @@ impl LlcRecording {
         self.cores.push(access.core);
         let mut flags = extra_flags;
         if access.kind == AccessKind::Store {
-            flags |= codec::FLAG_STORE;
+            flags |= FLAG_STORE;
         }
         if access.dependent {
-            flags |= codec::FLAG_DEPENDENT;
+            flags |= FLAG_DEPENDENT;
         }
         self.flags.push(flags);
         self.gaps.push(access.non_memory_before);
-    }
-
-    // --- persistence ---
-
-    /// Serializes the recording: the v2 `MRPT` event stream followed by
-    /// the `MRPR` trailer (warmup split, window snapshots, name).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `writer`.
-    pub fn write_to<W: Write>(&self, writer: &mut W) -> io::Result<()> {
-        writer.write_all(&codec::MAGIC)?;
-        writer.write_all(&codec::VERSION_V2.to_le_bytes())?;
-        writer.write_all(&0u16.to_le_bytes())?;
-        writer.write_all(&(self.len() as u64).to_le_bytes())?;
-        for i in 0..self.len() {
-            writer.write_all(&self.pcs[i].to_le_bytes())?;
-            writer.write_all(&self.addresses[i].to_le_bytes())?;
-            writer.write_all(&[self.cores[i], self.flags[i]])?;
-            writer.write_all(&u16::from(self.gaps[i]).to_le_bytes())?;
-        }
-        writer.write_all(&TRAILER_MAGIC)?;
-        writer.write_all(&(self.warmup_events as u64).to_le_bytes())?;
-        write_window(writer, &self.boundary)?;
-        write_window(writer, &self.end)?;
-        let name = self.name.as_bytes();
-        writer.write_all(&(name.len() as u32).to_le_bytes())?;
-        writer.write_all(name)?;
-        Ok(())
-    }
-
-    /// Reads a recording written by [`LlcRecording::write_to`]. The
-    /// event section accepts v1 streams too (mapped to non-prefetch
-    /// LLC-bound events), keeping old exports readable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`io::ErrorKind::InvalidData`] on malformed sections and
-    /// propagates underlying I/O errors.
-    pub fn read_from<R: Read>(reader: &mut R) -> io::Result<Self> {
-        let events = codec::read_stream(reader)?;
-        let mut trailer = [0u8; 12];
-        reader.read_exact(&mut trailer)?;
-        if trailer[0..4] != TRAILER_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad recording trailer magic",
-            ));
-        }
-        let warmup_events =
-            u64::from_le_bytes(trailer[4..12].try_into().expect("8 bytes")) as usize;
-        let boundary = read_window(reader)?;
-        let end = read_window(reader)?;
-        let mut name_len = [0u8; 4];
-        reader.read_exact(&mut name_len)?;
-        let mut name = vec![0u8; u32::from_le_bytes(name_len) as usize];
-        reader.read_exact(&mut name)?;
-        let name = String::from_utf8(name)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 recording name"))?;
-
-        if warmup_events > events.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "warmup split exceeds event count",
-            ));
-        }
-        let mut rec = LlcRecording::empty(&name);
-        rec.warmup_events = warmup_events;
-        rec.boundary = boundary;
-        rec.end = end;
-        // Rebuild the LLC-order index list: a demand's LLC access happens
-        // after the prefetch drains logged during the same core access,
-        // i.e. at the next demand event (or end of stream).
-        let mut pending: Option<u32> = None;
-        for (i, event) in events.iter().enumerate() {
-            if event.is_prefetch {
-                rec.push_raw(
-                    &event.access,
-                    FLAG_PREFETCH | (ServiceLevel::Llc.encode() << LEVEL_SHIFT),
-                );
-                rec.llc_events.push(i as u32);
-            } else {
-                if let Some(p) = pending.take() {
-                    rec.llc_events.push(p);
-                }
-                rec.push_raw(&event.access, event.level.encode() << LEVEL_SHIFT);
-                if event.level == ServiceLevel::Llc {
-                    pending = Some(i as u32);
-                }
-            }
-        }
-        if let Some(p) = pending {
-            rec.llc_events.push(p);
-        }
-        Ok(rec)
     }
 }
 
@@ -469,54 +360,6 @@ impl LlcSink for LlcRecording {
     }
 
     fn l1_miss(&mut self, _block: u64) {}
-}
-
-fn write_cache_stats<W: Write>(writer: &mut W, stats: &CacheStats) -> io::Result<()> {
-    for v in [
-        stats.demand_hits,
-        stats.demand_misses,
-        stats.bypasses,
-        stats.prefetch_hits,
-        stats.prefetch_fills,
-        stats.evictions,
-    ] {
-        writer.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn read_cache_stats<R: Read>(reader: &mut R) -> io::Result<CacheStats> {
-    let mut buf = [0u8; 48];
-    reader.read_exact(&mut buf)?;
-    let v = |i: usize| u64::from_le_bytes(buf[i * 8..(i + 1) * 8].try_into().expect("8 bytes"));
-    Ok(CacheStats {
-        demand_hits: v(0),
-        demand_misses: v(1),
-        bypasses: v(2),
-        prefetch_hits: v(3),
-        prefetch_fills: v(4),
-        evictions: v(5),
-    })
-}
-
-fn write_window<W: Write>(writer: &mut W, window: &RecordedWindow) -> io::Result<()> {
-    write_cache_stats(writer, &window.l1d)?;
-    write_cache_stats(writer, &window.l2)?;
-    writer.write_all(&window.instructions.to_le_bytes())?;
-    writer.write_all(&window.prefetches_issued.to_le_bytes())
-}
-
-fn read_window<R: Read>(reader: &mut R) -> io::Result<RecordedWindow> {
-    let l1d = read_cache_stats(reader)?;
-    let l2 = read_cache_stats(reader)?;
-    let mut buf = [0u8; 16];
-    reader.read_exact(&mut buf)?;
-    Ok(RecordedWindow {
-        l1d,
-        l2,
-        instructions: u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes")),
-        prefetches_issued: u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes")),
-    })
 }
 
 #[cfg(test)]
@@ -686,42 +529,6 @@ mod tests {
             rec.measured_instructions(),
             rec.end.instructions - rec.boundary.instructions
         );
-    }
-
-    #[test]
-    fn persistence_round_trips() {
-        let suite = workloads::suite();
-        let w = &suite[5];
-        let rec = LlcRecording::record(
-            w.name(),
-            w.trace(11),
-            &HierarchyConfig::single_thread(),
-            4_000,
-            12_000,
-        );
-        let mut buffer = Vec::new();
-        rec.write_to(&mut buffer).expect("write");
-        let back = LlcRecording::read_from(&mut buffer.as_slice()).expect("read");
-        assert_eq!(back.name(), rec.name());
-        assert_eq!(back.len(), rec.len());
-        assert_eq!(back.warmup_events, rec.warmup_events);
-        assert_eq!(back.boundary, rec.boundary);
-        assert_eq!(back.end, rec.end);
-        assert_eq!(back.llc_events, rec.llc_events);
-        for i in 0..rec.len() {
-            assert_eq!(back.event_at(i), rec.event_at(i), "event {i}");
-        }
-    }
-
-    #[test]
-    fn read_rejects_bad_trailer() {
-        let rec = small_recording(3);
-        let mut buffer = Vec::new();
-        rec.write_to(&mut buffer).expect("write");
-        let trailer_at = 16 + rec.len() * 20;
-        buffer[trailer_at] = b'X';
-        let err = LlcRecording::read_from(&mut buffer.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -309,7 +309,7 @@ fn main() {
 
     let (serve_drain, serve_wall) = bench_serve_fleet(samples.min(3));
     eprintln!(
-        "  serve_fleet: {:.1}M accesses/sec drain aggregate ({:.1}M/s wall incl. traffic gen)",
+        "  serve_fleet: {:.1}M accesses/sec per-core drain ({:.1}M/s wall incl. traffic gen)",
         serve_drain / 1e6,
         serve_wall / 1e6
     );

@@ -58,7 +58,7 @@ const REPLAY_SPEEDUP_FLOOR: f64 = 4.0;
 
 /// Minimum acceptable `serve_fleet.drain_accesses_per_sec` in a fresh
 /// snapshot. The recorded capability on this host is ≥10M accesses/sec
-/// aggregate; the CI floor sits 20% under it so one noisy shared-host
+/// per-core drain; the CI floor sits 20% under it so one noisy shared-host
 /// run doesn't flake the build, while a real regression of the serving
 /// drain path still trips it.
 const SERVE_DRAIN_FLOOR: f64 = 8.0e6;
@@ -277,7 +277,7 @@ fn run_fleet_check(path: &str) -> ExitCode {
     }
     println!(
         "{path}: ok ({} for seed {}: {} tenants / {} shards, {} rounds, {} accesses, \
-         {:.1}M/s drain aggregate)",
+         {:.1}M/s per-core drain)",
         mrp_obs::FLEET_SCHEMA,
         manifest.seed,
         manifest.tenants,

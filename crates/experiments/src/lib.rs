@@ -2,8 +2,7 @@
 //! reproduction.
 //!
 //! One module per evaluation artifact in the paper; each has a matching
-//! binary in `src/bin/` and a reduced-scale criterion bench in
-//! `crates/bench`:
+//! binary in `src/bin/`:
 //!
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|

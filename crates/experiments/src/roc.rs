@@ -244,67 +244,6 @@ pub fn rates(samples: &[Sample], thresholds: &[i32]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Runs the ROC for a multiperspective predictor with a *custom* feature
-/// set (used to isolate feature-set effects from the training machinery).
-pub fn run_custom_features(
-    scale: RunScale,
-    workload_count: usize,
-    features: Vec<mrp_core::Feature>,
-    label: &str,
-) -> RocCurve {
-    run_custom_features_with(scale, workload_count, features, 64, 35, label)
-}
-
-/// Like [`run_custom_features`] but also overriding the sampler set count
-/// and training threshold.
-pub fn run_custom_features_with(
-    scale: RunScale,
-    workload_count: usize,
-    features: Vec<mrp_core::Feature>,
-    sampler_sets: u32,
-    theta: i32,
-    label: &str,
-) -> RocCurve {
-    let suite = workloads::suite();
-    let count = workload_count.min(suite.len()).max(1);
-    recording::prerecord(&suite[..count], scale.seed, scale.warmup, scale.measure);
-    let thresholds: Vec<i32> = (-300..=300).step_by(4).collect();
-    // One measure-only job per workload; the per-workload rate curves are
-    // averaged afterward in suite order, exactly as the serial loop did.
-    let per_workload: Vec<Vec<(f64, f64)>> = mrp_runtime::map_indexed(count, |wi| {
-        let w = &suite[wi];
-        let config = HierarchyConfig::single_thread();
-        let samples = Arc::new(Mutex::new(Vec::new()));
-        let mut mp_config = MpppbConfig::single_thread(&config.llc);
-        mp_config.measure_only = true;
-        mp_config.features = features.clone();
-        mp_config.sampler_sets = sampler_sets.min(config.llc.sets());
-        mp_config.training_threshold = theta;
-        let policy = Box::new(RocProbe::new(
-            Mpppb::new(mp_config, &config.llc),
-            samples.clone(),
-        ));
-        drive_probe(w, scale, policy);
-        let collected = samples.lock().expect("sample lock");
-        rates(&collected, &thresholds)
-    });
-    let mut sums: Vec<(f64, f64)> = vec![(0.0, 0.0); thresholds.len()];
-    for workload_rates in &per_workload {
-        for (i, &(fpr, tpr)) in workload_rates.iter().enumerate() {
-            sums[i].0 += fpr;
-            sums[i].1 += tpr;
-        }
-    }
-    RocCurve {
-        predictor: label.to_string(),
-        points: thresholds
-            .iter()
-            .zip(sums)
-            .map(|(&t, (fpr, tpr))| (t, fpr / count as f64, tpr / count as f64))
-            .collect(),
-    }
-}
-
 /// Runs the ROC experiment over `workload_count` workloads.
 pub fn run(scale: RunScale, workload_count: usize) -> Vec<RocCurve> {
     let suite = workloads::suite();

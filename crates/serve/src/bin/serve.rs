@@ -119,7 +119,7 @@ fn run(args: &Args) -> ExitCode {
 
     let manifest = fleet.manifest();
     eprintln!(
-        "serve: {} rounds, {} accesses, {:.1}M/s drain aggregate ({:.1}M/s wall incl. traffic gen)",
+        "serve: {} rounds, {} accesses, {:.1}M/s per-core drain ({:.1}M/s wall incl. traffic gen)",
         fleet.rounds(),
         fleet.processed(),
         fleet.drain_accesses_per_sec() / 1e6,
@@ -135,7 +135,7 @@ fn run(args: &Args) -> ExitCode {
             shard.accesses_per_sec / 1e6,
         );
     }
-    // Machine-readable result line: the aggregate drain rate (the bench
+    // Machine-readable result line: the per-core drain rate (the bench
     // snapshot's number) then the wall rate including traffic generation.
     println!(
         "{} {}",
@@ -201,7 +201,7 @@ fn status(args: &Args) -> ExitCode {
         }
     };
     println!(
-        "fleet: {} tenants / {} shards, policy {}, {} rounds, {} accesses, {:.1}M/s aggregate",
+        "fleet: {} tenants / {} shards, policy {}, {} rounds, {} accesses, {:.1}M/s per-core drain",
         manifest.tenants,
         manifest.shards.len(),
         manifest.policy,

@@ -30,14 +30,11 @@
 //! ```
 
 pub mod analysis;
-pub mod codec;
 pub mod generators;
 pub mod mix;
 pub mod record;
 pub mod workloads;
 
 pub use mix::{Mix, MixBuilder};
-pub use record::{
-    AccessKind, MemoryAccess, ServiceLevel, StreamEvent, BLOCK_BYTES, BLOCK_OFFSET_BITS,
-};
+pub use record::{AccessKind, MemoryAccess, ServiceLevel, BLOCK_BYTES, BLOCK_OFFSET_BITS};
 pub use workloads::{Workload, WorkloadId};

@@ -101,11 +101,11 @@ impl fmt::Display for MemoryAccess {
 
 /// The highest level of the hierarchy a recorded access interacted with.
 ///
-/// Recorded streams (see `mrp-cache`'s replay layer and codec v2) tag
-/// each demand access with the level that serviced it. `Llc` means the
-/// access missed the private levels and reached the last-level cache;
-/// whether it hit there depends on the LLC policy and is decided at
-/// replay time, not at record time.
+/// Recordings (`mrp-cache`'s in-memory `LlcRecording`) tag each demand
+/// access with the level that serviced it. `Llc` means the access missed
+/// the private levels and reached the last-level cache; whether it hit
+/// there depends on the LLC policy and is decided at replay time, not at
+/// record time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceLevel {
     /// Serviced by the L1 data cache.
@@ -117,7 +117,7 @@ pub enum ServiceLevel {
 }
 
 impl ServiceLevel {
-    /// Two-bit encoding used by the codec and recording flag bytes.
+    /// Two-bit encoding packed into a recording's per-event flag byte.
     #[inline]
     pub fn encode(self) -> u8 {
         match self {
@@ -137,25 +137,6 @@ impl ServiceLevel {
             _ => None,
         }
     }
-}
-
-/// One event of a recorded upper-hierarchy stream: a demand access tagged
-/// with its servicing level, or a prefetch fill bound for the LLC.
-///
-/// This is the unit the v2 trace codec serializes and the replay layer in
-/// `mrp-cache` records; the sequence of these events is everything an LLC
-/// policy (and the timing model) can observe, so one recorded stream
-/// replays against any LLC policy and geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamEvent {
-    /// The access (for prefetch events: the synthesized prefetch request,
-    /// carrying the triggering access's PC — masked to the fake prefetch
-    /// PC by the cache at replay time).
-    pub access: MemoryAccess,
-    /// True for hardware prefetch fills reaching the LLC.
-    pub is_prefetch: bool,
-    /// Servicing level of a demand access; always `Llc` for prefetches.
-    pub level: ServiceLevel,
 }
 
 #[cfg(test)]
@@ -192,5 +173,13 @@ mod tests {
         let a = MemoryAccess::load(0x400000, 0x1234);
         assert!(!format!("{a}").is_empty());
         assert!(!format!("{a:?}").is_empty());
+    }
+
+    #[test]
+    fn service_level_encoding_round_trips() {
+        for level in [ServiceLevel::L1, ServiceLevel::L2, ServiceLevel::Llc] {
+            assert_eq!(ServiceLevel::decode(level.encode()), Some(level));
+        }
+        assert_eq!(ServiceLevel::decode(3), None);
     }
 }
