@@ -193,9 +193,13 @@ impl<P: ReplacementPolicy + ?Sized> Cache<P> {
             // every `line < assoc` keeps `base + line` in bounds.
             unsafe {
                 _mm_prefetch::<_MM_HINT_T0>(self.valid.as_ptr().add(set as usize) as *const i8);
-                // One prefetch per cache line of the row (8 u64 tags).
-                for line in (0..assoc).step_by(8) {
+                // One prefetch per cache line of the row (8 u64 tags). A
+                // plain stride loop: `step_by` divides to size its range
+                // on every call.
+                let mut line = 0;
+                while line < assoc {
                     _mm_prefetch::<_MM_HINT_T0>(self.tags.as_ptr().add(base + line) as *const i8);
+                    line += 8;
                 }
             }
         }

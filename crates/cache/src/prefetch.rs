@@ -219,6 +219,27 @@ mod tests {
     }
 
     #[test]
+    fn full_table_replaces_the_lru_slot_in_place() {
+        // Sixteen streams a MATCH_WINDOW apart never match each other.
+        let head = |i: u64| 1_000_000 + i * 1_000;
+        let mut p = StreamPrefetcher::new();
+        for i in 0..MAX_STREAMS as u64 {
+            p.on_l1_miss(head(i));
+        }
+        // A near miss refreshes every stream but 7, leaving 7 the LRU.
+        for i in (0..MAX_STREAMS as u64).filter(|&i| i != 7) {
+            p.on_l1_miss(head(i) + 1);
+        }
+        let before: Vec<i64> = p.streams.iter().map(|s| s.head).collect();
+        p.on_l1_miss(50_000_000);
+        assert_eq!(p.streams.len(), MAX_STREAMS);
+        for (i, s) in p.streams.iter().enumerate() {
+            let expected = if i == 7 { 50_000_000 } else { before[i] };
+            assert_eq!(s.head, expected, "slot {i}");
+        }
+    }
+
+    #[test]
     fn issued_counter_matches_requests() {
         use crate::{Hierarchy, HierarchyConfig};
         use mrp_trace::MemoryAccess;

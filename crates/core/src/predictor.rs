@@ -132,30 +132,6 @@ impl MultiperspectivePredictor {
         self.set_filter.contains(llc_set)
     }
 
-    /// Computes the per-feature weight-arena offsets for an access into
-    /// `out` (cleared first). Allocation-free on the hot path; entries
-    /// are precombined `base + index` offsets into the flat arena (see
-    /// [`FeaturePlan`]), which is what [`Self::confidence`] and
-    /// [`Self::train`] consume.
-    pub fn compute_indices(&self, ctx: &FeatureContext<'_>, out: &mut Vec<u16>) {
-        self.plan.compute_offsets(ctx, out);
-    }
-
-    /// Sums the weights selected by `indices`: the confidence that the
-    /// block is dead (positive) or live (negative).
-    pub fn confidence(&mut self, indices: &[u16]) -> i32 {
-        self.stats.predictions += 1;
-        self.tables.confidence(indices)
-    }
-
-    /// Read-only confidence (no stats bump), for introspection. Both
-    /// this and [`Self::confidence`] are the same batched gather-sum
-    /// kernel ([`WeightTables::confidence`]); the stats bump is the only
-    /// difference.
-    pub fn confidence_quiet(&self, indices: &[u16]) -> i32 {
-        self.tables.confidence(indices)
-    }
-
     /// Fused predict + train for one access: one
     /// [`FeaturePlan::predict`] computes the arena offsets and sums the
     /// confidence in the same lane pass, and the sampler trains from the
@@ -254,95 +230,86 @@ mod tests {
         assert_eq!(sampled[1], 32);
     }
 
+    /// The confidence the tables now assign to `p`'s last access.
+    fn last_confidence(p: &MultiperspectivePredictor) -> i32 {
+        p.tables().confidence(p.last_offsets())
+    }
+
     #[test]
     fn untrained_confidence_is_zero() {
         let mut p = predictor();
-        let mut idx = Vec::new();
-        p.compute_indices(&ctx(0x400000, false), &mut idx);
-        assert_eq!(p.confidence(&idx), 0);
+        assert_eq!(p.access(&ctx(0x400000, false), 3, 0), 0);
     }
 
     #[test]
     fn dead_blocks_drive_confidence_positive() {
         let mut p = predictor();
-        let mut idx = Vec::new();
         // Stream distinct blocks through one sampled set with the same PC:
         // every insertion demotes previous blocks past feature assocs.
         for i in 0..200u64 {
-            p.compute_indices(&ctx(0x400000, true), &mut idx);
-            let c = p.confidence(&idx);
-            p.train(0, i * 2048, &idx, c);
+            p.access(&ctx(0x400000, true), 0, i * 2048);
         }
-        p.compute_indices(&ctx(0x400000, true), &mut idx);
-        assert!(
-            p.confidence_quiet(&idx) > 10,
-            "streaming PC should look dead: {}",
-            p.confidence_quiet(&idx)
-        );
+        let c = last_confidence(&p);
+        assert!(c > 10, "streaming PC should look dead: {c}");
     }
 
     #[test]
     fn reused_blocks_drive_confidence_negative() {
         let mut p = predictor();
-        let mut idx = Vec::new();
         // Alternate between two blocks: both are constantly reused at
         // positions 0/1, inside every feature's associativity.
         for i in 0..200u64 {
-            let block = i % 2;
-            p.compute_indices(&ctx(0x500000, false), &mut idx);
-            let c = p.confidence(&idx);
-            p.train(0, block, &idx, c);
+            p.access(&ctx(0x500000, false), 0, i % 2);
         }
-        p.compute_indices(&ctx(0x500000, false), &mut idx);
-        assert!(
-            p.confidence_quiet(&idx) < -10,
-            "reused PC should look live: {}",
-            p.confidence_quiet(&idx)
-        );
+        let c = last_confidence(&p);
+        assert!(c < -10, "reused PC should look live: {c}");
     }
 
     #[test]
     fn non_sampled_sets_never_train() {
         let mut p = predictor();
-        let mut idx = Vec::new();
-        p.compute_indices(&ctx(0x400000, true), &mut idx);
         for i in 0..100u64 {
-            p.train(3, i, &idx, 0); // set 3 is not sampled
+            p.access(&ctx(0x400000, true), 3, i); // set 3 is not sampled
         }
         assert_eq!(p.stats().sampler_accesses, 0);
-        assert_eq!(p.confidence_quiet(&idx), 0);
+        assert_eq!(last_confidence(&p), 0);
     }
 
     #[test]
     fn stats_track_activity() {
         let mut p = predictor();
-        let mut idx = Vec::new();
-        p.compute_indices(&ctx(1, true), &mut idx);
-        let c = p.confidence(&idx);
-        p.train(0, 99, &idx, c);
-        p.train(0, 99, &idx, c);
+        p.access(&ctx(1, true), 0, 99);
+        p.access(&ctx(1, true), 0, 99);
         let s = p.stats();
-        assert_eq!(s.predictions, 1);
+        assert_eq!(s.predictions, 2);
         assert_eq!(s.sampler_accesses, 2);
         assert_eq!(s.sampler_hits, 1);
     }
 
     #[test]
     fn fused_access_matches_unfused_sequence() {
+        // `access` against the reference API: `compute_offsets`, the
+        // tables' gather-sum and a separate `train`.
         let mut fused = predictor();
         let mut unfused = predictor();
+        let plan = FeaturePlan::new(unfused.features());
         let mut idx = Vec::new();
         for i in 0..300u64 {
             let c = ctx(0x400000 + (i % 5) * 4, i % 3 == 0);
             let set = (i % 3) as u32 * 32; // sampled and unsampled sets
             let block = i.wrapping_mul(0x9e37_79b9);
-            unfused.compute_indices(&c, &mut idx);
-            let conf_unfused = unfused.confidence(&idx);
+            plan.compute_offsets(&c, &mut idx);
+            let conf_unfused = unfused.tables().confidence(&idx);
             unfused.train(set, block, &idx, conf_unfused);
             let conf_fused = fused.access(&c, set, block);
             assert_eq!(conf_fused, conf_unfused, "access {i}");
+            assert_eq!(fused.last_offsets(), &idx[..], "access {i}");
         }
-        assert_eq!(fused.stats(), unfused.stats());
+        let expected = PredictorStats {
+            predictions: 300,
+            ..unfused.stats()
+        };
+        assert_eq!(fused.stats(), expected);
     }
 
     #[test]

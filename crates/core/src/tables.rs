@@ -68,8 +68,8 @@ impl WeightTables {
         WeightTables::with_weight_bits(features, 6)
     }
 
-    /// Allocates tables with `bits`-wide signed weights (for the weight
-    /// width ablation study).
+    /// Allocates tables with `bits`-wide signed weights ([`Self::new`]
+    /// uses the paper's 6).
     ///
     /// # Panics
     ///
@@ -162,18 +162,6 @@ impl WeightTables {
         simd::gather_sum_i8(&self.weights, offsets, level)
     }
 
-    /// Saturating increment toward "dead".
-    pub fn increment(&mut self, table: usize, index: u16) {
-        let offset = self.bases[table] + u32::from(index);
-        self.increment_at(offset as u16);
-    }
-
-    /// Saturating decrement toward "live".
-    pub fn decrement(&mut self, table: usize, index: u16) {
-        let offset = self.bases[table] + u32::from(index);
-        self.decrement_at(offset as u16);
-    }
-
     /// Saturating increment of the weight at a precombined arena offset.
     #[inline]
     pub fn increment_at(&mut self, offset: u16) {
@@ -238,12 +226,17 @@ mod tests {
         ]
     }
 
+    /// The precombined arena offset of `index` in `table`.
+    fn at(t: &WeightTables, table: usize, index: usize) -> u16 {
+        (t.base(table) + index) as u16
+    }
+
     /// Precombined arena offsets for per-table indices.
     fn offsets(t: &WeightTables, indices: &[u16]) -> Vec<u16> {
         indices
             .iter()
             .enumerate()
-            .map(|(table, &i)| (t.base(table) + usize::from(i)) as u16)
+            .map(|(table, &i)| at(t, table, usize::from(i)))
             .collect()
     }
 
@@ -268,10 +261,10 @@ mod tests {
     #[test]
     fn confidence_sums_selected_weights() {
         let mut t = WeightTables::new(&features());
-        t.increment(0, 0);
-        t.increment(1, 1);
-        t.increment(1, 1);
-        t.decrement(2, 100);
+        t.increment_at(at(&t, 0, 0));
+        t.increment_at(at(&t, 1, 1));
+        t.increment_at(at(&t, 1, 1));
+        t.decrement_at(at(&t, 2, 100));
         assert_eq!(t.confidence(&offsets(&t, &[0, 1, 100])), 1 + 2 - 1);
         assert_eq!(t.confidence(&offsets(&t, &[0, 0, 100])), 1 - 1);
     }
@@ -279,9 +272,9 @@ mod tests {
     #[test]
     fn arena_offset_updates_match_table_updates() {
         let mut t = WeightTables::new(&features());
-        t.increment_at((t.base(2) + 100) as u16);
+        t.increment_at(at(&t, 2, 100));
         assert_eq!(t.weight(2, 100), 1);
-        t.decrement_at((t.base(2) + 100) as u16);
+        t.decrement_at(at(&t, 2, 100));
         assert_eq!(t.weight(2, 100), 0);
     }
 
@@ -289,8 +282,8 @@ mod tests {
     fn weights_saturate_at_six_bit_bounds() {
         let mut t = WeightTables::new(&features());
         for _ in 0..100 {
-            t.increment(0, 0);
-            t.decrement(1, 0);
+            t.increment_at(at(&t, 0, 0));
+            t.decrement_at(at(&t, 1, 0));
         }
         assert_eq!(t.weight(0, 0), WEIGHT_MAX);
         assert_eq!(t.weight(1, 0), WEIGHT_MIN);
@@ -300,8 +293,8 @@ mod tests {
     fn narrow_weights_saturate_earlier() {
         let mut t = WeightTables::with_weight_bits(&features(), 4);
         for _ in 0..100 {
-            t.increment(0, 0);
-            t.decrement(1, 0);
+            t.increment_at(at(&t, 0, 0));
+            t.decrement_at(at(&t, 1, 0));
         }
         assert_eq!(t.weight(0, 0), 7);
         assert_eq!(t.weight(1, 0), -8);

@@ -107,12 +107,14 @@ impl<T: Iterator<Item = MemoryAccess>> SingleCoreSim<T> {
     }
 
     /// Runs until at least `instructions` have retired, driving the
-    /// hierarchy in [`HIERARCHY_BATCH`]-access groups so the LLC
-    /// policy's prediction stage can batch
-    /// ([`Hierarchy::access_batch`]). The group pull re-checks the
-    /// retirement target exactly where the one-at-a-time loop would, so
-    /// the access sequence (including the final overshoot) is
-    /// unchanged; accesses retire in access order.
+    /// hierarchy in [`HIERARCHY_BATCH`]-access groups
+    /// ([`Hierarchy::access_batch`]). The groups pay because the
+    /// private-level phase issues every L1-missing member's LLC tag-row
+    /// prefetch before the LLC drain starts, so those cache misses
+    /// overlap instead of stalling one access at a time. The group pull
+    /// re-checks the retirement target exactly where the one-at-a-time
+    /// loop would, so the access sequence (including the final
+    /// overshoot) is unchanged; accesses retire in access order.
     fn advance(&mut self, instructions: u64) {
         let mut retired = 0u64;
         let mut group: Vec<MemoryAccess> = Vec::with_capacity(HIERARCHY_BATCH);

@@ -1,10 +1,11 @@
-//! Machine-readable performance snapshot of the predictor hot path and
-//! hierarchy throughput, for tracking the perf trajectory across PRs.
+//! Machine-readable performance snapshot of the predictor hot path, the
+//! lane kernels, hierarchy throughput, the serving fleet and the replay
+//! speedup: the input of `manifest_check --bench-gate`, and a record of
+//! the perf trajectory across PRs.
 //!
-//! Mirrors the `predictor_hot_path` and `hierarchy_throughput` criterion
-//! groups but measures with `std::time` directly, so it runs in any
-//! environment (CI artifact upload, offline containers) and emits one
-//! JSON document instead of a criterion report.
+//! Measures with `std::time` directly, so it runs in any environment
+//! (CI artifact upload, offline containers), and emits one JSON
+//! document.
 //!
 //! Usage: `bench_snapshot [--samples N] [--iters N] [--instructions N]
 //! [--out PATH] [--metrics] [--manifest-dir DIR]` — medians are taken

@@ -18,11 +18,14 @@
 //! randomizes the weight arena and asserts that
 //! [`WeightTables::confidence_with`] and the predictor's fused
 //! [`FeaturePlan::predict_with`] (offsets and confidence from one lane
-//! pass) agree at every level with a per-table weight-sum reference. Any
-//! mismatch reproduces from `(seed, job)` alone.
+//! pass) agree at every level with a per-table weight-sum reference. The
+//! fused predict also runs at the edge of its gather bound: on the
+//! shortest arena slice the unchecked gather accepts, and on one entry
+//! less, which must take the checked fallback. Any mismatch reproduces
+//! from `(seed, job)` alone.
 
 use mrp_core::context::{FeatureContext, HISTORY_DEPTH};
-use mrp_core::simd;
+use mrp_core::simd::{self, GATHER_PAD};
 use mrp_core::tables::WeightTables;
 use mrp_core::{Feature, FeaturePlan};
 use mrp_runtime::map_indexed;
@@ -149,6 +152,13 @@ fn kernel_features(seed: u64, job: usize, rng: &mut SplitMix) -> Vec<Feature> {
 
 /// Runs the kernel-identity check for one `(seed, job)` pair.
 pub fn check_kernels_job(seed: u64, job: usize) -> DivergenceReport {
+    check_job(seed, job).0
+}
+
+/// [`check_kernels_job`], also counting the contexts whose offsets
+/// select the arena's last entry: only those make the edge slices'
+/// gathers read up to the slice end.
+fn check_job(seed: u64, job: usize) -> (DivergenceReport, usize) {
     let mut rng = SplitMix::new(seed ^ (job as u64).wrapping_mul(0xd6e8_feb8_6659_fd93));
     let features = kernel_features(seed, job, &mut rng);
     let subject = notation(&features);
@@ -177,14 +187,23 @@ pub fn check_kernels_job(seed: u64, job: usize) -> DivergenceReport {
         });
     };
 
+    // The last table ends the arena, so the plan's largest offset is
+    // `arena_len - 1` and `shortest` is the least arena the unchecked
+    // gather accepts; one entry less must take the checked fallback.
+    let padded = tables.padded_arena();
+    let last = tables.arena_len() - 1;
+    let shortest = last + GATHER_PAD;
+    let mut arena_end_contexts = 0;
+
     // Per-context identity: reference vs compiled vs each lane level,
-    // and the confidence kernel family and the fused predict vs the
-    // per-table weight sum.
+    // and the confidence kernel family and the fused predict (on the
+    // padded arena and both edge slices) vs the per-table weight sum.
     let mut out = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         let ctx = spec.view();
         let reference = reference_offsets(&features, &bases, &ctx);
         let expected = reference_confidence(&tables, &features, &ctx);
+        arena_end_contexts += usize::from(reference.contains(&(last as u16)));
         plan.compute_offsets_compiled(&ctx, &mut out);
         if out != reference {
             push(
@@ -216,20 +235,24 @@ pub fn check_kernels_job(seed: u64, job: usize) -> DivergenceReport {
                     ),
                 );
             }
-            let predicted = plan.predict_with(level, &ctx, &mut out, tables.padded_arena());
-            if out != reference || predicted != expected {
-                push(
-                    &mut report,
-                    i,
-                    format!(
-                        "{} predict ({predicted}, {out:?}) != reference ({expected}, {reference:?})",
-                        level.name()
-                    ),
-                );
+            for len in [padded.len(), shortest, shortest - 1] {
+                let predicted = plan.predict_with(level, &ctx, &mut out, &padded[..len]);
+                if out != reference || predicted != expected {
+                    push(
+                        &mut report,
+                        i,
+                        format!(
+                            "{} predict on {len} of {} arena entries ({predicted}, {out:?}) \
+                             != reference ({expected}, {reference:?})",
+                            level.name(),
+                            padded.len()
+                        ),
+                    );
+                }
             }
         }
     }
-    report
+    (report, arena_end_contexts)
 }
 
 /// Runs the kernel-identity pass across `jobs` fuzz jobs in parallel,
@@ -247,6 +270,15 @@ mod tests {
         for report in run_kernel_check(42, 4) {
             assert!(report.is_clean(), "{report}");
         }
+    }
+
+    #[test]
+    fn default_jobs_gather_the_last_arena_entry() {
+        // The edge slices only test the bound if some context's offsets
+        // select the arena's last entry.
+        let cfg = crate::VerifyConfig::default();
+        let hits: usize = (0..cfg.jobs).map(|job| check_job(cfg.seed, job).1).sum();
+        assert!(hits > 0, "no context selected the last arena entry");
     }
 
     #[test]

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Captures a machine-readable performance snapshot of the predictor hot
-# path and the hierarchy throughput into results/bench_snapshot.json.
+# Captures a machine-readable performance snapshot (predictor hot path,
+# lane kernels, hierarchy throughput, serving fleet, replay speedup) into
+# results/bench_snapshot.json.
 #
-# Mirrors the criterion groups (predictor_hot_path, hierarchy_throughput)
-# but uses the std::time-based bench_snapshot binary, so it runs anywhere
-# (CI, offline containers) and emits a single JSON document suitable for
-# artifact upload and cross-PR diffing.
+# The std::time-based bench_snapshot binary runs anywhere (CI, offline
+# containers) and emits a single JSON document, which
+# `manifest_check --bench-gate` checks against the committed baseline and
+# which suits artifact upload and cross-PR diffing.
 #
 # Knobs (environment variables):
 #   SAMPLES      repetitions per measurement, median taken   (default 7)
