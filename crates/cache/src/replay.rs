@@ -30,17 +30,111 @@ use crate::cache::Cache;
 use crate::hierarchy::{CorePrivate, HierarchyConfig, LlcSink};
 use crate::stats::{CacheStats, HierarchyStats};
 
-// Layout of a recorded event's `flags` byte.
+// Layout of a recorded event's packed `u32` word, low bits first:
+// `gap:8 | store:1 | dependent:1 | prefetch:1 | level:2 | core:3 | pc id:16`.
+/// Mask of the non-memory gap (`MemoryAccess::non_memory_before`).
+const GAP_MASK: u32 = 0xff;
 /// The access is a store.
-const FLAG_STORE: u8 = 1 << 0;
+const FLAG_STORE: u32 = 1 << 8;
 /// The access's address depends on the previous access.
-const FLAG_DEPENDENT: u8 = 1 << 1;
+const FLAG_DEPENDENT: u32 = 1 << 9;
 /// The event is a hardware prefetch fill.
-const FLAG_PREFETCH: u8 = 1 << 2;
+const FLAG_PREFETCH: u32 = 1 << 10;
 /// Shift of the two servicing-level bits ([`ServiceLevel::encode`]).
-const LEVEL_SHIFT: u8 = 3;
+const LEVEL_SHIFT: u32 = 11;
 /// Mask of the two servicing-level bits.
-const LEVEL_MASK: u8 = 0b11 << LEVEL_SHIFT;
+const LEVEL_MASK: u32 = 0b11 << LEVEL_SHIFT;
+/// Shift of the three core bits.
+const CORE_SHIFT: u32 = 13;
+/// Cores the three core bits can name.
+const MAX_CORES: u8 = 8;
+/// Shift of the 16-bit index into the recording's PC table.
+const PC_SHIFT: u32 = 16;
+/// Distinct PCs the 16-bit PC index can name.
+const MAX_PCS: usize = 1 << 16;
+
+/// The distinct PCs of one recording, in first-seen order: an event
+/// stores its PC's index here. Workload traces name few PCs (1–14 per
+/// suite member), so the table is tiny next to the events.
+///
+/// While recording, `slots` indexes the table by PC (open addressing,
+/// Fibonacci hashing, linear probing, at most half full), so interning
+/// costs one multiply and a probe or two however many PCs the trace
+/// names. That is cheaper than scanning the table even at the suite's
+/// 4–14 PCs, where a scan made recording 6–23% slower.
+/// [`PcTable::finish`] drops the index.
+struct PcTable {
+    pcs: Vec<u64>,
+    /// Table index per slot, [`PcTable::EMPTY`] for a free slot; a
+    /// power-of-two length while recording, empty after.
+    slots: Vec<u32>,
+}
+
+impl PcTable {
+    const EMPTY: u32 = u32::MAX;
+    /// Slot count the index starts with.
+    const INITIAL_SLOTS: usize = 64;
+
+    fn new() -> Self {
+        PcTable {
+            pcs: Vec::new(),
+            slots: vec![Self::EMPTY; Self::INITIAL_SLOTS],
+        }
+    }
+
+    /// The slot holding `pc`'s id, or the free slot where it belongs:
+    /// probing from its Fibonacci-hashed home slot.
+    #[inline]
+    fn slot_of(&self, pc: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mut slot = (pc.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        while self.slots[slot] != Self::EMPTY && self.pcs[self.slots[slot] as usize] != pc {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// The table index of `pc`, appending it on first sight.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pc` would be the table's 65,537th distinct PC.
+    #[inline]
+    fn intern(&mut self, pc: u64) -> u32 {
+        let slot = self.slot_of(pc);
+        if self.slots[slot] != Self::EMPTY {
+            return self.slots[slot];
+        }
+        assert!(
+            self.pcs.len() < MAX_PCS,
+            "a recording names at most {MAX_PCS} distinct PCs"
+        );
+        let id = self.pcs.len() as u32;
+        self.pcs.push(pc);
+        self.slots[slot] = id;
+        if 2 * self.pcs.len() > self.slots.len() {
+            // Re-insert every PC into an index twice the size.
+            self.slots = vec![Self::EMPTY; 2 * self.slots.len()];
+            for (id, &pc) in self.pcs.iter().enumerate() {
+                let slot = self.slot_of(pc);
+                self.slots[slot] = id as u32;
+            }
+        }
+        id
+    }
+
+    /// Ends recording: drops the index and sizes the table exactly.
+    fn finish(&mut self) {
+        self.slots = Vec::new();
+        self.pcs.shrink_to_fit();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.pcs.capacity() * std::mem::size_of::<u64>()
+            + self.slots.capacity() * std::mem::size_of::<u32>()
+    }
+}
 
 /// Snapshot of the recorded private-level state at a window edge
 /// (warmup/measure boundary or end of recording).
@@ -74,21 +168,26 @@ impl RecordedWindow {
 
 /// One workload's recorded upper-hierarchy stream.
 ///
-/// Events are stored in structure-of-arrays form in *emission* order: a
-/// demand access is logged when the core issues it (before its level is
-/// known; the level is patched once the private probes resolve), and the
-/// prefetch fills draining during that access follow it. A separate
-/// index list ([`LlcRecording::replay_llc`] walks it) holds the events
-/// that reach the LLC in true LLC-access order: the drains of access
-/// *i* precede the demand of access *i*, which precedes the drains of
-/// access *i + 1*.
+/// Events are stored in *emission* order: a demand access is logged when
+/// the core issues it (before its level is known; the level is patched
+/// once the private probes resolve), and the prefetch fills draining
+/// during that access follow it. A separate index list
+/// ([`LlcRecording::replay_llc`] walks it) holds the events that reach
+/// the LLC in true LLC-access order: the drains of access *i* precede
+/// the demand of access *i*, which precedes the drains of access
+/// *i + 1*.
+///
+/// An event costs 12 bytes: its address and one packed `u32` holding
+/// the gap, the store/dependent/prefetch flags, the servicing level,
+/// the core and an index into the recording's PC table. An LLC-reaching
+/// event adds its 4-byte `llc_events` entry. Every vector is sized
+/// exactly once [`LlcRecording::record`] returns.
 pub struct LlcRecording {
     name: String,
-    pcs: Vec<u64>,
+    /// One packed word per event (layout above `PcTable`).
+    events: Vec<u32>,
     addresses: Vec<u64>,
-    cores: Vec<u8>,
-    flags: Vec<u8>,
-    gaps: Vec<u8>,
+    pc_table: PcTable,
     /// Indices of LLC-reaching events, in LLC-access order.
     llc_events: Vec<u32>,
     /// Number of leading events that belong to the warmup window.
@@ -118,6 +217,14 @@ impl LlcRecording {
     /// The two windows mirror `SingleCoreSim::run`'s advance loops
     /// exactly, including their per-window instruction overshoot, so a
     /// full replay reproduces the simulation bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace ends early, if an access names a core of 8
+    /// or above, or if the trace names more than 65,536 distinct PCs
+    /// (the packed event word holds a 3-bit core and a 16-bit PC
+    /// index; neither is ever truncated). The `u32` LLC-order index
+    /// likewise panics past 2^32 events.
     pub fn record(
         name: &str,
         mut trace: impl Iterator<Item = MemoryAccess>,
@@ -132,11 +239,9 @@ impl LlcRecording {
         let hint = ((warmup + measure) / 8) as usize;
         let mut rec = LlcRecording {
             name: name.to_string(),
-            pcs: Vec::with_capacity(hint),
+            events: Vec::with_capacity(hint),
             addresses: Vec::with_capacity(hint),
-            cores: Vec::with_capacity(hint),
-            flags: Vec::with_capacity(hint),
-            gaps: Vec::with_capacity(hint),
+            pc_table: PcTable::new(),
             llc_events: Vec::new(),
             warmup_events: 0,
             boundary: RecordedWindow::default(),
@@ -149,7 +254,7 @@ impl LlcRecording {
             private.access_recorded(&access, &mut rec);
             retired += access.instructions();
         }
-        rec.warmup_events = rec.pcs.len();
+        rec.warmup_events = rec.len();
         rec.boundary = RecordedWindow::from_stats(&private.stats());
 
         let mut retired = 0u64;
@@ -159,6 +264,10 @@ impl LlcRecording {
             retired += access.instructions();
         }
         rec.end = RecordedWindow::from_stats(&private.stats());
+        rec.events.shrink_to_fit();
+        rec.addresses.shrink_to_fit();
+        rec.llc_events.shrink_to_fit();
+        rec.pc_table.finish();
         rec
     }
 
@@ -170,12 +279,12 @@ impl LlcRecording {
     /// Total number of recorded events (demand accesses + LLC-bound
     /// prefetch fills).
     pub fn len(&self) -> usize {
-        self.pcs.len()
+        self.events.len()
     }
 
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.pcs.is_empty()
+        self.events.is_empty()
     }
 
     /// Number of events that reach the LLC.
@@ -211,25 +320,25 @@ impl LlcRecording {
     /// Reconstructs the access of event `index`.
     #[inline]
     pub fn access_at(&self, index: usize) -> MemoryAccess {
-        let flags = self.flags[index];
+        let word = self.events[index];
         MemoryAccess {
-            pc: self.pcs[index],
+            pc: self.pc_table.pcs[(word >> PC_SHIFT) as usize],
             address: self.addresses[index],
-            core: self.cores[index],
-            kind: if flags & FLAG_STORE != 0 {
+            core: ((word >> CORE_SHIFT) & u32::from(MAX_CORES - 1)) as u8,
+            kind: if word & FLAG_STORE != 0 {
                 AccessKind::Store
             } else {
                 AccessKind::Load
             },
-            non_memory_before: self.gaps[index],
-            dependent: flags & FLAG_DEPENDENT != 0,
+            non_memory_before: (word & GAP_MASK) as u8,
+            dependent: word & FLAG_DEPENDENT != 0,
         }
     }
 
     /// True when event `index` is a prefetch fill.
     #[inline]
     pub fn is_prefetch(&self, index: usize) -> bool {
-        self.flags[index] & FLAG_PREFETCH != 0
+        self.events[index] & FLAG_PREFETCH != 0
     }
 
     /// Instructions event `index` retires (the access plus its preceding
@@ -237,20 +346,20 @@ impl LlcRecording {
     /// full [`MemoryAccess`] reconstruction.
     #[inline]
     pub fn instructions_at(&self, index: usize) -> u32 {
-        u32::from(self.gaps[index]) + 1
+        (self.events[index] & GAP_MASK) + 1
     }
 
     /// Dependent flag of event `index`, without reconstructing the
     /// access.
     #[inline]
     pub fn dependent_at(&self, index: usize) -> bool {
-        self.flags[index] & FLAG_DEPENDENT != 0
+        self.events[index] & FLAG_DEPENDENT != 0
     }
 
     /// Servicing level of event `index` (always `Llc` for prefetches).
     #[inline]
     pub fn level_at(&self, index: usize) -> ServiceLevel {
-        ServiceLevel::decode((self.flags[index] & LEVEL_MASK) >> LEVEL_SHIFT)
+        ServiceLevel::decode(((self.events[index] & LEVEL_MASK) >> LEVEL_SHIFT) as u8)
             .expect("recordings only store valid levels")
     }
 
@@ -287,7 +396,7 @@ impl LlcRecording {
             }
             let i = i as usize;
             let access = self.access_at(i);
-            if self.flags[i] & FLAG_PREFETCH != 0 {
+            if self.is_prefetch(i) {
                 let _ = cache.access(&access, true);
             } else {
                 cache.policy_mut().on_core_access(&access);
@@ -305,11 +414,23 @@ impl LlcRecording {
     }
 
     /// Whether event `index` reaches the LLC (a demand access serviced
-    /// there, or a prefetch fill) — one flag-byte read, for lookahead
+    /// there, or a prefetch fill) — one event-word read, for lookahead
     /// scans over emission order.
     #[inline]
     pub fn reaches_llc(&self, index: usize) -> bool {
-        (self.flags[index] & LEVEL_MASK) >> LEVEL_SHIFT == ServiceLevel::Llc.encode()
+        self.events[index] & LEVEL_MASK == u32::from(ServiceLevel::Llc.encode()) << LEVEL_SHIFT
+    }
+
+    /// Heap bytes the recording holds: its event words, addresses,
+    /// LLC-order index, PC table and name. Once [`Self::record`]
+    /// returns, every vector is sized exactly, so this is 12 bytes per
+    /// event plus 4 per LLC event, plus the PC table and the name.
+    pub fn heap_bytes(&self) -> usize {
+        self.events.capacity() * std::mem::size_of::<u32>()
+            + self.addresses.capacity() * std::mem::size_of::<u64>()
+            + self.llc_events.capacity() * std::mem::size_of::<u32>()
+            + self.pc_table.heap_bytes()
+            + self.name.capacity()
     }
 
     // --- recording hooks driven by `CorePrivate::access_recorded` ---
@@ -319,25 +440,42 @@ impl LlcRecording {
     /// logged during the same access, matching the order a real LLC
     /// would see).
     pub(crate) fn set_level(&mut self, index: usize, level: ServiceLevel) {
-        self.flags[index] = (self.flags[index] & !LEVEL_MASK) | (level.encode() << LEVEL_SHIFT);
+        let word = &mut self.events[index];
+        *word = (*word & !LEVEL_MASK) | (u32::from(level.encode()) << LEVEL_SHIFT);
         if level == ServiceLevel::Llc {
-            self.llc_events.push(index as u32);
+            self.push_llc_event(index);
         }
     }
 
-    fn push_raw(&mut self, access: &MemoryAccess, extra_flags: u8) {
-        self.pcs.push(access.pc);
-        self.addresses.push(access.address);
-        self.cores.push(access.core);
-        let mut flags = extra_flags;
+    fn push_llc_event(&mut self, index: usize) {
+        let index = u32::try_from(index).expect("a recording holds at most 2^32 events");
+        self.llc_events.push(index);
+    }
+
+    /// Appends one event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `access.core` is 8 or above, or if `access.pc` would be
+    /// the recording's 65,537th distinct PC.
+    fn push_raw(&mut self, access: &MemoryAccess, extra_flags: u32) {
+        assert!(
+            access.core < MAX_CORES,
+            "core {} does not fit a recording's 3-bit core field",
+            access.core
+        );
+        let mut word = extra_flags
+            | u32::from(access.non_memory_before)
+            | u32::from(access.core) << CORE_SHIFT
+            | self.pc_table.intern(access.pc) << PC_SHIFT;
         if access.kind == AccessKind::Store {
-            flags |= FLAG_STORE;
+            word |= FLAG_STORE;
         }
         if access.dependent {
-            flags |= FLAG_DEPENDENT;
+            word |= FLAG_DEPENDENT;
         }
-        self.flags.push(flags);
-        self.gaps.push(access.non_memory_before);
+        self.events.push(word);
+        self.addresses.push(access.address);
     }
 }
 
@@ -351,12 +489,12 @@ impl LlcSink for LlcRecording {
     }
 
     fn prefetch_fill(&mut self, pf: &MemoryAccess) {
-        let index = self.pcs.len();
+        let index = self.len();
         self.push_raw(
             pf,
-            FLAG_PREFETCH | (ServiceLevel::Llc.encode() << LEVEL_SHIFT),
+            FLAG_PREFETCH | (u32::from(ServiceLevel::Llc.encode()) << LEVEL_SHIFT),
         );
-        self.llc_events.push(index as u32);
+        self.push_llc_event(index);
     }
 
     fn l1_miss(&mut self, _block: u64) {}
@@ -404,7 +542,13 @@ mod tests {
         }
     }
 
-    fn full_sim_llc_log(workload_index: usize, seed: u64, instructions: u64) -> Vec<(u64, bool)> {
+    /// The LLC log of a full simulation over `warmup` then `measure`
+    /// instructions of `trace`, with `record`'s two advance loops.
+    fn full_sim_llc_log(
+        mut trace: impl Iterator<Item = MemoryAccess>,
+        warmup: u64,
+        measure: u64,
+    ) -> Vec<(u64, bool)> {
         let config = HierarchyConfig::single_thread();
         let log = Arc::new(Mutex::new(Vec::new()));
         let policy = LoggingLru {
@@ -412,15 +556,60 @@ mod tests {
             log: log.clone(),
         };
         let mut h = Hierarchy::new(config, Box::new(policy));
-        let mut retired = 0u64;
-        let mut trace = workloads::suite()[workload_index].trace(seed);
-        while retired < instructions {
-            let access = trace.next().expect("infinite");
-            h.access(&access);
-            retired += access.instructions();
+        for window in [warmup, measure] {
+            let mut retired = 0u64;
+            while retired < window {
+                let access = trace.next().expect("infinite");
+                h.access(&access);
+                retired += access.instructions();
+            }
         }
         let log = log.lock().expect("test log");
         log.clone()
+    }
+
+    fn suite_trace(workload_index: usize, seed: u64) -> impl Iterator<Item = MemoryAccess> {
+        workloads::suite()[workload_index].trace(seed)
+    }
+
+    /// A SplitMix64-driven stream covering every field's range: loads
+    /// and stores, dependent and not, gaps 0, 255 and below 8, cores
+    /// 0..=3, 300 distinct PCs, and sequential runs (which train the
+    /// prefetcher) mixed with hot-set and scattered addresses.
+    fn splitmix_stream(seed: u64) -> impl Iterator<Item = MemoryAccess> {
+        let mut state = seed;
+        let mut cursor = 0u64;
+        std::iter::from_fn(move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut r = state;
+            r = (r ^ (r >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            r = (r ^ (r >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            r ^= r >> 31;
+            let address = match r % 3 {
+                0 => {
+                    cursor += 64;
+                    (1 << 32) + cursor
+                }
+                1 => (r >> 8) % 2048 * 64,
+                _ => (r >> 8) & ((1 << 34) - 1),
+            };
+            Some(MemoryAccess {
+                pc: 0x40_0000 + (r >> 16) % 300 * 4,
+                address,
+                core: ((r >> 40) % 4) as u8,
+                kind: if r >> 43 & 1 == 1 {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                },
+                non_memory_before: match (r >> 44) % 16 {
+                    0 => 255,
+                    1..=7 => 0,
+                    _ => (r >> 48) as u8 % 8,
+                },
+                dependent: r >> 47 & 1 == 1,
+            })
+        })
     }
 
     fn small_recording(workload_index: usize) -> LlcRecording {
@@ -449,7 +638,7 @@ mod tests {
                     40_000,
                 )
             };
-            let truth = full_sim_llc_log(workload_index, 3, 40_000);
+            let truth = full_sim_llc_log(suite_trace(workload_index, 3), 0, 40_000);
             let recorded: Vec<(u64, bool)> = rec
                 .llc_events
                 .iter()
@@ -502,7 +691,7 @@ mod tests {
             Box::new(Lru::new(config.sets(), config.associativity())),
         );
         rec.replay_llc(&mut cache);
-        let log = full_sim_llc_log(0, 3, 40_000);
+        let log = full_sim_llc_log(suite_trace(0, 3), 0, 40_000);
         assert_eq!(
             cache.stats().demand_accesses()
                 + cache.stats().prefetch_hits
@@ -533,13 +722,105 @@ mod tests {
 
     #[test]
     fn llc_blocks_follow_llc_order() {
-        let rec = small_recording(0);
-        let blocks = rec.llc_blocks();
-        assert_eq!(blocks.len(), rec.llc_len());
-        let truth: Vec<u64> = full_sim_llc_log(0, 3, 40_000)
-            .iter()
-            .map(|&(b, _)| b)
+        let config = HierarchyConfig::single_thread();
+        let (warmup, measure) = (15_000, 40_000);
+        for (rec, truth) in [
+            (
+                LlcRecording::record("suite", suite_trace(0, 3), &config, warmup, measure),
+                full_sim_llc_log(suite_trace(0, 3), warmup, measure),
+            ),
+            (
+                LlcRecording::record("splitmix", splitmix_stream(11), &config, warmup, measure),
+                full_sim_llc_log(splitmix_stream(11), warmup, measure),
+            ),
+        ] {
+            assert!(rec.warmup_events() > 0);
+            let blocks = rec.llc_blocks();
+            assert_eq!(blocks.len(), rec.llc_len());
+            let truth: Vec<u64> = truth.iter().map(|&(b, _)| b).collect();
+            assert_eq!(blocks, truth, "{}", rec.name());
+        }
+    }
+
+    #[test]
+    fn recording_returns_every_demand_access_field_for_field() {
+        let rec = LlcRecording::record(
+            "splitmix",
+            splitmix_stream(5),
+            &HierarchyConfig::single_thread(),
+            5_000,
+            60_000,
+        );
+        let demands: Vec<MemoryAccess> = (0..rec.len())
+            .filter(|&i| !rec.is_prefetch(i))
+            .map(|i| rec.access_at(i))
             .collect();
-        assert_eq!(blocks, truth);
+        assert!(
+            demands.len() < rec.len(),
+            "the stream must train prefetches"
+        );
+        let expected: Vec<MemoryAccess> = splitmix_stream(5).take(demands.len()).collect();
+        assert_eq!(demands, expected);
+        // The stream reached every field's extremes.
+        assert!(rec.pc_table.pcs.len() > 256);
+        assert!((0..4).all(|core| demands.iter().any(|a| a.core == core)));
+        for gap in [0, 255] {
+            assert!(demands.iter().any(|a| a.non_memory_before == gap));
+        }
+        assert!(demands.iter().any(|a| a.kind == AccessKind::Store));
+        assert!(demands.iter().any(|a| a.kind == AccessKind::Load));
+        assert!(demands.iter().any(|a| a.dependent));
+        assert!(demands.iter().any(|a| !a.dependent));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a recording's 3-bit core field")]
+    fn core_eight_is_rejected() {
+        let access = MemoryAccess {
+            core: 8,
+            ..MemoryAccess::load(0x40_0000, 0)
+        };
+        LlcRecording::record(
+            "core8",
+            std::iter::repeat(access),
+            &HierarchyConfig::single_thread(),
+            0,
+            100,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a recording names at most 65536 distinct PCs")]
+    fn pc_beyond_the_16_bit_index_is_rejected() {
+        let trace = (0u64..).map(|i| MemoryAccess {
+            non_memory_before: 0,
+            ..MemoryAccess::load(0x40_0000 + 4 * i, 64 * (i % 512))
+        });
+        LlcRecording::record("pcs", trace, &HierarchyConfig::single_thread(), 0, 70_000);
+    }
+
+    #[test]
+    fn suite_recordings_are_sized_exactly() {
+        for workload_index in [0, 4, 10, 20] {
+            let suite = workloads::suite();
+            let w = &suite[workload_index];
+            let rec = LlcRecording::record(
+                w.name(),
+                w.trace(3),
+                &HierarchyConfig::single_thread(),
+                10_000,
+                40_000,
+            );
+            let bound =
+                12 * rec.len() + 4 * rec.llc_len() + 8 * rec.pc_table.pcs.len() + rec.name().len();
+            assert!(
+                rec.heap_bytes() <= bound,
+                "{}: {} heap bytes for {} events ({} at the LLC), bound {bound}",
+                w.name(),
+                rec.heap_bytes(),
+                rec.len(),
+                rec.llc_len()
+            );
+        }
     }
 }

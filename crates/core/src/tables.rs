@@ -34,8 +34,6 @@ pub struct WeightTables {
     arena: usize,
     /// Arena start of each table, plus a final sentinel (= arena length).
     bases: Vec<u32>,
-    weight_min: i8,
-    weight_max: i8,
 }
 
 /// Applies a packed training-event buffer to an i8 weight arena: events
@@ -63,20 +61,9 @@ pub fn apply_events_i8(weights: &mut [i8], events: &[u32], min: i8, max: i8) {
 
 impl WeightTables {
     /// Allocates zeroed tables sized by each feature's
-    /// [`Feature::table_size`], with the paper's 6-bit weight range.
+    /// [`Feature::table_size`], with the paper's 6-bit weight range
+    /// ([`WEIGHT_MIN`]..=[`WEIGHT_MAX`]).
     pub fn new(features: &[Feature]) -> Self {
-        WeightTables::with_weight_bits(features, 6)
-    }
-
-    /// Allocates tables with `bits`-wide signed weights ([`Self::new`]
-    /// uses the paper's 6).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is outside `2..=8`.
-    pub fn with_weight_bits(features: &[Feature], bits: u32) -> Self {
-        assert!((2..=8).contains(&bits), "weight bits must be 2..=8");
-        let half = 1i16 << (bits - 1);
         let mut bases = Vec::with_capacity(features.len() + 1);
         let mut total = 0u32;
         for f in features {
@@ -92,8 +79,6 @@ impl WeightTables {
             weights: vec![0i8; total as usize + GATHER_PAD],
             arena: total as usize,
             bases,
-            weight_min: (-half) as i8,
-            weight_max: (half - 1) as i8,
         }
     }
 
@@ -121,11 +106,6 @@ impl WeightTables {
     /// what [`crate::plan::FeaturePlan::predict`] gathers from.
     pub fn padded_arena(&self) -> &[i8] {
         &self.weights
-    }
-
-    /// The `(min, max)` saturation bounds of these tables.
-    pub fn weight_bounds(&self) -> (i8, i8) {
-        (self.weight_min, self.weight_max)
     }
 
     /// Reads the weight selected by `index` in `table`.
@@ -167,8 +147,8 @@ impl WeightTables {
     pub fn increment_at(&mut self, offset: u16) {
         debug_assert!(usize::from(offset) < self.arena, "offset beyond arena");
         let w = &mut self.weights[usize::from(offset)];
-        *w = (*w).saturating_add(1).min(self.weight_max);
-        debug_assert!(*w >= self.weight_min && *w <= self.weight_max);
+        *w = (*w).saturating_add(1).min(WEIGHT_MAX);
+        debug_assert!(*w >= WEIGHT_MIN && *w <= WEIGHT_MAX);
     }
 
     /// Saturating decrement of the weight at a precombined arena offset.
@@ -176,8 +156,8 @@ impl WeightTables {
     pub fn decrement_at(&mut self, offset: u16) {
         debug_assert!(usize::from(offset) < self.arena, "offset beyond arena");
         let w = &mut self.weights[usize::from(offset)];
-        *w = (*w).saturating_sub(1).max(self.weight_min);
-        debug_assert!(*w >= self.weight_min && *w <= self.weight_max);
+        *w = (*w).saturating_sub(1).max(WEIGHT_MIN);
+        debug_assert!(*w >= WEIGHT_MIN && *w <= WEIGHT_MAX);
     }
 
     /// Applies a packed SoA training-event buffer (words of
@@ -194,7 +174,7 @@ impl WeightTables {
                 .all(|&e| ((e >> 1) as usize & 0xffff) < self.arena),
             "event offset beyond arena"
         );
-        apply_events_i8(&mut self.weights, events, self.weight_min, self.weight_max);
+        apply_events_i8(&mut self.weights, events, WEIGHT_MIN, WEIGHT_MAX);
     }
 
     /// Total storage in bits (for the overhead accounting test against the
@@ -290,14 +270,16 @@ mod tests {
     }
 
     #[test]
-    fn narrow_weights_saturate_earlier() {
-        let mut t = WeightTables::with_weight_bits(&features(), 4);
-        for _ in 0..100 {
-            t.increment_at(at(&t, 0, 0));
-            t.decrement_at(at(&t, 1, 0));
-        }
-        assert_eq!(t.weight(0, 0), 7);
-        assert_eq!(t.weight(1, 0), -8);
+    fn applied_events_saturate_at_six_bit_bounds() {
+        use crate::sampler::{event_decrement, event_increment};
+        let mut t = WeightTables::new(&features());
+        let (up, down) = (at(&t, 0, 0), at(&t, 1, 0));
+        let events: Vec<u32> = (0..100)
+            .flat_map(|_| [event_increment(0, up), event_decrement(1, down)])
+            .collect();
+        t.apply_events(&events);
+        assert_eq!((t.weight(0, 0), t.weight(1, 0)), (31, -32));
+        assert_eq!((WEIGHT_MIN, WEIGHT_MAX), (-32, 31));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub fn replay_single(
     // Policies whose `on_core_access` is the no-op default (all but the
     // perceptron family) skip both the per-access hook call and the
     // `MemoryAccess` reconstruction feeding it — the replay loop then
-    // touches only the flag/gap bytes of upper-level-serviced events.
+    // touches only the packed event word of upper-level-serviced events.
     let hook = cache.policy_mut().uses_core_accesses();
 
     // Demand access bound for the LLC, awaiting its prefetch drains.
@@ -70,7 +70,7 @@ pub fn replay_single(
         }
         // Run the tag-row prefetch a fixed window ahead of the serial
         // update loop; only LLC-reaching events cost a lookahead check
-        // beyond one flag byte.
+        // beyond one event word.
         let ahead = index + LlcRecording::REPLAY_LOOKAHEAD;
         if ahead < events && recording.reaches_llc(ahead) {
             cache.prefetch_block(recording.block_at(ahead));

@@ -34,19 +34,28 @@ static RECORDINGS: OnceLock<Memo<Key, Arc<LlcRecording>>> = OnceLock::new();
 /// driver (suite size × the handful of scale presets it touches), so
 /// eviction only engages in long sweeps that would otherwise grow the
 /// cache without bound.
+///
+/// A recording holds 12 bytes per event plus 4 per LLC-reaching event
+/// ([`LlcRecording::heap_bytes`]). At fig6's default 4M warmup / 20M
+/// measure scale (seed 1) a suite member records 5.1–21.5M events and
+/// holds 67–344 MB; the 33-member suite holds 3.4 GB, so 64 recordings
+/// at that scale come to about 6.6 GB. The `recording.memo.bytes` gauge
+/// reports what the cache actually holds.
 pub const DEFAULT_RECORDING_CAP: usize = 64;
 
 /// Current recording-cache bound; 0 means unbounded.
 static RECORDING_CAP: AtomicUsize = AtomicUsize::new(DEFAULT_RECORDING_CAP);
 
-/// Least-recently-used order over cached keys (front = coldest).
-static LRU_ORDER: OnceLock<Mutex<VecDeque<Key>>> = OnceLock::new();
+/// Least-recently-used order over cached keys (front = coldest), each
+/// with its recording's [`LlcRecording::heap_bytes`].
+static LRU_ORDER: OnceLock<Mutex<VecDeque<(Key, usize)>>> = OnceLock::new();
 
 /// Memo telemetry handles, resolved once.
 struct MemoTelemetry {
     hits: mrp_obs::Counter,
     misses: mrp_obs::Counter,
     evictions: mrp_obs::Counter,
+    bytes: mrp_obs::Gauge,
 }
 
 fn memo_telemetry() -> &'static MemoTelemetry {
@@ -55,10 +64,11 @@ fn memo_telemetry() -> &'static MemoTelemetry {
         hits: mrp_obs::counter("recording.memo.hits"),
         misses: mrp_obs::counter("recording.memo.misses"),
         evictions: mrp_obs::counter("recording.memo.evictions"),
+        bytes: mrp_obs::gauge("recording.memo.bytes"),
     })
 }
 
-fn lru_order() -> &'static Mutex<VecDeque<Key>> {
+fn lru_order() -> &'static Mutex<VecDeque<(Key, usize)>> {
     LRU_ORDER.get_or_init(|| Mutex::new(VecDeque::new()))
 }
 
@@ -78,25 +88,27 @@ pub fn set_recording_cap(cap: usize) {
     RECORDING_CAP.store(cap, Ordering::Relaxed);
 }
 
-/// Marks `key` most-recently-used and evicts the coldest keys beyond
-/// the cap. Returns the number of evictions performed.
-fn touch_and_evict(key: Key) -> u64 {
+/// Marks `key` (whose recording holds `bytes`) most-recently-used and
+/// evicts the coldest keys beyond the cap. Returns the number of
+/// evictions performed and the heap bytes the cached recordings hold
+/// afterwards.
+fn touch_and_evict(key: Key, bytes: usize) -> (u64, usize) {
     let cap = recording_cap();
     let mut order = lru_order().lock().expect("recording LRU poisoned");
-    if let Some(pos) = order.iter().position(|k| *k == key) {
+    if let Some(pos) = order.iter().position(|(k, _)| *k == key) {
         order.remove(pos);
     }
-    order.push_back(key);
+    order.push_back((key, bytes));
     let mut evicted = 0;
     if cap > 0 {
         while order.len() > cap {
-            let coldest = order.pop_front().expect("len > cap > 0");
+            let (coldest, _) = order.pop_front().expect("len > cap > 0");
             if memo().remove(&coldest) {
                 evicted += 1;
             }
         }
     }
-    evicted
+    (evicted, order.iter().map(|(_, b)| b).sum())
 }
 
 /// The shared recording of `workload` at `(seed, warmup, measure)`,
@@ -104,7 +116,9 @@ fn touch_and_evict(key: Key) -> u64 {
 ///
 /// The cache is LRU-bounded by [`recording_cap`]; hits, misses, and
 /// evictions are surfaced through `mrp_obs` as
-/// `recording.memo.{hits,misses,evictions}` when telemetry is enabled.
+/// `recording.memo.{hits,misses,evictions}` when telemetry is enabled,
+/// and the heap bytes of the cached recordings as the
+/// `recording.memo.bytes` gauge.
 pub fn recording_for(
     workload: &Workload,
     seed: u64,
@@ -128,7 +142,9 @@ pub fn recording_for(
     } else {
         tel.misses.incr();
     }
-    tel.evictions.add(touch_and_evict(key));
+    let (evicted, bytes) = touch_and_evict(key, recording.heap_bytes());
+    tel.evictions.add(evicted);
+    tel.bytes.set(bytes as i64);
     recording
 }
 
@@ -165,6 +181,7 @@ pub fn cached_recordings() -> usize {
 pub fn clear_recordings() {
     memo().clear();
     lru_order().lock().expect("recording LRU poisoned").clear();
+    memo_telemetry().bytes.set(0);
 }
 
 #[cfg(test)]

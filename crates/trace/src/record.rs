@@ -117,7 +117,7 @@ pub enum ServiceLevel {
 }
 
 impl ServiceLevel {
-    /// Two-bit encoding packed into a recording's per-event flag byte.
+    /// Two-bit encoding packed into a recording's per-event word.
     #[inline]
     pub fn encode(self) -> u8 {
         match self {

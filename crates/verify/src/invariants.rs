@@ -8,7 +8,7 @@
 //! under the CI debug-assertions job.
 
 use mrp_cache::{Cache, CacheStats};
-use mrp_core::tables::WeightTables;
+use mrp_core::tables::{WeightTables, WEIGHT_MAX, WEIGHT_MIN};
 
 use crate::reference::ReferenceCache;
 
@@ -90,10 +90,10 @@ pub fn check_min_bound(policy_misses: u64, min_misses: u64) -> Result<(), String
     }
 }
 
-/// Checks every weight in the arena against the tables' configured
+/// Checks every weight in the arena against the paper's 6-bit
 /// saturation bounds.
 pub fn check_weight_bounds(tables: &WeightTables) -> Result<(), String> {
-    let (min, max) = tables.weight_bounds();
+    let (min, max) = (WEIGHT_MIN, WEIGHT_MAX);
     for table in 0..tables.len() {
         let size = tables.base(table + 1) - tables.base(table);
         for index in 0..size {

@@ -26,7 +26,7 @@
 
 use mrp_core::context::{FeatureContext, HISTORY_DEPTH};
 use mrp_core::simd::{self, GATHER_PAD};
-use mrp_core::tables::WeightTables;
+use mrp_core::tables::{WeightTables, WEIGHT_MAX, WEIGHT_MIN};
 use mrp_core::{Feature, FeaturePlan};
 use mrp_runtime::map_indexed;
 
@@ -113,7 +113,7 @@ fn reference_confidence(
 /// Drives every weight in the arena to a random value within the
 /// saturation bounds, so confidence sums exercise mixed-sign weights.
 fn randomize_weights(tables: &mut WeightTables, rng: &mut SplitMix) {
-    let (min, max) = tables.weight_bounds();
+    let (min, max) = (WEIGHT_MIN, WEIGHT_MAX);
     let span = i64::from(max) - i64::from(min) + 1;
     for offset in 0..tables.arena_len() {
         let target = i64::from(min) + rng.below(span as u64) as i64;
@@ -317,7 +317,7 @@ mod tests {
         let mut tables = WeightTables::new(&features);
         let mut rng = SplitMix::new(99);
         randomize_weights(&mut tables, &mut rng);
-        let (min, max) = tables.weight_bounds();
+        let (min, max) = (WEIGHT_MIN, WEIGHT_MAX);
         let weights: Vec<i8> = (0..tables.arena_len())
             .map(|o| {
                 let t = features

@@ -336,7 +336,7 @@ proptest! {
         // per-table weight sum, on randomized weight arenas.
         let plan = mrp_core::FeaturePlan::new(&features);
         let mut tables = mrp_core::tables::WeightTables::new(&features);
-        let (min, max) = tables.weight_bounds();
+        let (min, max) = (mrp_core::tables::WEIGHT_MIN, mrp_core::tables::WEIGHT_MAX);
         let span = (i32::from(max) - i32::from(min) + 1) as u64;
         let mut state = weight_seed;
         for offset in 0..tables.arena_len() {

@@ -1,6 +1,8 @@
-//! LRU bound on the process-global recording memo. Isolated in its own
-//! test binary: shrinking the cap is process-wide and would race any
-//! parallel test that relies on memoized recordings staying resident.
+//! LRU bound on the process-global recording memo, and the
+//! `recording.memo.bytes` gauge tracking what it holds. Isolated in its
+//! own test binary: shrinking the cap and switching telemetry on are
+//! process-wide and would race any parallel test that relies on
+//! memoized recordings staying resident.
 
 use std::sync::Arc;
 
@@ -13,6 +15,8 @@ use mrp_trace::workloads;
 #[test]
 fn recording_memo_is_lru_bounded() {
     assert_eq!(recording_cap(), DEFAULT_RECORDING_CAP);
+    mrp_obs::set_enabled(true);
+    let memo_bytes = mrp_obs::gauge("recording.memo.bytes");
     clear_recordings();
     set_recording_cap(2);
 
@@ -20,12 +24,16 @@ fn recording_memo_is_lru_bounded() {
     let w = &suite[0];
     // Distinct seeds -> distinct keys; tiny windows keep this fast.
     let first = recording_for(w, 0xA110, 500, 2_000);
-    let _second = recording_for(w, 0xA111, 500, 2_000);
+    let second = recording_for(w, 0xA111, 500, 2_000);
     assert_eq!(cached_recordings(), 2);
+    let held = first.heap_bytes() + second.heap_bytes();
+    assert_eq!(memo_bytes.get(), held as i64);
 
     // Third insertion evicts the coldest key (the first).
-    let _third = recording_for(w, 0xA112, 500, 2_000);
+    let third = recording_for(w, 0xA112, 500, 2_000);
     assert_eq!(cached_recordings(), 2, "cap must bound the cache");
+    let held = second.heap_bytes() + third.heap_bytes();
+    assert_eq!(memo_bytes.get(), held as i64, "eviction must release bytes");
 
     // Re-requesting the evicted key re-records rather than reusing.
     let first_again = recording_for(w, 0xA110, 500, 2_000);
@@ -53,4 +61,5 @@ fn recording_memo_is_lru_bounded() {
 
     set_recording_cap(DEFAULT_RECORDING_CAP);
     clear_recordings();
+    assert_eq!(memo_bytes.get(), 0);
 }
