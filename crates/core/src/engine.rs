@@ -18,7 +18,7 @@
 //! stream as a legacy loop lands on bit-identical state (held to that by
 //! the facade-equivalence tests in `mrp-experiments`).
 
-use mrp_cache::{AccessResult, Cache, CacheConfig, CacheStats, LlcRecording, ReplacementPolicy};
+use mrp_cache::{AccessResult, Cache, CacheConfig, CacheStats, ReplacementPolicy};
 use mrp_trace::MemoryAccess;
 
 use crate::options::RuntimeOptions;
@@ -34,7 +34,7 @@ type PolicyFactory = Box<dyn FnOnce(&CacheConfig) -> Box<dyn ReplacementPolicy +
 /// ```ignore
 /// let mut engine = EngineConfig::new(CacheConfig::llc_single())
 ///     .policy_with(|llc| Box::new(Mpppb::new(MpppbConfig::single_thread(llc), llc)))
-///     .options(RuntimeOptions::default())
+///     .options(RuntimeOptions::default().no_simd(true))
 ///     .label("tenant-0")
 ///     .build();
 /// let decisions = engine.submit_batch(&accesses);
@@ -42,7 +42,7 @@ type PolicyFactory = Box<dyn FnOnce(&CacheConfig) -> Box<dyn ReplacementPolicy +
 pub struct EngineConfig {
     llc: CacheConfig,
     policy: Option<PolicyFactory>,
-    options: RuntimeOptions,
+    options: Option<RuntimeOptions>,
     label: String,
     track_confidence: bool,
 }
@@ -53,7 +53,7 @@ impl EngineConfig {
         EngineConfig {
             llc,
             policy: None,
-            options: RuntimeOptions::default(),
+            options: None,
             label: String::new(),
             track_confidence: false,
         }
@@ -77,9 +77,10 @@ impl EngineConfig {
     }
 
     /// Installs these [`RuntimeOptions`] process-wide when the engine is
-    /// built (default: defer everything to the environment).
+    /// built. Without this call the build leaves the process-wide options
+    /// as they are, so a driver's `--no-simd` stays pinned.
     pub fn options(mut self, options: RuntimeOptions) -> Self {
-        self.options = options;
+        self.options = Some(options);
         self
     }
 
@@ -97,14 +98,17 @@ impl EngineConfig {
         self
     }
 
-    /// Constructs the engine: installs the runtime options, builds the
-    /// policy against the geometry, and wires up telemetry.
+    /// Constructs the engine: installs the runtime options given to
+    /// [`options`](EngineConfig::options), if any, builds the policy
+    /// against the geometry, and wires up telemetry.
     ///
     /// # Panics
     ///
     /// Panics if no policy was configured.
     pub fn build(self) -> PredictionEngine {
-        self.options.install();
+        if let Some(options) = self.options {
+            options.install();
+        }
         let factory = self
             .policy
             .expect("EngineConfig::build: no policy configured (use .policy / .policy_with)");
@@ -196,13 +200,6 @@ impl PredictionEngine {
         self.processed += tally.processed;
         self.decisions.merge(&tally);
         tally
-    }
-
-    /// Replays a recorded LLC stream through this engine — the exact
-    /// filtered-stream protocol (lookahead prefetches, core-stream
-    /// delivery) of `LlcRecording::replay_llc`.
-    pub fn replay(&mut self, recording: &LlcRecording) {
-        recording.replay_llc(&mut self.llc);
     }
 
     /// A point-in-time statistics snapshot.

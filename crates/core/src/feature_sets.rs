@@ -121,10 +121,11 @@ pub fn table_2() -> Vec<Feature> {
 }
 
 /// Suite-tuned feature set A, derived with the paper's §5 methodology
-/// (random search + hill climbing, two-fold cross-validation) on *this
-/// repository's* workload suite by the `derive_features` binary — the
-/// analogue of Table 1(a), which was derived on SPEC CPU 2006 +
-/// CloudSuite and does not transfer to a different workload population.
+/// (hill climbing alternated with threshold search, two-fold
+/// cross-validation) on *this repository's* workload suite by the
+/// `co_tune` binary (`--half a`) — the analogue of Table 1(a), which was
+/// derived on SPEC CPU 2006 + CloudSuite and does not transfer to a
+/// different workload population.
 pub fn suite_tuned_a() -> Vec<Feature> {
     vec![
         bias(11, 1),

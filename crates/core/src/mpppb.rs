@@ -77,9 +77,9 @@ impl MpppbConfig {
     /// The single-thread configuration: suite-tuned features over static
     /// MDPP with 64 sampled sets.
     ///
-    /// Thresholds/positions come from the §5.5 search reproduced by the
-    /// `tune_thresholds` binary; the feature set from the §5.2 search
-    /// reproduced by `derive_features` (the paper's published Table 1
+    /// Features, thresholds and positions come from the `co_tune` binary,
+    /// which alternates the §5.5 threshold search with §5.1 feature hill
+    /// climbing on cross-validation half A (the paper's published Table 1
     /// sets are available as [`feature_sets::table_1a`]/[`table_1b`] and
     /// were developed for SPEC, not this suite — see DESIGN.md).
     ///

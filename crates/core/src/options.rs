@@ -99,6 +99,8 @@ impl RuntimeOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrp_cache::policies::Lru;
+    use mrp_cache::CacheConfig;
 
     #[test]
     fn builders_set_fields() {
@@ -120,6 +122,11 @@ mod tests {
     #[test]
     fn install_pins_simd_to_scalar() {
         RuntimeOptions::default().no_simd(true).install();
+        assert_eq!(simd::level(), simd::SimdLevel::Scalar);
+        // An engine built without `.options()` must leave the pin alone.
+        let _engine = crate::EngineConfig::new(CacheConfig::llc_single())
+            .policy_with(|llc| Box::new(Lru::new(llc.sets(), llc.associativity())))
+            .build();
         assert_eq!(simd::level(), simd::SimdLevel::Scalar);
         RuntimeOptions::default().install();
         assert_eq!(simd::level(), simd::env_level());

@@ -20,6 +20,10 @@ pub const WEIGHT_MIN: i8 = -32;
 /// Upper weight bound (inclusive).
 pub const WEIGHT_MAX: i8 = 31;
 
+/// Width of one modeled weight: [`WEIGHT_MIN`]..=[`WEIGHT_MAX`] is the
+/// signed 6-bit range.
+pub const WEIGHT_BITS: u32 = 6;
+
 /// One saturating weight table per feature, flattened into a single arena.
 ///
 /// The backing vector is allocated [`GATHER_PAD`] entries past the
@@ -180,8 +184,8 @@ impl WeightTables {
     /// Total storage in bits (for the overhead accounting test against the
     /// paper's §4.4 numbers). Counts the logical arena only — the gather
     /// pad is an implementation artifact, not modeled hardware.
-    pub fn storage_bits(&self, weight_bits: u32) -> u64 {
-        self.arena as u64 * u64::from(weight_bits)
+    pub fn storage_bits(&self) -> u64 {
+        self.arena as u64 * u64::from(WEIGHT_BITS)
     }
 }
 
@@ -286,7 +290,11 @@ mod tests {
     fn storage_accounting() {
         let t = WeightTables::new(&features());
         // bias: 1 entry, burst: 2, pc: 256 => 259 weights x 6 bits.
-        assert_eq!(t.storage_bits(6), 259 * 6);
+        assert_eq!(t.storage_bits(), 259 * 6);
+        assert_eq!(
+            1i32 << WEIGHT_BITS,
+            i32::from(WEIGHT_MAX) - i32::from(WEIGHT_MIN) + 1
+        );
         // The gather pad is excluded from the modeled arena.
         assert_eq!(t.arena_len(), 259);
     }

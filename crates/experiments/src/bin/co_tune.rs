@@ -8,35 +8,15 @@
 //! [--instructions N] [--seed N] [--half a|b] [--threads N]
 //! [--metrics] [--manifest-dir DIR]`
 
-use mrp_cache::Cache;
-use mrp_core::mpppb::{Mpppb, MpppbConfig};
-use mrp_core::{feature_sets, Feature, FeatureKind};
+use mrp_core::feature_sets;
+use mrp_core::mpppb::MpppbConfig;
 use mrp_search::{crossval, FastEvaluator, HillClimber};
 use mrp_trace::workloads;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use mrp_experiments::{finish_manifest, Args};
+use mrp_experiments::{finish_manifest, Args, SPLIT_SEED};
 use mrp_obs::Json;
-
-const EPS: f64 = 0.05;
-
-/// Fixed cross-validation split seed, shared with the reporting side
-/// (`mrp_experiments::single_thread` uses the same constant so features
-/// tuned on one half are only reported on the other).
-const SPLIT_SEED: u64 = 17;
-
-fn ratio(evaluator: &FastEvaluator, config: &MpppbConfig) -> f64 {
-    let llc = *evaluator.llc();
-    let lru = evaluator.lru_mpkis();
-    // Traces replay in parallel, each against its own policy instance;
-    // the sum reduces in trace order so the result matches the serial loop.
-    let ratios = mrp_runtime::map_indexed(evaluator.traces().len(), |i| {
-        let mut cache = Cache::new(llc, Box::new(Mpppb::new(config.clone(), &llc)));
-        (evaluator.traces()[i].replay(&mut cache) + EPS) / (lru[i] + EPS)
-    });
-    ratios.iter().sum::<f64>() / ratios.len() as f64
-}
 
 fn search_thresholds(
     evaluator: &FastEvaluator,
@@ -70,10 +50,10 @@ fn search_thresholds(
             config
         })
         .collect();
-    let scores = mrp_runtime::par_map(&candidates, |c| ratio(evaluator, c));
+    let scores = mrp_runtime::par_map(&candidates, |c| evaluator.evaluate_config(c).1);
 
     let mut best = base.clone();
-    let mut best_score = ratio(evaluator, base);
+    let mut best_score = evaluator.evaluate_config(base).1;
     for (config, &score) in candidates.iter().zip(&scores) {
         if score < best_score {
             best_score = score;
@@ -81,25 +61,6 @@ fn search_thresholds(
         }
     }
     (best, best_score)
-}
-
-fn feature_code(f: &Feature) -> String {
-    let x = u8::from(f.xor_pc);
-    match f.kind {
-        FeatureKind::Pc { begin, end, which } => {
-            format!("pc({}, {}, {}, {}, {})", f.assoc, begin, end, which, x)
-        }
-        FeatureKind::Address { begin, end } => {
-            format!("address({}, {}, {}, {})", f.assoc, begin, end, x)
-        }
-        FeatureKind::Bias => format!("bias({}, {})", f.assoc, x),
-        FeatureKind::Burst => format!("burst({}, {})", f.assoc, x),
-        FeatureKind::Insert => format!("insert({}, {})", f.assoc, x),
-        FeatureKind::LastMiss => format!("lastmiss({}, {})", f.assoc, x),
-        FeatureKind::Offset { begin, end } => {
-            format!("offset({}, {}, {}, {})", f.assoc, begin, end, x)
-        }
-    }
 }
 
 fn main() {
@@ -149,7 +110,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc07e);
     eprintln!(
         "[co_tune:{half}] seed ratio {:.4}",
-        ratio(&evaluator, &config)
+        evaluator.evaluate_config(&config).1
     );
 
     for round in 0..rounds {
@@ -179,11 +140,11 @@ fn main() {
         }
     }
 
-    let final_score = ratio(&evaluator, &config);
+    let final_score = evaluator.evaluate_config(&config).1;
     println!("// co-tuned on suite half {half}: ratio {final_score:.4}");
     println!("pub fn suite_tuned_{half}() -> Vec<Feature> {{\n    vec![");
     for f in &config.features {
-        println!("        {},", feature_code(f));
+        println!("        {f},");
     }
     println!("    ]\n}}");
     println!("bypass_threshold: {}", config.bypass_threshold);

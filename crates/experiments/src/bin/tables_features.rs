@@ -24,7 +24,7 @@ fn describe(
         .sum();
     let rows: Vec<Vec<String>> = features.iter().map(|f| vec![f.to_string()]).collect();
     sink.table(key, &["feature"], &rows);
-    let storage_kb = tables.storage_bits(6) as f64 / 8192.0;
+    let storage_kb = tables.storage_bits() as f64 / 8192.0;
     sink.scalar(
         &format!("{key}.index_bits"),
         index_bits as f64,

@@ -17,39 +17,12 @@
 //! agree bit for bit on IPC, MPKI, cycles, and every hierarchy counter.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use mrp_cache::CacheConfig;
-use mrp_experiments::{finish_manifest, Args, PolicyKind};
+use mrp_experiments::policies::{spec, ALL_POLICIES};
+use mrp_experiments::{finish_manifest, Args};
 use mrp_obs::Json;
 use mrp_trace::workloads;
 use mrp_verify::{run_replay_check, run_verification, PolicySpec, VerifyConfig};
-
-/// Every policy the experiments register, in CLI naming.
-const ALL_POLICIES: [&str; 13] = [
-    "lru",
-    "random",
-    "plru",
-    "srrip",
-    "drrip",
-    "mdpp",
-    "ship",
-    "sdbp",
-    "perceptron",
-    "mpppb",
-    "mpppb-srrip",
-    "mpppb-adaptive",
-    "hawkeye",
-];
-
-fn spec(name: &str) -> PolicySpec {
-    if name == "hawkeye" {
-        return PolicySpec::new(name, Arc::new(|llc: &CacheConfig| PolicyKind::hawkeye(llc)));
-    }
-    let kind = PolicyKind::from_name(name)
-        .unwrap_or_else(|| panic!("unknown policy {name:?}; known: {ALL_POLICIES:?}"));
-    PolicySpec::new(name, Arc::new(move |llc: &CacheConfig| kind.build(llc)))
-}
 
 fn main() -> ExitCode {
     let args = Args::parse();

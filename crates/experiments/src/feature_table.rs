@@ -8,12 +8,12 @@
 //! Table 1(b) feature set as the paper does, on the fast MPKI evaluator.
 
 use mrp_core::{feature_sets, Feature};
-use mrp_search::LlcTrace;
+use mrp_search::replay_mpki;
 use mrp_trace::workloads;
 
+use mrp_cache::replay::LlcRecording;
 use mrp_cache::CacheConfig;
 use mrp_core::mpppb::{Mpppb, MpppbConfig};
-use mrp_core::EngineConfig;
 
 /// One row of the Table 3 reproduction.
 #[derive(Debug, Clone)]
@@ -44,31 +44,25 @@ pub fn run(workload_count: usize, instructions: u64, seed: u64) -> Vec<Contribut
     // at the same parameters reuses the streams.
     let selected = &suite[..count];
     crate::recording::prerecord(selected, seed, 0, instructions);
-    let traces: Vec<LlcTrace> = selected
+    let recordings: Vec<_> = selected
         .iter()
-        .map(|w| {
-            LlcTrace::from_recording(crate::recording::recording_for(w, seed, 0, instructions))
-        })
+        .map(|w| crate::recording::recording_for(w, seed, 0, instructions))
         .collect();
 
-    let evaluate = |features: &[Feature], trace: &LlcTrace| -> f64 {
+    let evaluate = |features: &[Feature], recording: &LlcRecording| -> f64 {
         let config = base.clone().with_features(features.to_vec());
-        let mut engine = EngineConfig::new(llc)
-            .policy_with(move |llc| Box::new(Mpppb::new(config, llc)))
-            .label("table3")
-            .build();
-        trace.replay(engine.cache_mut())
+        replay_mpki(recording, llc, Box::new(Mpppb::new(config, &llc)))
     };
 
     // MPKI with the full set, per workload.
-    let full: Vec<f64> = mrp_runtime::par_map(&traces, |t| evaluate(&features, t));
+    let full: Vec<f64> = mrp_runtime::par_map(&recordings, |r| evaluate(&features, r));
 
     // One replay job per (feature × workload) leave-one-out cell.
     let cells: Vec<f64> = mrp_runtime::map_indexed(features.len() * count, |job| {
         let (fi, ti) = (job / count, job % count);
         let mut reduced = features.clone();
         reduced.remove(fi);
-        evaluate(&reduced, &traces[ti])
+        evaluate(&reduced, &recordings[ti])
     });
 
     features
@@ -77,7 +71,7 @@ pub fn run(workload_count: usize, instructions: u64, seed: u64) -> Vec<Contribut
         .map(|(i, f)| {
             // Find the workload with the largest relative MPKI increase.
             let mut best: Option<ContributionRow> = None;
-            for (ti, (t, &with)) in traces.iter().zip(&full).enumerate() {
+            for (ti, (r, &with)) in recordings.iter().zip(&full).enumerate() {
                 let without = cells[i * count + ti];
                 let percent = if with > 0.0 {
                     (without - with) / with * 100.0
@@ -86,7 +80,7 @@ pub fn run(workload_count: usize, instructions: u64, seed: u64) -> Vec<Contribut
                 };
                 let candidate = ContributionRow {
                     feature: f.to_string(),
-                    workload: t.name().to_string(),
+                    workload: r.name().to_string(),
                     mpki_without: without,
                     mpki_with: with,
                     percent_increase: percent,

@@ -42,8 +42,8 @@ pub use output::{ReportFormat, ReportSink};
 pub use policies::PolicyKind;
 pub use runner::RunScale;
 
-/// The fixed cross-validation split seed shared by the feature-tuning
-/// binaries (`co_tune`, `derive_features`) and the reporting experiments:
-/// features tuned on one half of [`mrp_trace::workloads::suite`] are only
-/// used to report the other half (§5.2).
+/// The fixed cross-validation split seed shared by the tuning binary
+/// (`co_tune`) and the reporting experiments: features tuned on one half
+/// of [`mrp_trace::workloads::suite`] are only used to report the other
+/// half (§5.2).
 pub const SPLIT_SEED: u64 = 17;

@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use mrp_cache::replay::LlcRecording;
 use mrp_cache::HierarchyConfig;
 use mrp_runtime::Memo;
-use mrp_search::{FastEvaluator, LlcTrace};
+use mrp_search::FastEvaluator;
 use mrp_trace::Workload;
 
 /// Recording identity: (workload id, seed, warmup, measure). LLC
@@ -158,17 +158,17 @@ pub fn prerecord(workloads: &[Workload], seed: u64, warmup: u64, measure: u64) {
     });
 }
 
-/// Builds a [`FastEvaluator`] whose traces come from the shared
+/// Builds a [`FastEvaluator`] whose recordings come from the shared
 /// recording cache (warmup 0, matching the fast simulator's cold
 /// recording), so the search loops and the figure drivers never record
 /// the same `(workload, seed, instructions)` stream twice.
 pub fn fast_evaluator(workloads: &[Workload], seed: u64, instructions: u64) -> FastEvaluator {
     prerecord(workloads, seed, 0, instructions);
-    let traces = workloads
+    let recordings = workloads
         .iter()
-        .map(|w| LlcTrace::from_recording(recording_for(w, seed, 0, instructions)))
+        .map(|w| recording_for(w, seed, 0, instructions))
         .collect();
-    FastEvaluator::from_traces(traces)
+    FastEvaluator::from_recordings(recordings)
 }
 
 /// Number of recordings currently cached (diagnostics).

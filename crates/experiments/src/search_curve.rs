@@ -68,7 +68,7 @@ pub fn run(params: SearchParams) -> SearchCurve {
     let lru_mpki =
         evaluator.average_mpki_with(|llc, _| Box::new(Lru::new(llc.sets(), llc.associativity())));
     let min_mpki =
-        evaluator.average_mpki_with(|llc, trace| Box::new(MinPolicy::new(llc, &trace.blocks())));
+        evaluator.average_mpki_with(|llc, r| Box::new(MinPolicy::new(llc, &r.llc_blocks())));
 
     // The candidate sets are drawn serially (one deterministic RNG
     // stream), then evaluated in parallel — every evaluation replays

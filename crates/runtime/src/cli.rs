@@ -82,15 +82,6 @@ impl Args {
             })
             .unwrap_or(default)
     }
-
-    /// Resolves the shared `--threads` option and installs it as the
-    /// global worker count for parallel execution. `0` or absent defers
-    /// to the `MRP_THREADS` environment variable, then to the machine's
-    /// available parallelism. Returns the resolved count.
-    pub fn init_threads(&self) -> usize {
-        crate::set_threads(self.get_usize("threads", 0));
-        crate::threads()
-    }
 }
 
 #[cfg(test)]
@@ -159,16 +150,6 @@ mod tests {
         let a = args(&["--delta", "-5", "--strict"]);
         assert_eq!(a.get_str("delta", "0"), "-5");
         assert!(a.get_flag("strict", false));
-    }
-
-    #[test]
-    fn threads_flag_resolves_and_installs_globally() {
-        let a = args(&["--threads", "2"]);
-        assert_eq!(a.init_threads(), 2);
-        assert_eq!(crate::threads(), 2);
-        // Absent flag resets to automatic resolution.
-        let auto = args(&[]).init_threads();
-        assert!(auto >= 1);
     }
 
     #[test]

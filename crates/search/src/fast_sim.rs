@@ -1,107 +1,42 @@
 //! Fast MPKI-only evaluation of candidate feature sets.
+//!
+//! The stream reaching the LLC depends only on the trace and the levels
+//! above the LLC, never on the LLC policy, so each workload's
+//! [`LlcRecording`] is made once and every candidate replays it against a
+//! cold LLC. (Prefetch fills are part of the stream; they are replayed
+//! with their prefetch flag.) Recordings are held behind an `Arc`, so
+//! sharing a memoized recording with the figure drivers is free.
 
 use std::fmt;
 use std::sync::Arc;
 
 use mrp_cache::policies::Lru;
 use mrp_cache::replay::LlcRecording;
-use mrp_cache::{Cache, CacheConfig, HierarchyConfig, ReplacementPolicy};
+use mrp_cache::{CacheConfig, HierarchyConfig, ReplacementPolicy};
 use mrp_core::mpppb::{Mpppb, MpppbConfig};
 use mrp_core::{EngineConfig, Feature};
 use mrp_trace::Workload;
 
-/// The LLC-filtered access stream of one workload, recorded once and
-/// replayed for every candidate.
+/// Demand-miss MPKI of `policy` replayed on `recording` against a cold
+/// LLC of geometry `llc`.
 ///
-/// A thin handle over the shared [`LlcRecording`] layer: the stream
-/// reaching the LLC depends only on the trace and the levels above the
-/// LLC, never on the LLC policy, so one recording serves every candidate
-/// evaluation. (Prefetch fills are part of the stream; they are replayed
-/// with their prefetch flag.) The `Arc` makes sharing a memoized
-/// recording with the figure drivers free.
-#[derive(Clone)]
-pub struct LlcTrace {
-    recording: Arc<LlcRecording>,
-}
-
-impl fmt::Debug for LlcTrace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LlcTrace")
-            .field("name", &self.name())
-            .field("accesses", &self.len())
-            .field("instructions", &self.instructions())
-            .finish()
-    }
-}
-
-impl LlcTrace {
-    /// Records the LLC stream of `workload` over `instructions`
-    /// instructions (recording starts cold, as the paper's fast
-    /// simulator does).
-    pub fn record(workload: &Workload, seed: u64, instructions: u64) -> Self {
-        let recording = LlcRecording::record(
-            workload.name(),
-            workload.trace(seed),
-            &HierarchyConfig::single_thread(),
-            0,
-            instructions,
-        );
-        LlcTrace {
-            recording: Arc::new(recording),
-        }
-    }
-
-    /// Wraps an already-recorded (e.g. memoized) stream.
-    pub fn from_recording(recording: Arc<LlcRecording>) -> Self {
-        LlcTrace { recording }
-    }
-
-    /// Workload name.
-    pub fn name(&self) -> &str {
-        self.recording.name()
-    }
-
-    /// Recorded LLC accesses (demand + prefetch).
-    pub fn len(&self) -> usize {
-        self.recording.llc_len()
-    }
-
-    /// Whether the stream is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Instructions the recording represents.
-    pub fn instructions(&self) -> u64 {
-        self.recording.instructions()
-    }
-
-    /// The block-address sequence of the stream, in replay order (used to
-    /// construct Belady MIN reference policies).
-    pub fn blocks(&self) -> Vec<u64> {
-        self.recording.llc_blocks()
-    }
-
-    /// The underlying recording.
-    pub fn recording(&self) -> &Arc<LlcRecording> {
-        &self.recording
-    }
-
-    /// Replays the stream against `cache`, returning the demand-miss MPKI.
-    ///
-    /// Demand accesses are fed to the policy's `on_core_access` first,
-    /// standing in for the full per-access history the hierarchy would
-    /// provide (documented substitution: the fast simulator's PC history
-    /// is LLC-filtered).
-    pub fn replay(&self, cache: &mut Cache) -> f64 {
-        self.recording.replay_llc(cache);
-        cache.stats().demand_misses as f64 * 1000.0 / self.instructions() as f64
-    }
+/// Demand accesses are fed to the policy's `on_core_access` first,
+/// standing in for the full per-access history the hierarchy would
+/// provide (documented substitution: the fast simulator's PC history is
+/// LLC-filtered).
+pub fn replay_mpki(
+    recording: &LlcRecording,
+    llc: CacheConfig,
+    policy: Box<dyn ReplacementPolicy + Send>,
+) -> f64 {
+    let mut engine = EngineConfig::new(llc).policy(policy).build();
+    recording.replay_llc(engine.cache_mut());
+    engine.cache().stats().demand_misses as f64 * 1000.0 / recording.instructions() as f64
 }
 
 /// Evaluates candidate feature sets against a suite of recorded streams.
 pub struct FastEvaluator {
-    traces: Vec<LlcTrace>,
+    recordings: Vec<Arc<LlcRecording>>,
     llc: CacheConfig,
     base_config: MpppbConfig,
     lru_mpkis: Vec<f64>,
@@ -114,14 +49,14 @@ const RATIO_EPS: f64 = 0.05;
 impl fmt::Debug for FastEvaluator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FastEvaluator")
-            .field("traces", &self.traces.len())
+            .field("recordings", &self.recordings.len())
             .finish()
     }
 }
 
 impl FastEvaluator {
-    /// Records the given workloads once. `instructions` bounds each
-    /// recording.
+    /// Records the given workloads once, cold (as the paper's fast
+    /// simulator does). `instructions` bounds each recording.
     ///
     /// # Panics
     ///
@@ -130,59 +65,49 @@ impl FastEvaluator {
         assert!(!workloads.is_empty(), "need at least one workload");
         // Each recording is an independent simulation of its own trace
         // stream, so the suite records in parallel.
-        let traces = mrp_runtime::par_map(workloads, |w| LlcTrace::record(w, seed, instructions));
-        FastEvaluator::from_traces(traces)
+        let recordings = mrp_runtime::par_map(workloads, |w| {
+            Arc::new(LlcRecording::record(
+                w.name(),
+                w.trace(seed),
+                &HierarchyConfig::single_thread(),
+                0,
+                instructions,
+            ))
+        });
+        FastEvaluator::from_recordings(recordings)
     }
 
-    /// Builds an evaluator from pre-recorded traces.
-    pub fn from_traces(traces: Vec<LlcTrace>) -> Self {
-        assert!(!traces.is_empty(), "need at least one trace");
+    /// Builds an evaluator from pre-recorded (e.g. memoized) streams.
+    pub fn from_recordings(recordings: Vec<Arc<LlcRecording>>) -> Self {
+        assert!(!recordings.is_empty(), "need at least one recording");
         let llc = CacheConfig::llc_single();
-        let lru_mpkis = mrp_runtime::par_map(&traces, |t| {
-            let mut engine = EngineConfig::new(llc)
-                .policy_with(|llc| Box::new(Lru::new(llc.sets(), llc.associativity())))
-                .label("lru-reference")
-                .build();
-            t.replay(engine.cache_mut())
+        let lru_mpkis = mrp_runtime::par_map(&recordings, |r| {
+            replay_mpki(r, llc, Box::new(Lru::new(llc.sets(), llc.associativity())))
         });
         FastEvaluator {
-            traces,
+            recordings,
             llc,
             base_config: MpppbConfig::single_thread(&llc),
             lru_mpkis,
         }
     }
 
-    /// Per-trace LRU reference MPKIs.
-    pub fn lru_mpkis(&self) -> &[f64] {
-        &self.lru_mpkis
-    }
-
-    /// The recorded traces.
-    pub fn traces(&self) -> &[LlcTrace] {
-        &self.traces
-    }
-
-    /// Evaluates MPPPB with `features` across the recorded suite,
+    /// Evaluates MPPPB under `config` across the recorded suite,
     /// returning `(average MPKI, mean MPKI ratio vs. LRU)`.
     ///
     /// The plain average is what the paper's Figure 3 plots; the
     /// LRU-normalized ratio (lower is better, 1.0 = parity) weights every
     /// workload equally and is the selection objective, so that one
     /// enormous-MPKI workload cannot dominate the search.
-    pub fn evaluate(&self, features: &[Feature]) -> (f64, f64) {
-        // Each trace replays against its own policy instance in parallel;
-        // the two sums then reduce in trace order, so the result is
-        // bit-identical to the serial loop. (Fan-outs above — e.g. over
-        // search candidates — make this call run serially on the worker;
-        // see `mrp_runtime` on nesting.)
-        let scores: Vec<(f64, f64)> = mrp_runtime::map_indexed(self.traces.len(), |i| {
-            let config = self.base_config.clone().with_features(features.to_vec());
-            let mut engine = EngineConfig::new(self.llc)
-                .policy_with(move |llc| Box::new(Mpppb::new(config, llc)))
-                .label("candidate")
-                .build();
-            let mpki = self.traces[i].replay(engine.cache_mut());
+    pub fn evaluate_config(&self, config: &MpppbConfig) -> (f64, f64) {
+        // Each recording replays against its own policy instance in
+        // parallel; the two sums then reduce in recording order, so the
+        // result is bit-identical to the serial loop. (Fan-outs above —
+        // e.g. over search candidates — make this call run serially on
+        // the worker; see `mrp_runtime` on nesting.)
+        let scores: Vec<(f64, f64)> = mrp_runtime::map_indexed(self.recordings.len(), |i| {
+            let policy = Box::new(Mpppb::new(config.clone(), &self.llc));
+            let mpki = replay_mpki(&self.recordings[i], self.llc, policy);
             (mpki, (mpki + RATIO_EPS) / (self.lru_mpkis[i] + RATIO_EPS))
         });
         let mut total_mpki = 0.0;
@@ -191,8 +116,14 @@ impl FastEvaluator {
             total_mpki += mpki;
             total_ratio += ratio;
         }
-        let n = self.traces.len() as f64;
+        let n = self.recordings.len() as f64;
         (total_mpki / n, total_ratio / n)
+    }
+
+    /// [`evaluate_config`](Self::evaluate_config) of the base
+    /// configuration with its features replaced by `features`.
+    pub fn evaluate(&self, features: &[Feature]) -> (f64, f64) {
+        self.evaluate_config(&self.base_config.clone().with_features(features.to_vec()))
     }
 
     /// Average MPKI of MPPPB with `features` across the recorded suite.
@@ -200,35 +131,27 @@ impl FastEvaluator {
         self.evaluate(features).0
     }
 
-    /// The search objective: mean MPKI ratio vs. LRU (lower is better).
-    pub fn objective(&self, features: &[Feature]) -> f64 {
-        self.evaluate(features).1
-    }
-
     /// Overrides the MPPPB policy parameters (thresholds/positions) used
-    /// when evaluating candidates.
+    /// when evaluating candidate feature sets.
     pub fn set_base_config(&mut self, config: MpppbConfig) {
         self.base_config = config;
     }
 
     /// Average MPKI of an arbitrary policy builder across the suite (used
     /// for the LRU and MIN reference lines in Figure 3). The builder also
-    /// receives the trace so stream-derived policies (MIN) can be built.
+    /// receives the recording so stream-derived policies (MIN) can be
+    /// built.
     ///
-    /// The builder runs once per trace, possibly concurrently, so it must
-    /// be `Fn + Sync`; per-trace MPKIs reduce in trace order.
+    /// The builder runs once per recording, possibly concurrently, so it
+    /// must be `Fn + Sync`; per-recording MPKIs reduce in suite order.
     pub fn average_mpki_with<F>(&self, make_policy: F) -> f64
     where
-        F: Fn(&CacheConfig, &LlcTrace) -> Box<dyn ReplacementPolicy + Send> + Sync,
+        F: Fn(&CacheConfig, &LlcRecording) -> Box<dyn ReplacementPolicy + Send> + Sync,
     {
-        let mpkis = mrp_runtime::par_map(&self.traces, |t| {
-            let mut engine = EngineConfig::new(self.llc)
-                .policy(make_policy(&self.llc, t))
-                .label("reference")
-                .build();
-            t.replay(engine.cache_mut())
+        let mpkis = mrp_runtime::par_map(&self.recordings, |r| {
+            replay_mpki(r, self.llc, make_policy(&self.llc, r))
         });
-        mpkis.iter().sum::<f64>() / self.traces.len() as f64
+        mpkis.iter().sum::<f64>() / self.recordings.len() as f64
     }
 
     /// The LLC geometry candidates are evaluated on.
@@ -252,10 +175,10 @@ mod tests {
     #[test]
     fn recorded_stream_is_nonempty_and_replayable() {
         let e = small_evaluator();
-        assert_eq!(e.traces().len(), 2);
-        for t in e.traces() {
-            assert!(!t.is_empty(), "{} stream empty", t.name());
-            assert!(t.instructions() >= 200_000);
+        assert_eq!(e.recordings.len(), 2);
+        for r in &e.recordings {
+            assert!(r.llc_len() > 0, "{} stream empty", r.name());
+            assert!(r.instructions() >= 200_000);
         }
     }
 

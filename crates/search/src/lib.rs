@@ -23,6 +23,6 @@ pub mod fast_sim;
 pub mod hillclimb;
 pub mod random;
 
-pub use fast_sim::{FastEvaluator, LlcTrace};
+pub use fast_sim::{replay_mpki, FastEvaluator};
 pub use hillclimb::{HillClimbReport, HillClimber};
 pub use random::RandomFeatures;

@@ -5,35 +5,8 @@
 //! in a normal `cargo test` run. The full-scale sweep is
 //! `cargo run -p mrp-experiments --release --bin verify`.
 
-use std::sync::Arc;
-
-use mrp_cache::CacheConfig;
-use mrp_experiments::PolicyKind;
+use mrp_experiments::policies::{spec, ALL_POLICIES};
 use mrp_verify::{run_replay_check, run_verification, PolicySpec, VerifyConfig};
-
-const ALL_POLICIES: [&str; 13] = [
-    "lru",
-    "random",
-    "plru",
-    "srrip",
-    "drrip",
-    "mdpp",
-    "ship",
-    "sdbp",
-    "perceptron",
-    "mpppb",
-    "mpppb-srrip",
-    "mpppb-adaptive",
-    "hawkeye",
-];
-
-fn spec(name: &str) -> PolicySpec {
-    if name == "hawkeye" {
-        return PolicySpec::new(name, Arc::new(|llc: &CacheConfig| PolicyKind::hawkeye(llc)));
-    }
-    let kind = PolicyKind::from_name(name).expect("known policy");
-    PolicySpec::new(name, Arc::new(move |llc: &CacheConfig| kind.build(llc)))
-}
 
 #[test]
 fn all_policies_verify_clean_at_smoke_scale() {
