@@ -31,7 +31,8 @@ use crate::hierarchy::{CorePrivate, HierarchyConfig, LlcSink};
 use crate::stats::{CacheStats, HierarchyStats};
 
 // Layout of a recorded event's packed `u32` word, low bits first:
-// `gap:8 | store:1 | dependent:1 | prefetch:1 | level:2 | core:3 | pc id:16`.
+// `gap:8 | store:1 | dependent:1 | prefetch:1 | level:2 | core:3 | hi id:6 | pc id:10`.
+// The event's address is `high_words[hi id] << 32 | lows[event]`.
 /// Mask of the non-memory gap (`MemoryAccess::non_memory_before`).
 const GAP_MASK: u32 = 0xff;
 /// The access is a store.
@@ -48,10 +49,21 @@ const LEVEL_MASK: u32 = 0b11 << LEVEL_SHIFT;
 const CORE_SHIFT: u32 = 13;
 /// Cores the three core bits can name.
 const MAX_CORES: u8 = 8;
-/// Shift of the 16-bit index into the recording's PC table.
-const PC_SHIFT: u32 = 16;
-/// Distinct PCs the 16-bit PC index can name.
-const MAX_PCS: usize = 1 << 16;
+/// Shift of the 6-bit index into the recording's high-word table.
+const HI_SHIFT: u32 = 16;
+/// Distinct high address words (`address >> 32`) the 6-bit index can
+/// name.
+const MAX_HIGH_WORDS: usize = 1 << 6;
+/// Shift of the 10-bit index into the recording's PC table.
+const PC_SHIFT: u32 = 22;
+/// Distinct PCs the 10-bit PC index can name.
+const MAX_PCS: usize = 1 << 10;
+
+/// The high-word id of packed event `word`.
+#[inline]
+fn high_id(word: u32) -> usize {
+    ((word >> HI_SHIFT) as usize) & (MAX_HIGH_WORDS - 1)
+}
 
 /// The distinct PCs of one recording, in first-seen order: an event
 /// stores its PC's index here. Workload traces name few PCs (1–14 per
@@ -99,7 +111,7 @@ impl PcTable {
     ///
     /// # Panics
     ///
-    /// Panics when `pc` would be the table's 65,537th distinct PC.
+    /// Panics when `pc` would be the table's 1,025th distinct PC.
     #[inline]
     fn intern(&mut self, pc: u64) -> u32 {
         let slot = self.slot_of(pc);
@@ -177,16 +189,21 @@ impl RecordedWindow {
 /// the demand of access *i*, which precedes the drains of access
 /// *i + 1*.
 ///
-/// An event costs 12 bytes: its address and one packed `u32` holding
-/// the gap, the store/dependent/prefetch flags, the servicing level,
-/// the core and an index into the recording's PC table. An LLC-reaching
-/// event adds its 4-byte `llc_events` entry. Every vector is sized
-/// exactly once [`LlcRecording::record`] returns.
+/// An event costs 8 bytes: the low 32 bits of its address and one
+/// packed `u32` holding the gap, the store/dependent/prefetch flags, the
+/// servicing level, the core, an index into the recording's table of
+/// high address words (`address >> 32`) and an index into its PC table.
+/// An LLC-reaching event adds its 4-byte `llc_events` entry. Every
+/// vector is sized exactly once [`LlcRecording::record`] returns.
 pub struct LlcRecording {
     name: String,
     /// One packed word per event (layout above `PcTable`).
     events: Vec<u32>,
-    addresses: Vec<u64>,
+    /// The low 32 bits of each event's address.
+    lows: Vec<u32>,
+    /// The distinct high address words, in first-seen order: at most
+    /// [`MAX_HIGH_WORDS`], and one per suite member.
+    high_words: Vec<u32>,
     pc_table: PcTable,
     /// Indices of LLC-reaching events, in LLC-access order.
     llc_events: Vec<u32>,
@@ -221,10 +238,12 @@ impl LlcRecording {
     /// # Panics
     ///
     /// Panics if the trace ends early, if an access names a core of 8
-    /// or above, or if the trace names more than 65,536 distinct PCs
-    /// (the packed event word holds a 3-bit core and a 16-bit PC
-    /// index; neither is ever truncated). The `u32` LLC-order index
-    /// likewise panics past 2^32 events.
+    /// or above, if the trace names more than 1,024 distinct PCs, or if
+    /// its addresses name more than 64 distinct high words
+    /// (`address >> 32`). The packed event word holds a 3-bit core, a
+    /// 6-bit high-word index and a 10-bit PC index; none is ever
+    /// truncated. The `u32` LLC-order index likewise panics past 2^32
+    /// events.
     pub fn record(
         name: &str,
         mut trace: impl Iterator<Item = MemoryAccess>,
@@ -240,9 +259,10 @@ impl LlcRecording {
         let mut rec = LlcRecording {
             name: name.to_string(),
             events: Vec::with_capacity(hint),
-            addresses: Vec::with_capacity(hint),
+            lows: Vec::with_capacity(hint),
+            high_words: Vec::new(),
             pc_table: PcTable::new(),
-            llc_events: Vec::new(),
+            llc_events: Vec::with_capacity(hint),
             warmup_events: 0,
             boundary: RecordedWindow::default(),
             end: RecordedWindow::default(),
@@ -265,7 +285,8 @@ impl LlcRecording {
         }
         rec.end = RecordedWindow::from_stats(&private.stats());
         rec.events.shrink_to_fit();
-        rec.addresses.shrink_to_fit();
+        rec.lows.shrink_to_fit();
+        rec.high_words.shrink_to_fit();
         rec.llc_events.shrink_to_fit();
         rec.pc_table.finish();
         rec
@@ -323,7 +344,7 @@ impl LlcRecording {
         let word = self.events[index];
         MemoryAccess {
             pc: self.pc_table.pcs[(word >> PC_SHIFT) as usize],
-            address: self.addresses[index],
+            address: self.address_of(index, word),
             core: ((word >> CORE_SHIFT) & u32::from(MAX_CORES - 1)) as u8,
             kind: if word & FLAG_STORE != 0 {
                 AccessKind::Store
@@ -368,7 +389,7 @@ impl LlcRecording {
     pub fn llc_blocks(&self) -> Vec<u64> {
         self.llc_events
             .iter()
-            .map(|&i| self.addresses[i as usize] >> mrp_trace::BLOCK_OFFSET_BITS)
+            .map(|&i| self.block_at(i as usize))
             .collect()
     }
 
@@ -410,7 +431,13 @@ impl LlcRecording {
     /// reads only this).
     #[inline]
     pub fn block_at(&self, index: usize) -> u64 {
-        self.addresses[index] >> mrp_trace::BLOCK_OFFSET_BITS
+        self.address_of(index, self.events[index]) >> mrp_trace::BLOCK_OFFSET_BITS
+    }
+
+    /// The address of event `index`, whose packed word is `word`.
+    #[inline]
+    fn address_of(&self, index: usize, word: u32) -> u64 {
+        u64::from(self.high_words[high_id(word)]) << 32 | u64::from(self.lows[index])
     }
 
     /// Whether event `index` reaches the LLC (a demand access serviced
@@ -421,14 +448,17 @@ impl LlcRecording {
         self.events[index] & LEVEL_MASK == u32::from(ServiceLevel::Llc.encode()) << LEVEL_SHIFT
     }
 
-    /// Heap bytes the recording holds: its event words, addresses,
-    /// LLC-order index, PC table and name. Once [`Self::record`]
-    /// returns, every vector is sized exactly, so this is 12 bytes per
-    /// event plus 4 per LLC event, plus the PC table and the name.
+    /// Heap bytes the recording holds: its event words, low address
+    /// words, LLC-order index, high-word and PC tables, and name. Once
+    /// [`Self::record`] returns, every vector is sized exactly, so this
+    /// is 8 bytes per event plus 4 per LLC event, plus the two tables
+    /// (4 bytes per high word, 8 per PC) and the name.
     pub fn heap_bytes(&self) -> usize {
-        self.events.capacity() * std::mem::size_of::<u32>()
-            + self.addresses.capacity() * std::mem::size_of::<u64>()
-            + self.llc_events.capacity() * std::mem::size_of::<u32>()
+        (self.events.capacity()
+            + self.lows.capacity()
+            + self.llc_events.capacity()
+            + self.high_words.capacity())
+            * std::mem::size_of::<u32>()
             + self.pc_table.heap_bytes()
             + self.name.capacity()
     }
@@ -456,8 +486,9 @@ impl LlcRecording {
     ///
     /// # Panics
     ///
-    /// Panics if `access.core` is 8 or above, or if `access.pc` would be
-    /// the recording's 65,537th distinct PC.
+    /// Panics if `access.core` is 8 or above, if `access.pc` would be
+    /// the recording's 1,025th distinct PC, or if `access.address` would
+    /// bring its 65th distinct high word.
     fn push_raw(&mut self, access: &MemoryAccess, extra_flags: u32) {
         assert!(
             access.core < MAX_CORES,
@@ -467,6 +498,7 @@ impl LlcRecording {
         let mut word = extra_flags
             | u32::from(access.non_memory_before)
             | u32::from(access.core) << CORE_SHIFT
+            | self.intern_high_word(access.address) << HI_SHIFT
             | self.pc_table.intern(access.pc) << PC_SHIFT;
         if access.kind == AccessKind::Store {
             word |= FLAG_STORE;
@@ -475,7 +507,35 @@ impl LlcRecording {
             word |= FLAG_DEPENDENT;
         }
         self.events.push(word);
-        self.addresses.push(access.address);
+        self.lows.push(access.address as u32);
+    }
+
+    /// The high-word id of `address`, appending its high word on first
+    /// sight. Consecutive events almost always share a high word, so the
+    /// previous event's is tried before the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `address` would bring the recording's 65th distinct
+    /// high word.
+    #[inline]
+    fn intern_high_word(&mut self, address: u64) -> u32 {
+        let high = (address >> 32) as u32;
+        if let Some(&last) = self.events.last() {
+            let id = high_id(last);
+            if self.high_words[id] == high {
+                return id as u32;
+            }
+        }
+        if let Some(id) = self.high_words.iter().position(|&h| h == high) {
+            return id as u32;
+        }
+        assert!(
+            self.high_words.len() < MAX_HIGH_WORDS,
+            "a recording names at most {MAX_HIGH_WORDS} distinct high address words"
+        );
+        self.high_words.push(high);
+        (self.high_words.len() - 1) as u32
     }
 }
 
@@ -763,6 +823,7 @@ mod tests {
         assert_eq!(demands, expected);
         // The stream reached every field's extremes.
         assert!(rec.pc_table.pcs.len() > 256);
+        assert_eq!(rec.high_words.len(), 4);
         assert!((0..4).all(|core| demands.iter().any(|a| a.core == core)));
         for gap in [0, 255] {
             assert!(demands.iter().any(|a| a.non_memory_before == gap));
@@ -790,13 +851,77 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a recording names at most 65536 distinct PCs")]
-    fn pc_beyond_the_16_bit_index_is_rejected() {
+    fn extreme_addresses_round_trip_field_for_field() {
+        // The last is the highest block-aligned address, `u64::MAX & !63`.
+        const ADDRESSES: [u64; 4] = [0, (1 << 32) - 1, 1 << 32, !63];
+        let trace = (0u64..).map(|i| MemoryAccess {
+            pc: 0x40_0000 + 4 * (i % 5),
+            address: ADDRESSES[(i % 4) as usize],
+            core: (i % 8) as u8,
+            kind: if i % 3 == 0 {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            },
+            non_memory_before: (i * 37 % 256) as u8,
+            dependent: i % 2 == 1,
+        });
+        let rec = LlcRecording::record(
+            "extremes",
+            trace.clone(),
+            &HierarchyConfig::single_thread(),
+            0,
+            4_000,
+        );
+        let demands: Vec<usize> = (0..rec.len()).filter(|&i| !rec.is_prefetch(i)).collect();
+        let expected: Vec<MemoryAccess> = trace.take(demands.len()).collect();
+        assert!(demands.len() >= 8);
+        for (&i, want) in demands.iter().zip(&expected) {
+            assert_eq!(rec.access_at(i), *want, "event {i}");
+            assert_eq!(rec.block_at(i), want.block(), "event {i}");
+        }
+        assert_eq!(rec.high_words, [0, 1, u32::MAX]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a recording names at most 64 distinct high address words")]
+    fn high_word_beyond_the_6_bit_index_is_rejected() {
+        let trace = (0u64..).map(|i| MemoryAccess {
+            non_memory_before: 0,
+            ..MemoryAccess::load(0x40_0000, i << 32)
+        });
+        LlcRecording::record("highs", trace, &HierarchyConfig::single_thread(), 0, 100);
+    }
+
+    #[test]
+    fn sixty_four_high_words_fit() {
+        let trace = (0u64..).map(|i| MemoryAccess {
+            non_memory_before: 0,
+            ..MemoryAccess::load(0x40_0000, ((i % 64) << 32) | (64 * i))
+        });
+        let rec = LlcRecording::record(
+            "highs",
+            trace.clone(),
+            &HierarchyConfig::single_thread(),
+            0,
+            200,
+        );
+        assert_eq!(rec.high_words.len(), 64);
+        let demands: Vec<MemoryAccess> = (0..rec.len())
+            .filter(|&i| !rec.is_prefetch(i))
+            .map(|i| rec.access_at(i))
+            .collect();
+        assert_eq!(demands, trace.take(demands.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "a recording names at most 1024 distinct PCs")]
+    fn pc_beyond_the_10_bit_index_is_rejected() {
         let trace = (0u64..).map(|i| MemoryAccess {
             non_memory_before: 0,
             ..MemoryAccess::load(0x40_0000 + 4 * i, 64 * (i % 512))
         });
-        LlcRecording::record("pcs", trace, &HierarchyConfig::single_thread(), 0, 70_000);
+        LlcRecording::record("pcs", trace, &HierarchyConfig::single_thread(), 0, 2_000);
     }
 
     #[test]
@@ -811,8 +936,11 @@ mod tests {
                 10_000,
                 40_000,
             );
-            let bound =
-                12 * rec.len() + 4 * rec.llc_len() + 8 * rec.pc_table.pcs.len() + rec.name().len();
+            let bound = 8 * rec.len()
+                + 4 * rec.llc_len()
+                + 4 * rec.high_words.len()
+                + 8 * rec.pc_table.pcs.len()
+                + rec.name().len();
             assert!(
                 rec.heap_bytes() <= bound,
                 "{}: {} heap bytes for {} events ({} at the LLC), bound {bound}",

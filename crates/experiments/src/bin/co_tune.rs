@@ -10,12 +10,11 @@
 
 use mrp_core::feature_sets;
 use mrp_core::mpppb::MpppbConfig;
-use mrp_search::{crossval, FastEvaluator, HillClimber};
-use mrp_trace::workloads;
+use mrp_search::{FastEvaluator, HillClimber};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use mrp_experiments::{finish_manifest, Args, SPLIT_SEED};
+use mrp_experiments::{finish_manifest, suite_half, Args};
 use mrp_obs::Json;
 
 fn search_thresholds(
@@ -73,16 +72,17 @@ fn main() {
     let instructions = args.get_u64("instructions", 1_500_000);
     let seed = args.get_u64("seed", 17);
     let half = args.get_str("half", "a");
-    let mut manifest = args.init_metrics("co_tune", seed);
-
-    let suite = workloads::suite();
     // The split seed is fixed so halves A and B are true complements
     // regardless of the search seed (the paper's cross-validation).
-    let (half_a, half_b) = crossval::split(&suite, SPLIT_SEED);
-    let selected: Vec<_> = if half == "b" { half_b } else { half_a }
-        .into_iter()
-        .take(workload_count)
-        .collect();
+    let selected: Vec<_> = match suite_half(&half) {
+        Ok(workloads) => workloads.into_iter().take(workload_count).collect(),
+        Err(err) => {
+            eprintln!("co_tune: --half: {err}");
+            std::process::exit(2);
+        }
+    };
+    let mut manifest = args.init_metrics("co_tune", seed);
+
     eprintln!(
         "[co_tune:{half}] workloads: {}",
         selected

@@ -47,3 +47,37 @@ pub use runner::RunScale;
 /// of [`mrp_trace::workloads::suite`] are only used to report the other
 /// half (§5.2).
 pub const SPLIT_SEED: u64 = 17;
+
+/// Half `half` (`"a"` or `"b"`) of the suite's fixed cross-validation
+/// split ([`SPLIT_SEED`]), in split order. Any other name is an error, so
+/// a mistyped half cannot tune one half under another half's label.
+pub fn suite_half(half: &str) -> Result<Vec<mrp_trace::Workload>, String> {
+    let (half_a, half_b) = mrp_search::crossval::split(&mrp_trace::workloads::suite(), SPLIT_SEED);
+    match half {
+        "a" => Ok(half_a),
+        "b" => Ok(half_b),
+        other => Err(format!("a suite half is `a` or `b`, not `{other}`")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn suite_halves_are_complements_and_other_names_are_rejected() {
+        let names = |half| -> Vec<String> {
+            suite_half(half)
+                .expect("a known half")
+                .iter()
+                .map(|w| w.name().to_string())
+                .collect()
+        };
+        let (a, b) = (names("a"), names("b"));
+        assert_eq!(a.len() + b.len(), mrp_trace::workloads::suite().len());
+        assert!(a.iter().all(|name| !b.contains(name)));
+        for bad in ["c", "A", "", "ab"] {
+            assert!(suite_half(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+}

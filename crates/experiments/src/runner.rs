@@ -155,8 +155,7 @@ pub fn mpppb_cv_policy(workload: &Workload) -> Box<dyn ReplacementPolicy + Send>
 pub fn in_tuning_half_a(workload: &Workload) -> bool {
     static HALF_A_IDS: OnceLock<HashSet<usize>> = OnceLock::new();
     let ids = HALF_A_IDS.get_or_init(|| {
-        let suite = mrp_trace::workloads::suite();
-        let (half_a, _) = mrp_search::crossval::split(&suite, crate::SPLIT_SEED);
+        let half_a = crate::suite_half("a").expect("half a exists");
         half_a.iter().map(|w| w.id().0).collect()
     });
     ids.contains(&workload.id().0)

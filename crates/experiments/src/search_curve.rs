@@ -7,8 +7,8 @@
 
 use mrp_baselines::MinPolicy;
 use mrp_cache::policies::Lru;
-use mrp_search::{crossval, HillClimber, RandomFeatures};
-use mrp_trace::workloads;
+use mrp_search::{HillClimber, RandomFeatures};
+use mrp_trace::Workload;
 
 /// Results of the search experiment.
 #[derive(Debug, Clone)]
@@ -30,7 +30,8 @@ pub struct SearchCurve {
 pub struct SearchParams {
     /// Number of random 16-feature sets (the paper uses 4,000).
     pub candidates: usize,
-    /// Workloads evaluated (a cross-validation half of the suite).
+    /// Workloads evaluated, the first of the suite's cross-validation
+    /// half A.
     pub workload_count: usize,
     /// Instructions recorded per workload.
     pub instructions: u64,
@@ -38,7 +39,8 @@ pub struct SearchParams {
     pub patience: u32,
     /// Maximum hill-climbing moves.
     pub max_moves: u32,
-    /// Seed for workload split, random sets, and hill climbing.
+    /// Seed for the workload traces, random sets, and hill climbing.
+    /// The split itself always uses [`crate::SPLIT_SEED`].
     pub seed: u64,
 }
 
@@ -55,14 +57,20 @@ impl Default for SearchParams {
     }
 }
 
-/// Runs the experiment.
-pub fn run(params: SearchParams) -> SearchCurve {
-    let suite = workloads::suite();
-    let (train, _test) = crossval::split(&suite, params.seed);
-    let selected: Vec<_> = train
+/// The workloads the search evaluates: the first `workload_count` (at
+/// least one) of the fixed split's half A, the half `co_tune --half a`
+/// tunes on, whatever `seed` is.
+fn training_workloads(params: &SearchParams) -> Vec<Workload> {
+    crate::suite_half("a")
+        .expect("half a exists")
         .into_iter()
         .take(params.workload_count.max(1))
-        .collect();
+        .collect()
+}
+
+/// Runs the experiment.
+pub fn run(params: SearchParams) -> SearchCurve {
+    let selected = training_workloads(&params);
     let evaluator = crate::recording::fast_evaluator(&selected, params.seed, params.instructions);
 
     let lru_mpki =
@@ -98,6 +106,29 @@ pub fn run(params: SearchParams) -> SearchCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn training_half_does_not_depend_on_the_seed() {
+        let names = |seed| -> Vec<String> {
+            let params = SearchParams {
+                seed,
+                workload_count: 40,
+                ..SearchParams::default()
+            };
+            training_workloads(&params)
+                .iter()
+                .map(|w| w.name().to_string())
+                .collect()
+        };
+        let at_split_seed = names(crate::SPLIT_SEED);
+        assert_eq!(
+            at_split_seed.len(),
+            crate::suite_half("a").expect("half a").len()
+        );
+        for seed in [1, 5, 99] {
+            assert_eq!(names(seed), at_split_seed, "seed {seed}");
+        }
+    }
 
     #[test]
     fn search_curve_has_expected_structure() {

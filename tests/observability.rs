@@ -102,3 +102,22 @@ fn metrics_toggle_is_invisible_to_results() {
         "telemetry must not perturb IPC/MPKI bits"
     );
 }
+
+#[test]
+fn co_tune_rejects_an_unknown_half_before_tuning() {
+    // Only `a` and `b` name halves of the split. Any other name must fail
+    // before tuning, so no output or manifest is labelled with a half
+    // that does not exist.
+    let dir = scratch_dir("co-tune-half");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_co_tune"))
+        .args(["--half", "c", "--metrics", "--manifest-dir"])
+        .arg(&dir)
+        .output()
+        .expect("spawn co_tune");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "co_tune accepted --half c");
+    assert!(stderr.contains("`a` or `b`"), "{stderr}");
+    assert!(!stderr.contains("workloads:"), "tuning started: {stderr}");
+    assert!(out.stdout.is_empty(), "co_tune printed a result");
+    assert!(!dir.exists(), "co_tune wrote a manifest");
+}
