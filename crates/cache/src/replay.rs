@@ -183,18 +183,18 @@ impl RecordedWindow {
 /// Events are stored in *emission* order: a demand access is logged when
 /// the core issues it (before its level is known; the level is patched
 /// once the private probes resolve), and the prefetch fills draining
-/// during that access follow it. A separate index list
-/// ([`LlcRecording::replay_llc`] walks it) holds the events that reach
-/// the LLC in true LLC-access order: the drains of access *i* precede
-/// the demand of access *i*, which precedes the drains of access
-/// *i + 1*.
+/// during that access follow it. True LLC-access order differs: the
+/// drains of access *i* precede the demand of access *i*, which precedes
+/// the drains of access *i + 1*. An LLC mask, one bit per event, marks
+/// the events that reach the LLC, and [`LlcRecording::for_each_llc`]
+/// recovers LLC-access order from it.
 ///
 /// An event costs 8 bytes: the low 32 bits of its address and one
 /// packed `u32` holding the gap, the store/dependent/prefetch flags, the
 /// servicing level, the core, an index into the recording's table of
 /// high address words (`address >> 32`) and an index into its PC table.
-/// An LLC-reaching event adds its 4-byte `llc_events` entry. Every
-/// vector is sized exactly once [`LlcRecording::record`] returns.
+/// The mask adds one bit per event. Every vector is sized exactly once
+/// [`LlcRecording::record`] returns.
 pub struct LlcRecording {
     name: String,
     /// One packed word per event (layout above `PcTable`).
@@ -205,8 +205,11 @@ pub struct LlcRecording {
     /// [`MAX_HIGH_WORDS`], and one per suite member.
     high_words: Vec<u32>,
     pc_table: PcTable,
-    /// Indices of LLC-reaching events, in LLC-access order.
-    llc_events: Vec<u32>,
+    /// Bit `i % 64` of word `i / 64` is set when event `i` reaches the
+    /// LLC; one word per 64 events.
+    llc_mask: Vec<u64>,
+    /// Number of set bits in `llc_mask`.
+    llc_count: usize,
     /// Number of leading events that belong to the warmup window.
     warmup_events: usize,
     /// Private-level snapshot at the warmup/measure boundary.
@@ -220,7 +223,7 @@ impl std::fmt::Debug for LlcRecording {
         f.debug_struct("LlcRecording")
             .field("name", &self.name)
             .field("events", &self.len())
-            .field("llc_events", &self.llc_events.len())
+            .field("llc_events", &self.llc_count)
             .field("warmup_events", &self.warmup_events)
             .finish()
     }
@@ -242,8 +245,7 @@ impl LlcRecording {
     /// its addresses name more than 64 distinct high words
     /// (`address >> 32`). The packed event word holds a 3-bit core, a
     /// 6-bit high-word index and a 10-bit PC index; none is ever
-    /// truncated. The `u32` LLC-order index likewise panics past 2^32
-    /// events.
+    /// truncated.
     pub fn record(
         name: &str,
         mut trace: impl Iterator<Item = MemoryAccess>,
@@ -253,8 +255,8 @@ impl LlcRecording {
     ) -> Self {
         let mut private = CorePrivate::new(config);
         // Every demand access is an event, and LLC-bound prefetch fills
-        // add more; the vectors start at one event per eight instructions
-        // and grow past that as needed.
+        // add more; the event vectors start at one event per eight
+        // instructions and grow past that as needed.
         let hint = ((warmup + measure) / 8) as usize;
         let mut rec = LlcRecording {
             name: name.to_string(),
@@ -262,7 +264,8 @@ impl LlcRecording {
             lows: Vec::with_capacity(hint),
             high_words: Vec::new(),
             pc_table: PcTable::new(),
-            llc_events: Vec::with_capacity(hint),
+            llc_mask: Vec::new(),
+            llc_count: 0,
             warmup_events: 0,
             boundary: RecordedWindow::default(),
             end: RecordedWindow::default(),
@@ -287,7 +290,7 @@ impl LlcRecording {
         rec.events.shrink_to_fit();
         rec.lows.shrink_to_fit();
         rec.high_words.shrink_to_fit();
-        rec.llc_events.shrink_to_fit();
+        rec.llc_mask.shrink_to_fit();
         rec.pc_table.finish();
         rec
     }
@@ -310,7 +313,7 @@ impl LlcRecording {
 
     /// Number of events that reach the LLC.
     pub fn llc_len(&self) -> usize {
-        self.llc_events.len()
+        self.llc_count
     }
 
     /// Number of leading events belonging to the warmup window.
@@ -384,25 +387,69 @@ impl LlcRecording {
             .expect("recordings only store valid levels")
     }
 
-    /// Block addresses of the LLC-reaching events, in LLC-access order —
-    /// the stream the MIN oracle's second pass consumes.
+    /// Block addresses of the LLC-reaching events, in LLC-access order
+    /// ([`Self::for_each_llc`]) — the stream the MIN oracle's second pass
+    /// consumes.
     pub fn llc_blocks(&self) -> Vec<u64> {
-        self.llc_events
-            .iter()
-            .map(|&i| self.block_at(i as usize))
-            .collect()
+        let mut blocks = Vec::with_capacity(self.llc_count);
+        self.for_each_llc(|i| blocks.push(self.block_at(i)));
+        blocks
     }
 
-    /// Replay loops run this many LLC events ahead of the serial update
-    /// loop, software-prefetching each upcoming access's tag row
-    /// ([`Cache::prefetch_block`]). Sized to cover the tag-array fetch
-    /// latency without thrashing L1: at 4–8 events the row arrives
-    /// before the update loop needs it (see DESIGN.md "Hot-path
-    /// layout").
+    /// Calls `visit` with the index of every LLC-reaching event, in
+    /// LLC-access order.
+    ///
+    /// It steps over the LLC mask's set bits, so events serviced by L1
+    /// or L2 cost nothing beyond their bit, and applies `mrp-cpu`'s
+    /// `replay_single` pending rule to emission order:
+    ///
+    /// * an LLC-bound demand is held;
+    /// * a prefetch fill directly after the held demand or its drains
+    ///   (index = previous LLC index + 1) drained during that access, so
+    ///   it goes first;
+    /// * a gap or a new demand issues the held demand first (every
+    ///   prefetch fill reaches the LLC, so a gap is a demand serviced by
+    ///   L1 or L2);
+    /// * a demand still held at the end is issued last.
+    pub fn for_each_llc(&self, mut visit: impl FnMut(usize)) {
+        let mut pending = None;
+        let mut last = 0;
+        for (word_index, &word) in self.llc_mask.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let index = word_index * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let prefetch = self.is_prefetch(index);
+                if !(prefetch && index == last + 1) {
+                    if let Some(demand) = pending.take() {
+                        visit(demand);
+                    }
+                }
+                if prefetch {
+                    visit(index);
+                } else {
+                    pending = Some(index);
+                }
+                last = index;
+            }
+        }
+        if let Some(demand) = pending {
+            visit(demand);
+        }
+    }
+
+    /// `mrp-cpu`'s timing replay runs this many events ahead of its
+    /// serial update loop, software-prefetching each upcoming LLC
+    /// access's tag row ([`Cache::prefetch_block`]). Sized to cover the
+    /// tag-array fetch latency without thrashing L1: at 4–8 events the
+    /// row arrives before the update loop needs it (see DESIGN.md
+    /// "Hot-path layout").
     pub const REPLAY_LOOKAHEAD: usize = 8;
 
-    /// Replays only the LLC-reaching events into `cache` — the MPKI-only
-    /// fast path (no timing model, no L1/L2 work).
+    /// Replays only the LLC-reaching events into `cache`, in LLC-access
+    /// order ([`Self::for_each_llc`]) — the MPKI-only fast path (no
+    /// timing model, no L1/L2 work). It shows the LLC the same
+    /// operations as `mrp-cpu`'s timing replay and full simulation.
     ///
     /// Demand accesses are forwarded to the policy's `on_core_access`
     /// hook first, substituting the filtered LLC stream for the full
@@ -411,11 +458,7 @@ impl LlcRecording {
     /// fast path is not used to evaluate it). Use `mrp-cpu`'s full
     /// replay when hook exactness or timing matters.
     pub fn replay_llc(&self, cache: &mut Cache) {
-        for (n, &i) in self.llc_events.iter().enumerate() {
-            if let Some(&ahead) = self.llc_events.get(n + Self::REPLAY_LOOKAHEAD) {
-                cache.prefetch_block(self.block_at(ahead as usize));
-            }
-            let i = i as usize;
+        self.for_each_llc(|i| {
             let access = self.access_at(i);
             if self.is_prefetch(i) {
                 let _ = cache.access(&access, true);
@@ -423,7 +466,7 @@ impl LlcRecording {
                 cache.policy_mut().on_core_access(&access);
                 let _ = cache.access(&access, false);
             }
-        }
+        });
     }
 
     /// The cache block event `index` addresses, without reconstructing
@@ -449,37 +492,33 @@ impl LlcRecording {
     }
 
     /// Heap bytes the recording holds: its event words, low address
-    /// words, LLC-order index, high-word and PC tables, and name. Once
+    /// words, LLC mask, high-word and PC tables, and name. Once
     /// [`Self::record`] returns, every vector is sized exactly, so this
-    /// is 8 bytes per event plus 4 per LLC event, plus the two tables
-    /// (4 bytes per high word, 8 per PC) and the name.
+    /// is 8 bytes per event plus one 8-byte mask word per 64 events, plus
+    /// the two tables (4 bytes per high word, 8 per PC) and the name.
     pub fn heap_bytes(&self) -> usize {
-        (self.events.capacity()
-            + self.lows.capacity()
-            + self.llc_events.capacity()
-            + self.high_words.capacity())
+        (self.events.capacity() + self.lows.capacity() + self.high_words.capacity())
             * std::mem::size_of::<u32>()
+            + self.llc_mask.capacity() * std::mem::size_of::<u64>()
             + self.pc_table.heap_bytes()
             + self.name.capacity()
     }
 
     // --- recording hooks driven by `CorePrivate::access_recorded` ---
 
-    /// Patches the servicing level of demand event `index`; LLC-bound
-    /// events join the LLC-order index list (after any prefetch drains
-    /// logged during the same access, matching the order a real LLC
-    /// would see).
+    /// Patches the servicing level of demand event `index`, marking it in
+    /// the LLC mask when it is LLC-bound.
     pub(crate) fn set_level(&mut self, index: usize, level: ServiceLevel) {
         let word = &mut self.events[index];
         *word = (*word & !LEVEL_MASK) | (u32::from(level.encode()) << LEVEL_SHIFT);
         if level == ServiceLevel::Llc {
-            self.push_llc_event(index);
+            self.mark_llc(index);
         }
     }
 
-    fn push_llc_event(&mut self, index: usize) {
-        let index = u32::try_from(index).expect("a recording holds at most 2^32 events");
-        self.llc_events.push(index);
+    fn mark_llc(&mut self, index: usize) {
+        self.llc_mask[index / 64] |= 1 << (index % 64);
+        self.llc_count += 1;
     }
 
     /// Appends one event.
@@ -505,6 +544,9 @@ impl LlcRecording {
         }
         if access.dependent {
             word |= FLAG_DEPENDENT;
+        }
+        if self.events.len().is_multiple_of(64) {
+            self.llc_mask.push(0);
         }
         self.events.push(word);
         self.lows.push(access.address as u32);
@@ -554,7 +596,7 @@ impl LlcSink for LlcRecording {
             pf,
             FLAG_PREFETCH | (u32::from(ServiceLevel::Llc.encode()) << LEVEL_SHIFT),
         );
-        self.push_llc_event(index);
+        self.mark_llc(index);
     }
 
     fn l1_miss(&mut self, _block: u64) {}
@@ -699,14 +741,8 @@ mod tests {
                 )
             };
             let truth = full_sim_llc_log(suite_trace(workload_index, 3), 0, 40_000);
-            let recorded: Vec<(u64, bool)> = rec
-                .llc_events
-                .iter()
-                .map(|&i| {
-                    let i = i as usize;
-                    (rec.access_at(i).block(), rec.is_prefetch(i))
-                })
-                .collect();
+            let mut recorded = Vec::new();
+            rec.for_each_llc(|i| recorded.push((rec.access_at(i).block(), rec.is_prefetch(i))));
             assert_eq!(
                 recorded, truth,
                 "workload {workload_index}: recorded LLC stream diverged from full simulation"
@@ -735,7 +771,8 @@ mod tests {
             20_000,
         );
         assert_eq!(single.len(), multi.len());
-        assert_eq!(single.llc_events, multi.llc_events);
+        assert_eq!(single.llc_mask, multi.llc_mask);
+        assert_eq!(single.llc_count, multi.llc_count);
         assert_eq!(single.boundary, multi.boundary);
         assert_eq!(single.end, multi.end);
     }
@@ -937,7 +974,7 @@ mod tests {
                 40_000,
             );
             let bound = 8 * rec.len()
-                + 4 * rec.llc_len()
+                + 8 * rec.len().div_ceil(64)
                 + 4 * rec.high_words.len()
                 + 8 * rec.pc_table.pcs.len()
                 + rec.name().len();

@@ -157,8 +157,9 @@ mod tests {
     use super::*;
     use crate::single::SingleCoreSim;
     use mrp_cache::policies::{Lru, Srrip};
-    use mrp_cache::{HierarchyConfig, ReplacementPolicy};
+    use mrp_cache::{AccessInfo, HierarchyConfig, ReplacementPolicy};
     use mrp_trace::workloads;
+    use std::sync::{Arc, Mutex};
 
     fn policies(config: &HierarchyConfig) -> Vec<Box<dyn ReplacementPolicy + Send>> {
         vec![
@@ -219,5 +220,90 @@ mod tests {
     #[test]
     fn replay_is_bit_identical_without_warmup() {
         check_workload(12, 0, 50_000, 4);
+    }
+
+    /// LRU that logs `(block, is_prefetch)` of every LLC access it sees.
+    /// `replay_single` wants a `Send` policy in a `Cache`, so the log is
+    /// shared with the test.
+    struct LoggingLru {
+        inner: Lru,
+        log: Arc<Mutex<Vec<(u64, bool)>>>,
+    }
+
+    impl ReplacementPolicy for LoggingLru {
+        fn name(&self) -> &str {
+            "logging-lru"
+        }
+        fn on_access(&mut self, info: &AccessInfo) {
+            self.log
+                .lock()
+                .expect("test log")
+                .push((info.block, info.is_prefetch));
+            self.inner.on_access(info);
+        }
+        fn on_hit(&mut self, info: &AccessInfo, way: u32) {
+            self.inner.on_hit(info, way);
+        }
+        fn choose_victim(&mut self, info: &AccessInfo, occupants: &[u64]) -> u32 {
+            self.inner.choose_victim(info, occupants)
+        }
+        fn on_fill(&mut self, info: &AccessInfo, way: u32) {
+            self.inner.on_fill(info, way);
+        }
+    }
+
+    /// The LLC operations `replay` shows a logging LRU.
+    fn llc_log(replay: impl FnOnce(&mut Cache)) -> Vec<(u64, bool)> {
+        let config = HierarchyConfig::single_thread();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut cache = Cache::new(
+            config.llc,
+            Box::new(LoggingLru {
+                inner: Lru::new(config.llc.sets(), config.llc.associativity()),
+                log: log.clone(),
+            }),
+        );
+        replay(&mut cache);
+        let log = log.lock().expect("test log");
+        log.clone()
+    }
+
+    #[test]
+    fn mpki_and_timing_replay_show_the_llc_the_same_operations() {
+        let config = HierarchyConfig::single_thread();
+        let mut longest_drain = (0, "");
+        for w in workloads::suite() {
+            let rec = LlcRecording::record(w.name(), w.trace(6), &config, 5_000, 30_000);
+            let mut visited = Vec::new();
+            rec.for_each_llc(|i| visited.push(i));
+            assert_eq!(visited.len(), rec.llc_len(), "{}", w.name());
+            assert!(visited.iter().all(|&i| i < rec.len()), "{}", w.name());
+            visited.sort_unstable();
+            visited.dedup();
+            assert_eq!(visited.len(), rec.llc_len(), "{}", w.name());
+
+            let fast = llc_log(|cache| rec.replay_llc(cache));
+            let timed = llc_log(|cache| {
+                replay_single(&rec, cache, &config.latencies);
+            });
+            assert!(!fast.is_empty(), "{}: no LLC operations", w.name());
+            assert_eq!(fast.len(), rec.llc_len(), "{}", w.name());
+            assert!(
+                fast == timed,
+                "{}: replay_llc and replay_single differ",
+                w.name()
+            );
+
+            // Longest run of consecutive prefetch fills in emission order.
+            let mut run = 0;
+            for i in 0..rec.len() {
+                run = if rec.is_prefetch(i) { run + 1 } else { 0 };
+                longest_drain = longest_drain.max((run, w.name()));
+            }
+        }
+        assert!(
+            longest_drain.0 >= 4,
+            "no member drains a long prefetch run: {longest_drain:?}"
+        );
     }
 }

@@ -14,7 +14,10 @@
 //! Besides the fuzzed lockstep sweep, every selected policy is also
 //! checked through the record-once/replay-many path on real workloads
 //! (`--replay-workloads`, 0 to skip): full simulation and replay must
-//! agree bit for bit on IPC, MPKI, cycles, and every hierarchy counter.
+//! agree bit for bit on IPC, MPKI, cycles, and every hierarchy counter,
+//! and the MPKI-only `replay_llc` must reproduce full simulation's
+//! cumulative LLC counters for every policy that ignores the core
+//! access stream.
 
 use std::process::ExitCode;
 

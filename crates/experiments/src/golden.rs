@@ -8,10 +8,10 @@
 //! in a shared format: a trace fingerprint line followed by rows
 //! carrying exact `f64::to_bits` values plus a human comment.
 //!
-//! Values are only comparable when the trace streams match — they
-//! depend on the `rand` implementation backing the generators — so a
-//! fingerprint mismatch skips the comparison with a message instead of
-//! failing.
+//! The fingerprint line pins the trace streams: it folds the first
+//! accesses of four generators, which depend on the vendored `rand`. A
+//! fingerprint mismatch therefore fails like any other drift: it means a
+//! generator or `rand` changed, and every value below it is suspect.
 //!
 //! Two consumers share the comparison logic ([`diff_against_committed`]
 //! / [`GoldenOutcome`]): the test harness ([`check_against_committed`]
@@ -266,9 +266,9 @@ pub fn fig4_golden() -> String {
 pub enum GoldenOutcome {
     /// Every significant line matches bit-for-bit.
     Match,
-    /// Trace fingerprints differ: values were produced by a different
-    /// rand/trace stream and are incomparable. Skipped, not failed.
-    FingerprintSkip {
+    /// Trace fingerprints differ: a trace generator or the vendored
+    /// `rand` no longer produces the streams the golden was blessed on.
+    FingerprintMismatch {
         /// Fingerprint recorded in the committed file.
         committed: u64,
         /// Fingerprint of this environment's trace streams.
@@ -302,7 +302,7 @@ pub fn diff_against_committed(file: &str, rendered: &str) -> GoldenOutcome {
         ));
     };
     if committed_fp != fresh_fp {
-        return GoldenOutcome::FingerprintSkip {
+        return GoldenOutcome::FingerprintMismatch {
             committed: committed_fp,
             fresh: fresh_fp,
         };
@@ -334,14 +334,12 @@ pub fn diff_against_committed(file: &str, rendered: &str) -> GoldenOutcome {
 ///
 /// * `MRP_UPDATE_GOLDEN=1` (or a missing-but-blessing caller) rewrites
 ///   the file instead of comparing.
-/// * A fingerprint mismatch prints the regeneration instructions and
-///   skips the comparison (different rand/trace stream, values
-///   incomparable).
-/// * Otherwise every line must match exactly.
+/// * Otherwise the fingerprint line and every row must match exactly.
 ///
 /// # Panics
 ///
-/// Panics when the committed file is absent or any line differs.
+/// Panics when the committed file is absent, the trace fingerprint
+/// differs, or any line differs.
 pub fn check_against_committed(file: &str, rendered: &str) {
     if std::env::var("MRP_UPDATE_GOLDEN").is_ok() {
         let path = results_path(file);
@@ -349,16 +347,19 @@ pub fn check_against_committed(file: &str, rendered: &str) {
         eprintln!("golden regenerated at {}", path.display());
         return;
     }
-    match diff_against_committed(file, rendered) {
+    expect_match(file, diff_against_committed(file, rendered));
+}
+
+/// Panics unless `outcome` (of comparing against golden `file`) is a
+/// match.
+fn expect_match(file: &str, outcome: GoldenOutcome) {
+    match outcome {
         GoldenOutcome::Match => {}
-        GoldenOutcome::FingerprintSkip { committed, fresh } => {
-            eprintln!(
-                "{file}: trace fingerprint mismatch ({committed:016x} committed vs \
-                 {fresh:016x} here): golden values were produced by a different \
-                 rand/trace stream; skipping value comparison. Re-bless to pin this \
-                 environment."
-            );
-        }
+        GoldenOutcome::FingerprintMismatch { committed, fresh } => panic!(
+            "{file}: trace fingerprint mismatch ({committed:016x} committed vs \
+             {fresh:016x} here): a trace generator or the vendored rand changed; if \
+             the change is intentional, re-bless with the driver's --bless flag"
+        ),
         GoldenOutcome::Drift(lines) => panic!(
             "{file} drifted (outputs are no longer bit-identical); if the change is \
              intentional, re-bless with the driver's --bless flag:\n{}",
@@ -371,22 +372,20 @@ pub fn check_against_committed(file: &str, rendered: &str) {
 }
 
 /// `--golden-check` driver mode: compares and reports on stderr,
-/// returning whether the check passed (a [`GoldenOutcome::FingerprintSkip`]
-/// passes — the values are incomparable, not wrong — so CI hosts with a
-/// different rand stream skip rather than fail, exactly like the test
-/// tier).
+/// returning whether the check passed. Only [`GoldenOutcome::Match`]
+/// passes, exactly as in the test tier.
 pub fn golden_check_cli(file: &str, rendered: &str) -> bool {
     match diff_against_committed(file, rendered) {
         GoldenOutcome::Match => {
             eprintln!("golden-check {file}: ok (bit-identical)");
             true
         }
-        GoldenOutcome::FingerprintSkip { committed, fresh } => {
+        GoldenOutcome::FingerprintMismatch { committed, fresh } => {
             eprintln!(
-                "golden-check {file}: skipped (fingerprint {committed:016x} committed vs \
-                 {fresh:016x} here; different rand/trace stream)"
+                "golden-check {file}: FAILED — trace fingerprint {committed:016x} \
+                 committed vs {fresh:016x} here"
             );
-            true
+            false
         }
         GoldenOutcome::Drift(lines) => {
             eprintln!(
@@ -414,9 +413,10 @@ pub fn golden_check_cli(file: &str, rendered: &str) -> bool {
 ///   with `--metrics` — records the outcome in the run manifest
 ///   (`golden.match` scalar, `golden_file` meta).
 ///
-/// Returns the process exit code when either flag is set (failure on
-/// drift or a missing golden, success on match or fingerprint skip), or
-/// `None` when neither is, so the driver runs its full study.
+/// Returns the process exit code when either flag is set (success only
+/// on a match; failure on drift, a fingerprint mismatch or a missing
+/// golden), or `None` when neither is, so the driver runs its full
+/// study.
 pub fn golden_mode(
     args: &crate::Args,
     bin: &str,
@@ -465,16 +465,15 @@ mod tests {
 
     #[test]
     fn diff_reports_structured_outcomes() {
-        // Self-comparison via a temp results copy is overkill; instead
-        // exercise the pure line-diff logic against the committed fig10
-        // golden, whose values may or may not be comparable here.
+        // Exercise the line-diff logic against the committed fig10
+        // golden, which a fresh render must match.
         let fresh = ablation_golden();
-        match diff_against_committed("fig10_golden.txt", &fresh) {
-            GoldenOutcome::Match | GoldenOutcome::FingerprintSkip { .. } => {}
-            other => panic!("committed fig10 golden should match or skip, got {other:?}"),
-        }
+        assert_eq!(
+            diff_against_committed("fig10_golden.txt", &fresh),
+            GoldenOutcome::Match
+        );
         // A doctored render with the right fingerprint but wrong rows
-        // must report Drift (or skip when fingerprints differ here).
+        // must report Drift.
         let committed = std::fs::read_to_string(results_path("fig10_golden.txt")).unwrap();
         let doctored: String = committed
             .lines()
@@ -488,15 +487,45 @@ mod tests {
             .collect();
         match diff_against_committed("fig10_golden.txt", &doctored) {
             GoldenOutcome::Drift(lines) => assert!(!lines.is_empty()),
-            GoldenOutcome::FingerprintSkip { .. } => {
-                unreachable!("doctored render copies the committed fingerprint")
-            }
             other => panic!("doctored render must drift, got {other:?}"),
         }
+        // Rows intact but another trace stream's fingerprint: a mismatch,
+        // which fails the driver check.
+        let render = refingerprinted_fig10();
+        assert!(matches!(
+            diff_against_committed("fig10_golden.txt", &render),
+            GoldenOutcome::FingerprintMismatch { .. }
+        ));
+        assert!(!golden_check_cli("fig10_golden.txt", &render));
         assert!(matches!(
             diff_against_committed("no_such_golden.txt", &fresh),
             GoldenOutcome::Missing(_)
         ));
+    }
+
+    /// The committed fig10 golden with its fingerprint line replaced by
+    /// one from another trace stream, rows untouched.
+    fn refingerprinted_fig10() -> String {
+        let committed = std::fs::read_to_string(results_path("fig10_golden.txt")).unwrap();
+        committed
+            .lines()
+            .map(|l| match l.strip_prefix("fingerprint ") {
+                Some(_) => format!(
+                    "fingerprint {:016x}\n",
+                    trace_fingerprint(ABLATION_SEED + 1)
+                ),
+                None => format!("{l}\n"),
+            })
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "trace fingerprint mismatch")]
+    fn fingerprint_mismatch_fails_the_test_tier() {
+        // `check_against_committed` minus its `MRP_UPDATE_GOLDEN` branch,
+        // which would bless the doctored render.
+        let outcome = diff_against_committed("fig10_golden.txt", &refingerprinted_fig10());
+        expect_match("fig10_golden.txt", outcome);
     }
 
     #[test]

@@ -35,11 +35,11 @@ static RECORDINGS: OnceLock<Memo<Key, Arc<LlcRecording>>> = OnceLock::new();
 /// eviction only engages in long sweeps that would otherwise grow the
 /// cache without bound.
 ///
-/// A recording holds 8 bytes per event plus 4 per LLC-reaching event
+/// A recording holds 8 bytes per event plus one LLC-mask bit
 /// ([`LlcRecording::heap_bytes`]). At fig6's default 4M warmup / 20M
 /// measure scale (seed 1) a suite member records 5.1–21.5M events and
-/// holds 46–258 MB; the 33-member suite holds 2.46 GB, so 64 recordings
-/// at that scale come to about 4.8 GB. The `recording.memo.bytes` gauge
+/// holds 41–175 MB; the 33-member suite holds 1.95 GB, so 64 recordings
+/// at that scale come to about 3.8 GB. The `recording.memo.bytes` gauge
 /// reports what the cache actually holds.
 pub const DEFAULT_RECORDING_CAP: usize = 64;
 

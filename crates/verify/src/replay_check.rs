@@ -9,6 +9,11 @@
 //! models: run both paths on every `(policy, workload)` cell and report
 //! every field that differs. One recording per workload is shared by
 //! all policies, exercising the production sharing pattern.
+//!
+//! The MPKI-only path (`LlcRecording::replay_llc`) is held to the same
+//! stream: for every policy whose `on_core_access` hook is the no-op
+//! default (`uses_core_accesses() == false`), its cumulative LLC
+//! counters over both windows must equal full simulation's.
 
 use std::fmt;
 
@@ -134,7 +139,9 @@ fn compare(
 /// Runs every `(policy, workload)` cell both ways — full simulation and
 /// record+replay — and collects every field that differs. Recordings are
 /// taken once per workload and shared across policies, exactly as the
-/// experiment drivers share them.
+/// experiment drivers share them. Cells whose policy ignores the core
+/// access stream also replay through `replay_llc`, whose cumulative LLC
+/// counters must equal full simulation's (field `llc_stats (replay_llc)`).
 pub fn run_replay_check(
     policies: &[PolicySpec],
     workloads: &[Workload],
@@ -155,7 +162,22 @@ pub fn run_replay_check(
         let full = sim.run(warmup, measure);
         let mut cache = Cache::new(config.llc, (spec.build)(&config.llc));
         let replayed = replay_single(&recordings[wi], &mut cache, &config.latencies);
-        compare(&spec.name, w.name(), &full, &replayed)
+        let mut mismatches = compare(&spec.name, w.name(), &full, &replayed);
+        if !cache.policy().uses_core_accesses() {
+            let mut fast = Cache::new(config.llc, (spec.build)(&config.llc));
+            recordings[wi].replay_llc(&mut fast);
+            let (want, got) = (sim.hierarchy().llc().stats(), fast.stats());
+            if want != got {
+                mismatches.push(ReplayMismatch {
+                    policy: spec.name.clone(),
+                    workload: w.name().to_string(),
+                    field: "llc_stats (replay_llc)",
+                    full: format!("{want:?}"),
+                    replayed: format!("{got:?}"),
+                });
+            }
+        }
+        mismatches
     })
     .into_iter()
     .flatten()

@@ -14,11 +14,9 @@
 //! golden` or `cargo run -p mrp-experiments --bin fig6_st_speedup --
 //! --bless`.
 //!
-//! The golden file records a fingerprint of the trace streams. The
-//! reference values are only comparable when the trace streams match
-//! (they depend on the `rand` implementation backing the generators), so
-//! on fingerprint mismatch the regeneration instructions are printed and
-//! the value comparison is skipped rather than failed.
+//! The golden file records a fingerprint of the trace streams (they
+//! depend on the generators and the vendored `rand`); a fingerprint
+//! mismatch fails like any drifted row.
 
 use mrp_experiments::golden;
 

@@ -9,8 +9,8 @@
 //! or with
 //! `MRP_UPDATE_GOLDEN=1 cargo test -p mrp-experiments --test golden_tables`.
 //!
-//! Values depend on the rand implementation backing the trace generators;
-//! a fingerprint mismatch skips the comparison (see
+//! Values depend on the trace generators and the vendored `rand`, which
+//! the golden's fingerprint line pins; a fingerprint mismatch fails (see
 //! `mrp_experiments::golden`).
 
 use mrp_experiments::golden;
