@@ -2,7 +2,7 @@
 //! driving an LLC + reuse-predictor instance.
 //!
 //! Every entry point used to construct caches and policies ad-hoc —
-//! driver binaries, replay loops, orchestrator workers, each repeating
+//! driver binaries, replay loops and the serving fleet, each repeating
 //! the same geometry/policy/knob plumbing. [`EngineConfig`] centralizes
 //! construction (geometry, policy factory, [`RuntimeOptions`], optional
 //! confidence telemetry) and [`PredictionEngine`] is the run-time

@@ -99,11 +99,14 @@ impl MpppbConfig {
         }
     }
 
-    /// The cross-validation counterpart of [`MpppbConfig::single_thread`]:
-    /// [`feature_sets::suite_tuned_b`] with its own tuned parameters.
-    /// Workloads that were in tuning half A are reported with this
-    /// configuration (and vice versa), so no workload is evaluated with
-    /// features developed on it (§5.2).
+    /// The counterpart of [`MpppbConfig::single_thread`] tuned on
+    /// cross-validation half B: [`feature_sets::suite_tuned_b`] with its
+    /// own tuned parameters. It serves the `--cv` assignment of the
+    /// single-thread drivers (`mpppb_cv_policy` in `mrp-experiments`),
+    /// which reports half-A workloads with it (and half-B workloads with
+    /// `single_thread`), so no workload is evaluated with features
+    /// developed on it (§5.2). The in-sample headline
+    /// (`mpppb_headline_policy`) gives it to half-B workloads instead.
     pub fn single_thread_alt(llc: &CacheConfig) -> Self {
         MpppbConfig {
             features: feature_sets::suite_tuned_b(),

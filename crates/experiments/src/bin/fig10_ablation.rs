@@ -10,7 +10,7 @@
 //! `--bless` regenerates the reduced-scale golden matrix at
 //! `results/fig10_golden.txt` (checked by the `golden_tables` test)
 //! instead of running the full study; `--golden-check` re-renders it
-//! and exits nonzero on drift (the `orchestrate ci` entry point).
+//! and exits nonzero on drift (that test's check from the command line).
 
 use std::process::ExitCode;
 

@@ -7,8 +7,8 @@
 //! `--bless` regenerates the reduced-scale golden matrix at
 //! `results/fig4_golden.txt` (checked by the `golden_tables` test; it
 //! pins the `multi::run` path Fig. 5 shares) and `--golden-check`
-//! re-renders it and exits nonzero on drift (the `orchestrate ci` entry
-//! point).
+//! re-renders it and exits nonzero on drift (that test's check from the
+//! command line).
 
 use std::process::ExitCode;
 

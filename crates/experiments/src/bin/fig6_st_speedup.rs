@@ -11,8 +11,8 @@
 //!
 //! `--bless` regenerates the reduced-scale golden matrix at
 //! `results/fig6_golden.txt` (checked by the `golden` test) and
-//! `--golden-check` re-renders it and exits nonzero on drift (the
-//! `orchestrate ci` entry point).
+//! `--golden-check` re-renders it and exits nonzero on drift (that
+//! test's check from the command line).
 
 use std::process::ExitCode;
 

@@ -9,8 +9,8 @@
 //!
 //! `--bless` regenerates the reduced-scale golden curves at
 //! `results/fig_roc_golden.txt` (checked by the `golden_tables` test)
-//! and `--golden-check` re-renders them and exits nonzero on drift (the
-//! `orchestrate ci` entry point).
+//! and `--golden-check` re-renders them and exits nonzero on drift (that
+//! test's check from the command line).
 
 use std::process::ExitCode;
 

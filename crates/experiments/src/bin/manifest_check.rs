@@ -6,14 +6,6 @@
 //! after the smoke drivers so a malformed manifest fails the build
 //! instead of silently rotting in the uploaded artifact.
 //!
-//! **Journal mode** (`--journal FILE`): validates an orchestrator
-//! campaign journal against the `mrp-orchestrate-journal-v1` schema
-//! (clean journals only — a truncated tail means a campaign died and
-//! was never resumed, which CI should flag).
-//!
-//! **Campaign mode** (`--campaign FILE`): validates an aggregated
-//! campaign manifest against the `mrp-campaign-manifest-v1` schema.
-//!
 //! **Fleet mode** (`--fleet FILE`): validates a serving-fleet manifest
 //! against the `mrp-fleet-manifest-v1` schema and fails if any shard
 //! processed no accesses (the `serve --smoke` CI contract).
@@ -38,8 +30,6 @@
 //!
 //! Usage: `manifest_check [--dir runs]`
 //!        `manifest_check --fleet runs/fleet.json`
-//!        `manifest_check --journal runs/ci-campaign/journal.jsonl`
-//!        `manifest_check --campaign runs/ci-campaign/campaign.jsonl`
 //!        `manifest_check --bench-gate results/bench_fresh.json
 //!          [--bench-baseline results/bench_snapshot.json]
 //!          [--tolerance-pct 15] [--bless]`
@@ -289,63 +279,6 @@ fn run_fleet_check(path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--journal` mode: schema-check one campaign journal.
-fn run_journal_check(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("manifest_check: read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match mrp_obs::validate_journal(&text) {
-        Ok(s) => {
-            println!(
-                "{path}: ok ({} for campaign {}: {} entries, {} enqueued, {} done, {} failed)",
-                mrp_obs::JOURNAL_SCHEMA,
-                s.campaign,
-                s.entries,
-                s.enqueued,
-                s.done,
-                s.failed
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("manifest_check: {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `--campaign` mode: schema-check one aggregated campaign manifest.
-fn run_campaign_check(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("manifest_check: read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match mrp_obs::validate_campaign(&text) {
-        Ok(s) => {
-            println!(
-                "{path}: ok ({} for campaign {}: {} jobs, {} cells, {} scalars)",
-                mrp_obs::CAMPAIGN_SCHEMA,
-                s.campaign,
-                s.jobs,
-                s.cells,
-                s.scalars
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("manifest_check: {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args = Args::parse();
     let bench_gate_path = args.get_str("bench-gate", "");
@@ -355,14 +288,6 @@ fn main() -> ExitCode {
     let fleet_path = args.get_str("fleet", "");
     if !fleet_path.is_empty() {
         return run_fleet_check(&fleet_path);
-    }
-    let journal_path = args.get_str("journal", "");
-    if !journal_path.is_empty() {
-        return run_journal_check(&journal_path);
-    }
-    let campaign_path = args.get_str("campaign", "");
-    if !campaign_path.is_empty() {
-        return run_campaign_check(&campaign_path);
     }
     let dir = args.get_str("dir", "runs");
     let summaries = match mrp_obs::validate_dir(Path::new(&dir)) {

@@ -8,7 +8,7 @@
 use std::ops::Deref;
 
 use mrp_core::RuntimeOptions;
-use mrp_obs::{Json, RunManifest};
+use mrp_obs::RunManifest;
 
 use crate::output::{ReportFormat, ReportSink};
 use crate::runner::RunScale;
@@ -92,23 +92,17 @@ impl Args {
     /// `--manifest-dir` (default `runs/`) when the driver exits.
     /// Without `--metrics`, telemetry stays off — the zero-cost default
     /// — and no manifest is produced.
-    ///
-    /// `--spec-hash HEX` (appended by the orchestrator, never typed by
-    /// hand) stamps the job's spec hash into the manifest's `meta`
-    /// line, which is what lets resumed campaigns re-verify journaled
-    /// done-jobs and dedupe against pre-existing manifests.
     pub fn init_metrics(&self, bin: &str, seed: u64) -> Option<RunManifest> {
         if !self.get_flag("metrics", false) {
             mrp_obs::set_enabled(false);
             return None;
         }
         mrp_obs::set_enabled(true);
-        let mut manifest = RunManifest::new(bin, seed, self.get_str("manifest-dir", "runs"));
-        let spec_hash = self.get_str("spec-hash", "");
-        if !spec_hash.is_empty() {
-            manifest.meta("spec_hash", Json::Str(spec_hash));
-        }
-        Some(manifest)
+        Some(RunManifest::new(
+            bin,
+            seed,
+            self.get_str("manifest-dir", "runs"),
+        ))
     }
 }
 
@@ -189,19 +183,6 @@ mod tests {
         assert!(mrp_obs::enabled());
         let manifest = some.expect("--metrics yields a manifest");
         assert!(manifest.file_name().starts_with("test_cli-"));
-        // --spec-hash (the orchestrator's plumbing) must land in the
-        // meta line; absent, the manifest must not mention it.
-        let with = args(&[
-            "--metrics",
-            "--manifest-dir",
-            "/tmp/mrp-cli-test",
-            "--spec-hash",
-            "00d1f2e3c4b5a697",
-        ])
-        .init_metrics("test_cli", 2)
-        .expect("manifest");
-        assert!(with.render().contains("\"spec_hash\":\"00d1f2e3c4b5a697\""));
-        assert!(!manifest.render().contains("spec_hash"));
         mrp_obs::set_enabled(false);
         // Dropping without finish() writes nothing.
         finish_manifest(None);

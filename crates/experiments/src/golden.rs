@@ -14,10 +14,11 @@
 //! generator or `rand` changed, and every value below it is suspect.
 //!
 //! Two consumers share the comparison logic ([`diff_against_committed`]
-//! / [`GoldenOutcome`]): the test harness ([`check_against_committed`]
-//! panics on drift, for `cargo test`) and the drivers' `--golden-check`
-//! mode ([`golden_mode`] turns [`golden_check_cli`]'s pass/fail into a
-//! process exit code for `orchestrate ci`).
+//! / [`GoldenOutcome`]): the tier-1 tests `tests/golden.rs` and
+//! `tests/golden_tables.rs` ([`check_against_committed`] panics on
+//! drift) and the drivers' `--golden-check` mode ([`golden_mode`] turns
+//! [`golden_check_cli`]'s pass/fail into a process exit code, the same
+//! check from the command line).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -408,7 +409,8 @@ pub fn golden_check_cli(file: &str, rendered: &str) -> bool {
 ///
 /// * `--bless` renders the reduced-scale golden and writes it to
 ///   `results/<file>`.
-/// * `--golden-check` (the mode `orchestrate ci` spawns) renders it,
+/// * `--golden-check` (the command-line form of the `golden` and
+///   `golden_tables` tests' check) renders it,
 ///   diffs it against the committed `file`, reports on stderr, and —
 ///   with `--metrics` — records the outcome in the run manifest
 ///   (`golden.match` scalar, `golden_file` meta).

@@ -26,7 +26,6 @@ pub mod assoc_sweep;
 pub mod cli;
 pub mod feature_table;
 pub mod golden;
-pub mod jobspec;
 pub mod multi;
 pub mod output;
 pub mod policies;
@@ -37,7 +36,6 @@ pub mod search_curve;
 pub mod single_thread;
 
 pub use cli::{finish_manifest, Args};
-pub use jobspec::{FullScale, JobSpec, SELF_BIN};
 pub use output::{ReportFormat, ReportSink};
 pub use policies::PolicyKind;
 pub use runner::RunScale;

@@ -5,7 +5,7 @@
 //! serving telemetry plane, next to the live registry counters. The
 //! `status` subcommand and `manifest_check --fleet` both consume it
 //! through [`validate`], so the schema is checked at the same layer as
-//! the run-manifest and journal schemas.
+//! the run-manifest schema.
 //!
 //! One document per write (atomic rename by the caller), not JSONL: a
 //! fleet snapshot supersedes the previous one, unlike the append-only
@@ -268,6 +268,17 @@ mod tests {
         // 150 / (100/1.5e7 + 50/0.5e7) = 9e6.
         assert!((parsed.accesses_per_sec() - 9.0e6).abs() < 1.0);
         assert!((parsed.shards[0].hit_rate() - 0.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn every_truncation_is_an_error() {
+        let mut m = manifest();
+        m.policy = "MPPPB-ü".into();
+        let text = m.render();
+        let text = text.trim_end();
+        for (cut, _) in text.char_indices() {
+            assert!(validate(&text[..cut]).is_err(), "cut at byte {cut}");
+        }
     }
 
     #[test]

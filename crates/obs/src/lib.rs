@@ -31,17 +31,12 @@
 //! dependency policy.
 
 pub mod fleet;
-pub mod journal;
 pub mod json;
 pub mod manifest;
 pub mod phase;
 pub mod registry;
 
 pub use fleet::{FleetManifest, ShardTelemetry, FLEET_SCHEMA};
-pub use journal::{
-    read_journal, validate_campaign, validate_journal, CampaignSummary, Journal, JournalEntry,
-    JournalRead, JournalSummary, CAMPAIGN_SCHEMA, JOURNAL_SCHEMA,
-};
 pub use json::Json;
 pub use manifest::{validate, validate_dir, ManifestSummary, RunManifest, SCHEMA};
 pub use phase::{phase, phases_snapshot, PhaseGuard, PhaseStat};

@@ -361,6 +361,24 @@ mod tests {
     }
 
     #[test]
+    fn every_truncation_is_handled_without_panic() {
+        let mut m = minimal();
+        m.cell("ünï.cödé", "lru", &[("ipc", 0.5)]);
+        let text = m.render();
+        let line = text.lines().last().expect("a line");
+        for doc in [text.as_str(), line] {
+            for (cut, _) in doc.char_indices() {
+                let _ = validate(&doc[..cut]);
+            }
+        }
+        // Any cut inside the meta line leaves it unparseable.
+        let meta_len = text.find('\n').expect("meta line");
+        for (cut, _) in text[..meta_len].char_indices() {
+            assert!(validate(&text[..cut]).is_err(), "cut at byte {cut}");
+        }
+    }
+
+    #[test]
     fn file_name_is_bin_timestamp_seed() {
         let m = minimal();
         let name = m.file_name();

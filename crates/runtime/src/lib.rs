@@ -44,10 +44,8 @@
 //! either way.
 
 pub mod cli;
-pub mod process;
 
 pub use cli::Args;
-pub use process::{run_processes, ProcessEvent, ProcessJob};
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;

@@ -14,11 +14,20 @@
 //! stream: for every policy whose `on_core_access` hook is the no-op
 //! default (`uses_core_accesses() == false`), its cumulative LLC
 //! counters over both windows must equal full simulation's.
+//!
+//! Counters cannot see LLC *order*: a demand and the prefetch fills
+//! drained during it rarely share a set, so issuing them in the wrong
+//! order changes no count. Per workload, a logging LRU therefore
+//! records the `(block, is_prefetch)` sequence each of the three paths
+//! shows the LLC, and the two replays must match full simulation's
+//! sequence exactly (field `llc_order`).
 
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
+use mrp_cache::policies::Lru;
 use mrp_cache::replay::LlcRecording;
-use mrp_cache::{Cache, HierarchyConfig};
+use mrp_cache::{AccessInfo, Cache, HierarchyConfig, ReplacementPolicy};
 use mrp_cpu::{replay_single, SingleCoreResult, SingleCoreSim};
 use mrp_runtime::map_indexed;
 use mrp_trace::Workload;
@@ -73,7 +82,7 @@ impl fmt::Display for ReplayCheckSummary {
         }
         writeln!(
             f,
-            "{} of {} replay cells diverged:",
+            "{} replay mismatches ({} cells compared):",
             self.mismatches.len(),
             self.cells
         )?;
@@ -136,12 +145,116 @@ fn compare(
     out
 }
 
+/// The `(block, is_prefetch)` sequence of LLC accesses a policy saw.
+type LlcLog = Arc<Mutex<Vec<(u64, bool)>>>;
+
+/// LRU that appends every LLC access it sees to a shared log (the
+/// simulators want an owned `Send` policy, so the log is shared).
+struct LoggingLru {
+    inner: Lru,
+    log: LlcLog,
+}
+
+impl LoggingLru {
+    /// A logging LRU for `config`'s LLC and the log it appends to.
+    fn new(config: &HierarchyConfig) -> (Box<LoggingLru>, LlcLog) {
+        let log = LlcLog::default();
+        let policy = LoggingLru {
+            inner: Lru::new(config.llc.sets(), config.llc.associativity()),
+            log: log.clone(),
+        };
+        (Box::new(policy), log)
+    }
+}
+
+impl ReplacementPolicy for LoggingLru {
+    fn name(&self) -> &str {
+        "logging-lru"
+    }
+    fn on_access(&mut self, info: &AccessInfo) {
+        self.log
+            .lock()
+            .expect("LLC log")
+            .push((info.block, info.is_prefetch));
+        self.inner.on_access(info);
+    }
+    fn on_hit(&mut self, info: &AccessInfo, way: u32) {
+        self.inner.on_hit(info, way);
+    }
+    fn choose_victim(&mut self, info: &AccessInfo, occupants: &[u64]) -> u32 {
+        self.inner.choose_victim(info, occupants)
+    }
+    fn on_fill(&mut self, info: &AccessInfo, way: u32) {
+        self.inner.on_fill(info, way);
+    }
+}
+
+/// The first difference between the LLC sequence full simulation
+/// showed and a replayed one, rendered as `(full, replayed)`.
+fn first_order_difference(
+    full: &[(u64, bool)],
+    replayed: &[(u64, bool)],
+) -> Option<(String, String)> {
+    let render = |log: &[(u64, bool)], i: usize| match log.get(i) {
+        Some(&(block, prefetch)) => {
+            let kind = if prefetch { "prefetch" } else { "demand" };
+            format!("#{i} {kind} {block:#x} of {}", log.len())
+        }
+        None => format!("end after {}", log.len()),
+    };
+    let i = full
+        .iter()
+        .zip(replayed)
+        .position(|(a, b)| a != b)
+        .unwrap_or(full.len().min(replayed.len()));
+    (full.len() != replayed.len() || i < full.len()).then(|| (render(full, i), render(replayed, i)))
+}
+
+/// Compares the LLC sequence of full simulation with those of
+/// `replay_single` and `replay_llc` on one workload.
+fn check_llc_order(
+    workload: &Workload,
+    recording: &LlcRecording,
+    config: &HierarchyConfig,
+    warmup: u64,
+    measure: u64,
+    seed: u64,
+) -> Vec<ReplayMismatch> {
+    let (policy, full) = LoggingLru::new(config);
+    SingleCoreSim::new(*config, policy, workload.trace(seed)).run(warmup, measure);
+    let (policy, timed) = LoggingLru::new(config);
+    replay_single(
+        recording,
+        &mut Cache::new(config.llc, policy),
+        &config.latencies,
+    );
+    let (policy, fast) = LoggingLru::new(config);
+    recording.replay_llc(&mut Cache::new(config.llc, policy));
+
+    let full = full.lock().expect("LLC log");
+    let mut out = Vec::new();
+    for (field, log) in [("llc_order", timed), ("llc_order (replay_llc)", fast)] {
+        if let Some((want, got)) = first_order_difference(&full, &log.lock().expect("LLC log")) {
+            out.push(ReplayMismatch {
+                policy: "logging-lru".to_string(),
+                workload: workload.name().to_string(),
+                field,
+                full: want,
+                replayed: got,
+            });
+        }
+    }
+    out
+}
+
 /// Runs every `(policy, workload)` cell both ways — full simulation and
 /// record+replay — and collects every field that differs. Recordings are
 /// taken once per workload and shared across policies, exactly as the
 /// experiment drivers share them. Cells whose policy ignores the core
 /// access stream also replay through `replay_llc`, whose cumulative LLC
 /// counters must equal full simulation's (field `llc_stats (replay_llc)`).
+/// Each workload's LLC access order is checked once, under a logging LRU
+/// (fields `llc_order` and `llc_order (replay_llc)`).
 pub fn run_replay_check(
     policies: &[PolicySpec],
     workloads: &[Workload],
@@ -154,6 +267,16 @@ pub fn run_replay_check(
         LlcRecording::record(w.name(), w.trace(seed), &config, warmup, measure)
     });
     let cells = policies.len() * workloads.len();
+    let order = map_indexed(workloads.len(), |wi| {
+        check_llc_order(
+            &workloads[wi],
+            &recordings[wi],
+            &config,
+            warmup,
+            measure,
+            seed,
+        )
+    });
     let mismatches: Vec<ReplayMismatch> = map_indexed(cells, |cell| {
         let (pi, wi) = (cell / workloads.len(), cell % workloads.len());
         let spec = &policies[pi];
@@ -180,6 +303,7 @@ pub fn run_replay_check(
         mismatches
     })
     .into_iter()
+    .chain(order)
     .flatten()
     .collect();
     ReplayCheckSummary { cells, mismatches }
@@ -219,6 +343,21 @@ mod tests {
         );
         assert_eq!(summary.cells, 4);
         assert!(summary.is_clean(), "{summary}");
+    }
+
+    #[test]
+    fn order_difference_names_the_first_diverging_access() {
+        let full = [(1, false), (2, true), (3, false)];
+        assert_eq!(first_order_difference(&full, &full), None);
+        let swapped = [(2, true), (1, false), (3, false)];
+        let (want, got) = first_order_difference(&full, &swapped).expect("differs");
+        assert_eq!(want, "#0 demand 0x1 of 3");
+        assert_eq!(got, "#0 prefetch 0x2 of 3");
+        let (want, got) = first_order_difference(&full, &full[..2]).expect("shorter");
+        assert_eq!(
+            (want.as_str(), got.as_str()),
+            ("#2 demand 0x3 of 3", "end after 2")
+        );
     }
 
     #[test]

@@ -1,23 +1,20 @@
 #!/usr/bin/env bash
-# Regenerates every table and figure via the resumable orchestrator.
-# Scale knobs via environment: ST_MEASURE, MP_MEASURE, MIXES, etc.
+# Regenerates every table and figure: builds once, then runs the ten
+# driver binaries one after another. Each driver's stdout (its report)
+# lands in results/<name>.txt and its run manifest under runs/; stderr
+# stays on the terminal. The script stops at the first driver that
+# fails and names it.
 #
-# The campaign journal lives under $CAMPAIGN_DIR (default
-# runs/full-campaign): kill this script at any point and rerun it —
-# completed jobs are verified against their run manifests and skipped,
-# and the aggregated campaign.jsonl comes out byte-identical to an
-# uninterrupted pass. Reports still land in results/<name>.txt.
-# (No -e: failures propagate explicitly, with context.)
-set -uo pipefail
+# Scale knobs via environment: ST_WARMUP, ST_MEASURE, MP_WARMUP,
+# MP_MEASURE, MIXES, SWEEP_MIXES, SWEEP_MEASURE, ROC_MEASURE,
+# CANDIDATES. The defaults take about 5.5 minutes on a 2-vCPU host;
+# scale up for tighter numbers (the paper-scale equivalents are noted in
+# DESIGN.md). THREADS=0 (the default) lets every driver fan out over
+# all cores, with bit-identical outputs at any thread count.
+set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results
 
-# Defaults sized for a ~45 minute single-core pass; scale up for tighter
-# numbers (the paper-scale equivalents are noted in DESIGN.md). THREADS=0
-# (the default) uses every available core, which cuts the wall clock
-# roughly by the core count on the fan-out-heavy drivers (fig4-fig10,
-# table3) — e.g. to ~12-15 minutes on a 4-core machine — with
-# bit-identical outputs at any thread count.
 THREADS="${THREADS:-0}"
 ST_WARMUP="${ST_WARMUP:-2000000}"
 ST_MEASURE="${ST_MEASURE:-8000000}"
@@ -30,18 +27,30 @@ ROC_MEASURE="${ROC_MEASURE:-6000000}"
 CANDIDATES="${CANDIDATES:-60}"
 
 BIN=target/release
-cargo build --workspace --release || exit 1
+cargo build --workspace --release
 
-# PROCS bounds concurrent driver *processes*; each driver still fans
-# out internally over $THREADS, so the default keeps one heavyweight
-# driver at a time.
-PROCS="${PROCS:-1}"
-CAMPAIGN_DIR="${CAMPAIGN_DIR:-runs/full-campaign}"
-$BIN/orchestrate run --plan full --dir "$CAMPAIGN_DIR" \
-  --procs "$PROCS" --worker-threads "$THREADS" \
-  --st-warmup "$ST_WARMUP" --st-measure "$ST_MEASURE" \
-  --mp-warmup "$MP_WARMUP" --mp-measure "$MP_MEASURE" \
-  --mixes "$MIXES" --sweep-mixes "$SWEEP_MIXES" \
-  --sweep-measure "$SWEEP_MEASURE" --roc-measure "$ROC_MEASURE" \
-  --candidates "$CANDIDATES" || exit 1
-echo "all experiments complete; reports in results/, campaign in $CAMPAIGN_DIR"
+# run NAME BINARY ARGS...: the report is written to a temporary file and
+# renamed only on success, so a failed driver never leaves a partial
+# results/NAME.txt behind.
+run() {
+  local name="$1" bin="$2"
+  shift 2
+  echo "=== $name: $bin $* ==="
+  if ! "$BIN/$bin" "$@" --threads "$THREADS" --metrics > "results/$name.txt.tmp"; then
+    echo "run_all_experiments: $name ($bin) failed" >&2
+    exit 1
+  fi
+  mv "results/$name.txt.tmp" "results/$name.txt"
+}
+
+run fig_roc     fig_roc         --warmup 2000000 --measure "$ROC_MEASURE" --workloads 33
+run fig6        fig6_st_speedup --warmup "$ST_WARMUP" --measure "$ST_MEASURE" --workloads 33
+run fig7        fig7_st_mpki    --warmup "$ST_WARMUP" --measure "$ST_MEASURE" --workloads 33
+run fig4        fig4_mp_speedup --warmup "$MP_WARMUP" --measure "$MP_MEASURE" --mixes "$MIXES"
+run fig5        fig5_mp_mpki    --warmup "$MP_WARMUP" --measure "$MP_MEASURE" --mixes "$MIXES"
+run fig3_search fig3_search     --candidates "$CANDIDATES" --workloads 10 --instructions 2000000
+run fig9        fig9_assoc      --mixes "$SWEEP_MIXES" --warmup 1000000 --measure "$SWEEP_MEASURE" --step 2
+run fig10       fig10_ablation  --mixes "$SWEEP_MIXES" --warmup 1000000 --measure "$SWEEP_MEASURE"
+run tables      tables_features
+run table3      table3_contrib  --workloads 33 --instructions 2000000
+echo "all experiments complete; reports in results/, run manifests in runs/"

@@ -8,8 +8,8 @@
 //! (trace generator -> hierarchy -> predictor -> CPU model).
 //!
 //! The matrix renderer and comparison live in `mrp_experiments::golden`
-//! (shared with the `fig6_st_speedup --golden-check` driver mode that
-//! `orchestrate ci` spawns). Regenerate after an *intentional* output
+//! (shared with the `fig6_st_speedup --golden-check` driver mode, the
+//! same check from the command line). Regenerate after an *intentional* output
 //! change with `MRP_UPDATE_GOLDEN=1 cargo test -p mrp-experiments --test
 //! golden` or `cargo run -p mrp-experiments --bin fig6_st_speedup --
 //! --bless`.
