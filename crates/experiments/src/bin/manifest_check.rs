@@ -1,5 +1,4 @@
-//! CI gate binary: run-manifest schema validation plus the bench
-//! snapshot regression gate.
+//! CI check binary: run-manifest schema validation.
 //!
 //! **Manifest mode** (default): validates every JSONL run manifest in a
 //! directory against the `mrp-run-manifest-v1` schema. CI runs this
@@ -10,236 +9,17 @@
 //! against the `mrp-fleet-manifest-v1` schema and fails if any shard
 //! processed no accesses (the `serve --smoke` CI contract).
 //!
-//! **Bench-gate mode** (`--bench-gate FRESH.json`): diffs a freshly
-//! measured `bench_snapshot` document against the committed baseline
-//! (`--bench-baseline`, default `results/bench_snapshot.json`) and exits
-//! nonzero when a gated metric regressed beyond the tolerance
-//! (`--tolerance-pct`, default 15). Gated metrics: the predictor hot
-//! path (`index_16_features` and `confidence_and_train`; higher ns is
-//! worse) and per-policy hierarchy throughput (lower instructions/sec
-//! is worse).
-//! The replay speedup is gated against the absolute
-//! [`REPLAY_SPEEDUP_FLOOR`] instead of a relative tolerance — the
-//! committed ratio drifts with machine load, but the record/replay
-//! design claim is "at least this much", and this constant is the
-//! single source of truth for it. Other fields (the lane kernels) are
-//! informational: they vary with the detected SIMD level and machine,
-//! and the gated metrics already cover their sum.
-//! `--bless` re-anchors: the fresh snapshot overwrites the baseline and
-//! the gate passes, for intentional perf-profile changes.
+//! Performance is gated elsewhere, by `bench_snapshot` itself.
 //!
 //! Usage: `manifest_check [--dir runs]`
 //!        `manifest_check --fleet runs/fleet.json`
-//!        `manifest_check --bench-gate results/bench_fresh.json
-//!          [--bench-baseline results/bench_snapshot.json]
-//!          [--tolerance-pct 15] [--bless]`
+//!
+//! Any other flag is an error.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use mrp_experiments::Args;
-use mrp_obs::Json;
-
-/// Minimum acceptable `replay_speedup.speedup` in a fresh snapshot: the
-/// record-once/replay-many fast path must stay at least this much
-/// faster than 13 full simulations. The floor (not the committed ratio,
-/// which drifts with machine noise) is the design claim CI enforces.
-const REPLAY_SPEEDUP_FLOOR: f64 = 4.0;
-
-/// Minimum acceptable `serve_fleet.drain_accesses_per_sec` in a fresh
-/// snapshot. The recorded capability on this host is ≥10M accesses/sec
-/// per-core drain; the CI floor sits 20% under it so one noisy shared-host
-/// run doesn't flake the build, while a real regression of the serving
-/// drain path still trips it.
-const SERVE_DRAIN_FLOOR: f64 = 8.0e6;
-
-/// One gated metric: where it lives and which direction is a regression.
-struct GatedMetric {
-    /// Dotted display name (`hierarchy_throughput.MPPPB.instructions_per_sec`).
-    name: String,
-    /// Path through the JSON objects.
-    path: Vec<String>,
-    /// `true` for ns/op metrics, `false` for throughput.
-    higher_is_worse: bool,
-}
-
-/// Looks up a nested numeric field.
-fn metric(doc: &Json, path: &[String]) -> Option<f64> {
-    let mut cur = doc;
-    for key in path {
-        cur = cur.get(key)?;
-    }
-    cur.as_f64()
-}
-
-/// The gate set for a given baseline document: the two predictor
-/// hot-path metrics plus one throughput metric per policy the baseline
-/// recorded (so adding a policy to `bench_snapshot` auto-extends the
-/// gate once blessed).
-fn gated_metrics(baseline: &Json) -> Vec<GatedMetric> {
-    let mut out = vec![
-        GatedMetric {
-            name: "predictor_hot_path.index_16_features.median_ns_per_op".into(),
-            path: vec![
-                "predictor_hot_path".into(),
-                "index_16_features".into(),
-                "median_ns_per_op".into(),
-            ],
-            higher_is_worse: true,
-        },
-        GatedMetric {
-            name: "predictor_hot_path.confidence_and_train.median_ns_per_op".into(),
-            path: vec![
-                "predictor_hot_path".into(),
-                "confidence_and_train".into(),
-                "median_ns_per_op".into(),
-            ],
-            higher_is_worse: true,
-        },
-    ];
-    if let Some(Json::Obj(policies)) = baseline.get("hierarchy_throughput") {
-        for (policy, _) in policies {
-            out.push(GatedMetric {
-                name: format!("hierarchy_throughput.{policy}.instructions_per_sec"),
-                path: vec![
-                    "hierarchy_throughput".into(),
-                    policy.clone(),
-                    "instructions_per_sec".into(),
-                ],
-                higher_is_worse: false,
-            });
-        }
-    }
-    out
-}
-
-/// Compares fresh against baseline; returns regression descriptions
-/// (empty = gate passes) or an error when a document is malformed.
-fn bench_gate(baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Result<Vec<String>, String> {
-    let tol = tolerance_pct / 100.0;
-    let mut failures = Vec::new();
-    for m in gated_metrics(baseline) {
-        let base = metric(baseline, &m.path)
-            .ok_or_else(|| format!("baseline snapshot missing numeric field {}", m.name))?;
-        let new = metric(fresh, &m.path)
-            .ok_or_else(|| format!("fresh snapshot missing numeric field {}", m.name))?;
-        let (regressed, change_pct) = if m.higher_is_worse {
-            (new > base * (1.0 + tol), (new / base - 1.0) * 100.0)
-        } else {
-            (new < base * (1.0 - tol), (1.0 - new / base) * 100.0)
-        };
-        let verdict = if regressed { "REGRESSED" } else { "ok" };
-        println!(
-            "{}: {base:.3} -> {new:.3} ({change_pct:+.1}% {}) {verdict}",
-            m.name,
-            if m.higher_is_worse { "slower" } else { "loss" },
-        );
-        if regressed {
-            failures.push(format!(
-                "{} regressed {change_pct:.1}% (baseline {base:.3}, fresh {new:.3}, \
-                 tolerance {tolerance_pct:.0}%)",
-                m.name
-            ));
-        }
-    }
-    // Absolute floor on the replay speedup, applied whenever the
-    // baseline records one (the tolerance diff above does not cover it:
-    // the ratio is noisy, the floor is the actual claim).
-    let speedup_path = ["replay_speedup".to_string(), "speedup".to_string()];
-    if metric(baseline, &speedup_path).is_some() {
-        let speedup = metric(fresh, &speedup_path).ok_or_else(|| {
-            "fresh snapshot missing numeric field replay_speedup.speedup".to_string()
-        })?;
-        let ok = speedup >= REPLAY_SPEEDUP_FLOOR;
-        println!(
-            "replay_speedup.speedup: {speedup:.3} (floor {REPLAY_SPEEDUP_FLOOR:.1}) {}",
-            if ok { "ok" } else { "REGRESSED" }
-        );
-        if !ok {
-            failures.push(format!(
-                "replay_speedup.speedup {speedup:.3} fell below the {REPLAY_SPEEDUP_FLOOR:.1}x \
-                 floor"
-            ));
-        }
-    }
-    // Same shape for the serving fleet: an absolute floor on the drain
-    // rate, applied whenever the baseline records the serve_fleet row.
-    let drain_path = [
-        "serve_fleet".to_string(),
-        "drain_accesses_per_sec".to_string(),
-    ];
-    if metric(baseline, &drain_path).is_some() {
-        let drain = metric(fresh, &drain_path).ok_or_else(|| {
-            "fresh snapshot missing numeric field serve_fleet.drain_accesses_per_sec".to_string()
-        })?;
-        let ok = drain >= SERVE_DRAIN_FLOOR;
-        println!(
-            "serve_fleet.drain_accesses_per_sec: {drain:.0} (floor {SERVE_DRAIN_FLOOR:.0}) {}",
-            if ok { "ok" } else { "REGRESSED" }
-        );
-        if !ok {
-            failures.push(format!(
-                "serve_fleet.drain_accesses_per_sec {drain:.0} fell below the \
-                 {SERVE_DRAIN_FLOOR:.0} floor"
-            ));
-        }
-    }
-    Ok(failures)
-}
-
-fn load_json(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))
-}
-
-fn run_bench_gate(args: &Args, fresh_path: &str) -> ExitCode {
-    let baseline_path = args.get_str("bench-baseline", "results/bench_snapshot.json");
-    let tolerance_pct = args.get_u64("tolerance-pct", 15) as f64;
-    let bless = args.get_flag("bless", false);
-    let fresh = match load_json(fresh_path) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("bench_gate: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if bless {
-        if let Err(e) = std::fs::copy(fresh_path, &baseline_path) {
-            eprintln!("bench_gate: bless {fresh_path} -> {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("bench_gate: blessed {fresh_path} as new baseline {baseline_path}");
-        return ExitCode::SUCCESS;
-    }
-    let baseline = match load_json(&baseline_path) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("bench_gate: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match bench_gate(&baseline, &fresh, tolerance_pct) {
-        Ok(failures) if failures.is_empty() => {
-            println!("# bench gate passed ({tolerance_pct:.0}% tolerance)");
-            ExitCode::SUCCESS
-        }
-        Ok(failures) => {
-            for f in &failures {
-                eprintln!("bench_gate: {f}");
-            }
-            eprintln!(
-                "# bench gate FAILED: {} metric(s) regressed \
-                 (rerun with --bless to re-anchor an intentional change)",
-                failures.len()
-            );
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("bench_gate: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
 
 /// `--fleet` mode: schema-check one serving-fleet manifest and require
 /// every shard to have made progress (the serve smoke contract).
@@ -280,11 +60,7 @@ fn run_fleet_check(path: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = Args::parse();
-    let bench_gate_path = args.get_str("bench-gate", "");
-    if !bench_gate_path.is_empty() {
-        return run_bench_gate(&args, &bench_gate_path);
-    }
+    let args = Args::parse_known(&["dir", "fleet"]);
     let fleet_path = args.get_str("fleet", "");
     if !fleet_path.is_empty() {
         return run_fleet_check(&fleet_path);
@@ -309,133 +85,4 @@ fn main() -> ExitCode {
     }
     println!("# {} manifest(s) valid", summaries.len());
     ExitCode::SUCCESS
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn snapshot(index: f64, train: f64, lru: f64, mpppb: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{
-              "predictor_hot_path": {{
-                "index_16_features": {{ "median_ns_per_op": {index} }},
-                "confidence_and_train": {{ "median_ns_per_op": {train} }}
-              }},
-              "hierarchy_throughput": {{
-                "LRU": {{ "instructions_per_sec": {lru} }},
-                "MPPPB": {{ "instructions_per_sec": {mpppb} }}
-              }}
-            }}"#
-        ))
-        .expect("valid test snapshot")
-    }
-
-    #[test]
-    fn unchanged_and_improved_metrics_pass() {
-        let base = snapshot(40.0, 80.0, 30e6, 35e6);
-        // Faster hot path, higher throughput: clean.
-        let fresh = snapshot(20.0, 60.0, 40e6, 40e6);
-        assert!(bench_gate(&base, &fresh, 15.0).unwrap().is_empty());
-        // Exactly at the boundary is still within tolerance.
-        let edge = snapshot(40.0 * 1.15, 80.0, 30e6 * 0.85, 35e6);
-        assert!(bench_gate(&base, &edge, 15.0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn slower_ns_and_lower_throughput_fail() {
-        let base = snapshot(40.0, 80.0, 30e6, 35e6);
-        let slow_index = snapshot(50.0, 80.0, 30e6, 35e6);
-        let f = bench_gate(&base, &slow_index, 15.0).unwrap();
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].contains("index_16_features"), "{f:?}");
-
-        let slow_mpppb = snapshot(40.0, 80.0, 30e6, 25e6);
-        let f = bench_gate(&base, &slow_mpppb, 15.0).unwrap();
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].contains("MPPPB"), "{f:?}");
-    }
-
-    #[test]
-    fn gate_covers_every_baseline_policy() {
-        let base = snapshot(40.0, 80.0, 30e6, 35e6);
-        let names: Vec<String> = gated_metrics(&base).into_iter().map(|m| m.name).collect();
-        assert_eq!(names.len(), 4);
-        assert!(names
-            .iter()
-            .any(|n| n == "hierarchy_throughput.LRU.instructions_per_sec"));
-        assert!(names
-            .iter()
-            .any(|n| n == "hierarchy_throughput.MPPPB.instructions_per_sec"));
-    }
-
-    /// A full snapshot with a replay speedup.
-    fn snapshot_with_speedup(speedup: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{
-              "predictor_hot_path": {{
-                "index_16_features": {{ "median_ns_per_op": 40.0 }},
-                "confidence_and_train": {{ "median_ns_per_op": 80.0 }}
-              }},
-              "hierarchy_throughput": {{
-                "MPPPB": {{ "instructions_per_sec": 35e6 }}
-              }},
-              "replay_speedup": {{ "speedup": {speedup} }}
-            }}"#
-        ))
-        .expect("valid test snapshot")
-    }
-
-    #[test]
-    fn replay_speedup_is_gated_against_the_absolute_floor() {
-        let base = snapshot_with_speedup(5.0);
-        // Well above the floor but far below the baseline ratio: still
-        // clean — the floor, not a relative diff, is the claim.
-        let noisy = snapshot_with_speedup(REPLAY_SPEEDUP_FLOOR + 0.1);
-        assert!(bench_gate(&base, &noisy, 15.0).unwrap().is_empty());
-        let below = snapshot_with_speedup(REPLAY_SPEEDUP_FLOOR - 0.5);
-        let f = bench_gate(&base, &below, 15.0).unwrap();
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].contains("floor"), "{f:?}");
-    }
-
-    /// A snapshot with a serve_fleet row at the given drain rate.
-    fn snapshot_with_serve(drain: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{
-              "predictor_hot_path": {{
-                "index_16_features": {{ "median_ns_per_op": 40.0 }},
-                "confidence_and_train": {{ "median_ns_per_op": 80.0 }}
-              }},
-              "hierarchy_throughput": {{
-                "MPPPB": {{ "instructions_per_sec": 35e6 }}
-              }},
-              "serve_fleet": {{ "drain_accesses_per_sec": {drain} }}
-            }}"#
-        ))
-        .expect("valid test snapshot")
-    }
-
-    #[test]
-    fn serve_drain_is_gated_against_the_absolute_floor() {
-        let base = snapshot_with_serve(10.5e6);
-        // Below the committed measurement but above the floor: clean —
-        // the floor absorbs shared-host noise.
-        let noisy = snapshot_with_serve(SERVE_DRAIN_FLOOR + 1.0);
-        assert!(bench_gate(&base, &noisy, 15.0).unwrap().is_empty());
-        let below = snapshot_with_serve(SERVE_DRAIN_FLOOR * 0.8);
-        let f = bench_gate(&base, &below, 15.0).unwrap();
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].contains("serve_fleet"), "{f:?}");
-        // Baselines without the row don't require it (pre-bless).
-        let old = snapshot(40.0, 80.0, 30e6, 35e6);
-        assert!(bench_gate(&old, &old, 15.0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn missing_field_is_an_error_not_a_pass() {
-        let base = snapshot(40.0, 80.0, 30e6, 35e6);
-        let truncated = Json::parse(r#"{ "predictor_hot_path": {} }"#).unwrap();
-        assert!(bench_gate(&base, &truncated, 15.0).is_err());
-    }
 }

@@ -49,6 +49,36 @@ impl Args {
         }
     }
 
+    /// Parses the process arguments like [`Args::parse`], rejecting any
+    /// `--key` not in `known`, so a stale or misspelt flag fails instead
+    /// of being silently ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a usage message on an unknown flag, or on malformed or
+    /// duplicated arguments.
+    pub fn parse_known(known: &[&str]) -> Self {
+        Self::from_args_known(std::env::args().skip(1), known)
+    }
+
+    /// [`Args::parse_known`] from an explicit iterator (tests).
+    fn from_args_known<I: IntoIterator<Item = String>>(iter: I, known: &[&str]) -> Self {
+        let args: Vec<String> = iter.into_iter().collect();
+        // Values never start with `--` (the generic parser reads such a
+        // token as the next key), so these are exactly the given keys.
+        if let Some(key) = args
+            .iter()
+            .filter_map(|a| a.strip_prefix("--"))
+            .find(|key| !known.contains(key))
+        {
+            panic!(
+                "unknown flag --{key}; this binary reads --{}",
+                known.join(", --")
+            );
+        }
+        Self::from_args(args)
+    }
+
     /// Resolves the shared runtime knobs — `--no-simd`, `--threads` —
     /// into a typed [`RuntimeOptions`], installs it process-wide (SIMD
     /// dispatch, worker pool), and returns the resolved worker count.
@@ -131,6 +161,15 @@ mod tests {
         let a = args(&["--instructions", "5000", "--bless"]);
         assert_eq!(a.get_u64("instructions", 1), 5000);
         assert!(a.get_flag("bless", false));
+    }
+
+    #[test]
+    fn known_flags_parse_as_usual() {
+        let given = ["--samples", "3", "--metrics", "--delta", "-5"].map(String::from);
+        let a = Args::from_args_known(given, &["samples", "metrics", "delta"]);
+        assert_eq!(a.get_u64("samples", 1), 3);
+        assert!(a.get_flag("metrics", false));
+        assert_eq!(a.get_str("delta", "0"), "-5");
     }
 
     #[test]

@@ -121,3 +121,33 @@ fn co_tune_rejects_an_unknown_half_before_tuning() {
     assert!(out.stdout.is_empty(), "co_tune printed a result");
     assert!(!dir.exists(), "co_tune wrote a manifest");
 }
+
+#[test]
+fn manifest_check_rejects_the_deleted_bench_gate_flag() {
+    // `runs/` under the working directory holds one valid manifest, so
+    // an ignored `--bench-gate` would fall through to validating it and
+    // pass. The flag must fail instead.
+    let dir = scratch_dir("bench-gate-flag");
+    RunManifest::new("obs_test", 1, dir.join("runs"))
+        .finish()
+        .expect("write manifest");
+    let run = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_manifest_check"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn manifest_check")
+    };
+    assert!(
+        run(&[]).status.success(),
+        "the runs/ manifest must validate"
+    );
+    let out = run(&["--bench-gate", "fresh.json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "manifest_check accepted --bench-gate"
+    );
+    assert!(stderr.contains("unknown flag --bench-gate"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
