@@ -1,11 +1,13 @@
 //! Golden regression tests for the table-producing drivers: the ROC
-//! curves, the Fig. 4/5 multi-programmed matrix, the Fig. 10 ablation
-//! and the Table 3 feature-contribution matrix at reduced scale must
-//! match their committed references bit-for-bit.
+//! curves, the Fig. 3 feature search, the Fig. 4/5 multi-programmed
+//! matrix, the Fig. 9 associativity sweep, the Fig. 10 ablation and the
+//! Table 3 feature-contribution matrix at reduced scale must match their
+//! committed references bit-for-bit.
 //!
 //! Regenerate after an *intentional* output change with the driver's
 //! `--bless` flag (`cargo run -p mrp-experiments --bin fig10_ablation --
-//! --bless`, likewise `fig_roc`, `fig4_mp_speedup` and `table3_contrib`),
+//! --bless`, likewise `fig_roc`, `fig3_search`, `fig4_mp_speedup`,
+//! `fig9_assoc` and `table3_contrib`),
 //! or with
 //! `MRP_UPDATE_GOLDEN=1 cargo test -p mrp-experiments --test golden_tables`.
 //!
@@ -21,8 +23,18 @@ fn fig_roc_matches_committed_golden() {
 }
 
 #[test]
+fn fig3_search_matches_committed_golden() {
+    golden::check_against_committed("fig3_golden.txt", &golden::fig3_golden());
+}
+
+#[test]
 fn fig4_multiprogrammed_matches_committed_golden() {
     golden::check_against_committed("fig4_golden.txt", &golden::fig4_golden());
+}
+
+#[test]
+fn fig9_assoc_matches_committed_golden() {
+    golden::check_against_committed("fig9_golden.txt", &golden::fig9_golden());
 }
 
 #[test]
