@@ -38,14 +38,14 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use mrp_cache::replay::LlcRecording;
 use mrp_cache::{Cache, HierarchyConfig, ReplacementPolicy};
 use mrp_core::context::FeatureContext;
 use mrp_core::feature_sets;
 use mrp_core::{FeaturePlan, MultiperspectivePredictor, SimdLevel};
 use mrp_cpu::{replay_single, SingleCoreSim};
 use mrp_experiments::cli::Args;
-use mrp_experiments::{finish_manifest, PolicyKind};
+use mrp_experiments::runner::record;
+use mrp_experiments::{finish_manifest, PolicyKind, RunScale};
 use mrp_obs::Json;
 use mrp_trace::workloads::{self, Workload};
 
@@ -345,13 +345,11 @@ fn full_sweep_ms(workload: &Workload, instructions: u64) -> f64 {
 fn replay_sweep_ms(workload: &Workload, instructions: u64) -> f64 {
     let config = HierarchyConfig::single_thread();
     let start = Instant::now();
-    let recording = LlcRecording::record(
-        workload.name(),
-        workload.trace(1),
-        &config,
-        instructions / 5,
-        instructions,
-    );
+    let scale = RunScale::single_thread()
+        .warmup(instructions / 5)
+        .measure(instructions)
+        .seed(1);
+    let recording = record(workload, scale);
     let mut total = 0.0;
     for policy in all_policies(&config) {
         let mut cache = Cache::new(config.llc, policy);
@@ -524,7 +522,6 @@ fn main() -> ExitCode {
         m.meta("samples", Json::U64(samples as u64));
         m.meta("hot_path_iters", Json::U64(iters));
         m.meta("hierarchy_instructions", Json::U64(instructions));
-        m.meta("simd_level", Json::Str(level.name().to_string()));
         for (name, value) in &rows {
             m.scalar(&format!("rows.{name}"), *value);
         }

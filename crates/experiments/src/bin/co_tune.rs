@@ -14,7 +14,8 @@ use mrp_search::{FastEvaluator, HillClimber};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use mrp_experiments::{finish_manifest, suite_half, Args};
+use mrp_experiments::runner::record;
+use mrp_experiments::{finish_manifest, suite_half, Args, RunScale};
 use mrp_obs::Json;
 
 fn search_thresholds(
@@ -63,7 +64,19 @@ fn search_thresholds(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_known(&[
+        "rounds",
+        "combos",
+        "moves",
+        "workloads",
+        "instructions",
+        "seed",
+        "half",
+        "threads",
+        "no-simd",
+        "metrics",
+        "manifest-dir",
+    ]);
     args.init_runtime_options();
     let rounds = args.get_usize("rounds", 2);
     let combos = args.get_usize("combos", 100);
@@ -91,7 +104,12 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    let mut evaluator = mrp_experiments::recording::fast_evaluator(&selected, seed, instructions);
+    let scale = RunScale::single_thread()
+        .warmup(0)
+        .measure(instructions)
+        .seed(seed);
+    let mut evaluator =
+        FastEvaluator::from_recordings(mrp_runtime::par_map(&selected, |w| record(w, scale)));
 
     // Seed: the Perceptron-equivalent 6 features cyclically padded to the
     // paper's 16 slots (duplicates are legitimate; the published sets

@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin fig10_ablation --
 //! [--warmup N] [--measure N] [--mixes N] [--features N] [--seed N] [--threads N]
-//! [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
+//! [--metrics] [--manifest-dir DIR]`
 //!
 //! The standalone-IPC baseline replays each workload's shared recording;
 //! mix runs are simulated in full.
@@ -16,11 +16,23 @@ use std::process::ExitCode;
 
 use mrp_experiments::ablation;
 use mrp_experiments::output::pct;
-use mrp_experiments::{finish_manifest, golden, Args, RunScale};
+use mrp_experiments::{finish_manifest, golden, Args, RunScale, TextSink};
 use mrp_obs::Json;
 
 fn main() -> ExitCode {
-    let args = Args::parse();
+    let args = Args::parse_known(&[
+        "warmup",
+        "measure",
+        "seed",
+        "mixes",
+        "features",
+        "threads",
+        "no-simd",
+        "metrics",
+        "manifest-dir",
+        "bless",
+        "golden-check",
+    ]);
     let threads = args.init_runtime_options();
     if let Some(code) = golden::golden_mode(
         &args,
@@ -40,7 +52,7 @@ fn main() -> ExitCode {
     let result = ablation::run(scale, mixes, features);
 
     let report_phase = mrp_obs::phase("report");
-    let mut sink = args.report_sink();
+    let mut sink = TextSink::stdout();
     sink.comment("Fig 10: geomean weighted speedup with each Table 1(a) feature omitted");
     let rows: Vec<Vec<String>> = std::iter::once(vec![
         "(original)".to_string(),
@@ -56,18 +68,14 @@ fn main() -> ExitCode {
         vec![feature.clone(), pct(*speedup), marker.to_string()]
     }))
     .collect();
-    sink.table(
-        "fig10_ablation",
-        &["feature omitted", "speedup", "note"],
-        &rows,
-    );
+    sink.table(&["feature omitted", "speedup", "note"], &rows);
 
     let (best_feature, best_speedup) = result.most_valuable();
     sink.comment(&format!(
         "most valuable feature: {best_feature} (speedup drops to {} without it; paper: offset(15,1,6,1), 8.0% -> 7.6%)",
         pct(*best_speedup)
     ));
-    sink.scalar("speedup.original", result.original, &pct(result.original));
+    sink.scalar("speedup.original", &pct(result.original));
 
     if let Some(m) = manifest.as_mut() {
         m.meta("threads", Json::U64(threads as u64));

@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin fig4_mp_speedup --
 //! [--warmup N] [--measure N] [--mixes N] [--seed N] [--threads N]
-//! [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
+//! [--metrics] [--manifest-dir DIR]`
 //!
 //! `--bless` regenerates the reduced-scale golden matrix at
 //! `results/fig4_golden.txt` (checked by the `golden_tables` test; it
@@ -14,11 +14,22 @@ use std::process::ExitCode;
 
 use mrp_experiments::multi;
 use mrp_experiments::output::{pct, series_points};
-use mrp_experiments::{finish_manifest, golden, Args, RunScale};
+use mrp_experiments::{finish_manifest, golden, Args, RunScale, TextSink};
 use mrp_obs::Json;
 
 fn main() -> ExitCode {
-    let args = Args::parse();
+    let args = Args::parse_known(&[
+        "warmup",
+        "measure",
+        "seed",
+        "mixes",
+        "threads",
+        "no-simd",
+        "metrics",
+        "manifest-dir",
+        "bless",
+        "golden-check",
+    ]);
     let threads = args.init_runtime_options();
     if let Some(code) = golden::golden_mode(
         &args,
@@ -37,7 +48,7 @@ fn main() -> ExitCode {
     let matrix = multi::run(scale, mixes, 16);
 
     let report_phase = mrp_obs::phase("report");
-    let mut sink = args.report_sink();
+    let mut sink = TextSink::stdout();
     for name in &matrix.policy_names {
         sink.series(name, &series_points(matrix.speedups(name), true, 30));
     }
@@ -47,7 +58,6 @@ fn main() -> ExitCode {
         let g = matrix.geomean_speedup(name);
         sink.scalar(
             &format!("geomean_speedup.{name}"),
-            g,
             &format!(
                 "{}   (below LRU on {}/{} mixes)",
                 pct(g),

@@ -2,15 +2,24 @@
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin fig5_mp_mpki --
 //! [--warmup N] [--measure N] [--mixes N] [--seed N] [--threads N]
-//! [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
+//! [--metrics] [--manifest-dir DIR]`
 
 use mrp_experiments::multi;
 use mrp_experiments::output::series_points;
-use mrp_experiments::{finish_manifest, Args, RunScale};
+use mrp_experiments::{finish_manifest, Args, RunScale, TextSink};
 use mrp_obs::Json;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_known(&[
+        "warmup",
+        "measure",
+        "seed",
+        "mixes",
+        "threads",
+        "no-simd",
+        "metrics",
+        "manifest-dir",
+    ]);
     let threads = args.init_runtime_options();
     let scale = args.run_scale(RunScale::multi_core());
     let mut manifest = args.init_metrics("fig5_mp_mpki", scale.seed);
@@ -20,7 +29,7 @@ fn main() {
     let matrix = multi::run(scale, mixes, 16);
 
     let report_phase = mrp_obs::phase("report");
-    let mut sink = args.report_sink();
+    let mut sink = TextSink::stdout();
     sink.series("LRU", &series_points(matrix.mpkis("LRU"), false, 30));
     for name in &matrix.policy_names {
         sink.series(name, &series_points(matrix.mpkis(name), false, 30));
@@ -30,10 +39,10 @@ fn main() {
         "arithmetic mean MPKI (paper: LRU 14.1, Perceptron 12.49, Hawkeye 11.72, MPPPB 10.97):",
     );
     let lru_mean = matrix.mean_mpki("LRU");
-    sink.scalar("mean_mpki.LRU", lru_mean, &format!("{lru_mean:.2}"));
+    sink.scalar("mean_mpki.LRU", &format!("{lru_mean:.2}"));
     for name in &matrix.policy_names {
         let mean = matrix.mean_mpki(name);
-        sink.scalar(&format!("mean_mpki.{name}"), mean, &format!("{mean:.2}"));
+        sink.scalar(&format!("mean_mpki.{name}"), &format!("{mean:.2}"));
     }
 
     if let Some(m) = manifest.as_mut() {

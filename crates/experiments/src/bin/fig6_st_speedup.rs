@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin fig6_st_speedup --
 //! [--warmup N] [--measure N] [--workloads N] [--min 0|1|true|false] [--seed N] [--threads N]
-//! [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
+//! [--metrics] [--manifest-dir DIR]`
 //!
 //! Each workload's LLC-bound stream is recorded once and replayed into
 //! every policy (bit-identical to full simulation). `--metrics`
@@ -17,11 +17,24 @@
 use std::process::ExitCode;
 
 use mrp_experiments::output::pct;
-use mrp_experiments::{finish_manifest, golden, single_thread, Args, RunScale};
+use mrp_experiments::{finish_manifest, golden, single_thread, Args, RunScale, TextSink};
 use mrp_obs::Json;
 
 fn main() -> ExitCode {
-    let args = Args::parse();
+    let args = Args::parse_known(&[
+        "warmup",
+        "measure",
+        "seed",
+        "workloads",
+        "min",
+        "cv",
+        "threads",
+        "no-simd",
+        "metrics",
+        "manifest-dir",
+        "bless",
+        "golden-check",
+    ]);
     let threads = args.init_runtime_options();
     if let Some(code) = golden::golden_mode(
         &args,
@@ -47,7 +60,7 @@ fn main() -> ExitCode {
 
     // Scoped so the report phase lands in the manifest's phase snapshot.
     let report_phase = mrp_obs::phase("report");
-    let mut sink = args.report_sink();
+    let mut sink = TextSink::stdout();
     let mut header = vec!["benchmark", "LRU ipc"];
     for n in &matrix.policy_names {
         header.push(n);
@@ -65,12 +78,12 @@ fn main() -> ExitCode {
         .collect();
     // Sort by MPPPB speedup, as the figure does.
     rows.sort_by(|a, b| a[4].partial_cmp(&b[4]).expect("finite"));
-    sink.table("fig6_st_speedup", &header, &rows);
+    sink.table(&header, &rows);
 
     sink.comment("geometric mean speedup over LRU (paper: Hawkeye +5.1%, Perceptron +6.3%, MPPPB +9.0%, MIN +13.6%):");
     for n in &matrix.policy_names {
         let g = matrix.geomean_speedup(n);
-        sink.scalar(&format!("geomean_speedup.{n}"), g, &pct(g));
+        sink.scalar(&format!("geomean_speedup.{n}"), &pct(g));
     }
 
     if let Some(m) = manifest.as_mut() {

@@ -2,17 +2,28 @@
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin fig7_st_mpki --
 //! [--warmup N] [--measure N] [--workloads N] [--min 0|1|true|false] [--seed N] [--threads N]
-//! [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
+//! [--metrics] [--manifest-dir DIR]`
 //!
 //! Each workload's LLC-bound stream is recorded once and replayed into
 //! every policy (bit-identical to full simulation). `--metrics` writes a
 //! JSONL run manifest under `--manifest-dir`.
 
-use mrp_experiments::{finish_manifest, single_thread, Args, RunScale};
+use mrp_experiments::{finish_manifest, single_thread, Args, RunScale, TextSink};
 use mrp_obs::Json;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_known(&[
+        "warmup",
+        "measure",
+        "seed",
+        "workloads",
+        "min",
+        "cv",
+        "threads",
+        "no-simd",
+        "metrics",
+        "manifest-dir",
+    ]);
     let threads = args.init_runtime_options();
     let scale = args.run_scale(RunScale::single_thread());
     let mut manifest = args.init_metrics("fig7_st_mpki", scale.seed);
@@ -28,7 +39,7 @@ fn main() {
     };
 
     let report_phase = mrp_obs::phase("report");
-    let mut sink = args.report_sink();
+    let mut sink = TextSink::stdout();
     let mut header = vec!["benchmark", "LRU"];
     for n in &matrix.policy_names {
         header.push(n);
@@ -44,14 +55,14 @@ fn main() {
             row
         })
         .collect();
-    sink.table("fig7_st_mpki", &header, &rows);
+    sink.table(&header, &rows);
 
     sink.comment("mean MPKI (paper: Hawkeye 3.8, Perceptron 3.7, MPPPB 3.5):");
     let lru_mean = matrix.mean_mpki("LRU");
-    sink.scalar("mean_mpki.LRU", lru_mean, &format!("{lru_mean:.2}"));
+    sink.scalar("mean_mpki.LRU", &format!("{lru_mean:.2}"));
     for n in &matrix.policy_names {
         let mean = matrix.mean_mpki(n);
-        sink.scalar(&format!("mean_mpki.{n}"), mean, &format!("{mean:.2}"));
+        sink.scalar(&format!("mean_mpki.{n}"), &format!("{mean:.2}"));
     }
 
     if let Some(m) = manifest.as_mut() {

@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin fig_roc --
 //! [--warmup N] [--measure N] [--workloads N] [--seed N] [--threads N]
-//! [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
+//! [--metrics] [--manifest-dir DIR]`
 //!
 //! Each workload records once and every predictor probe replays the
 //! shared stream.
@@ -15,11 +15,22 @@
 use std::process::ExitCode;
 
 use mrp_experiments::roc;
-use mrp_experiments::{finish_manifest, golden, Args, RunScale};
+use mrp_experiments::{finish_manifest, golden, Args, RunScale, TextSink};
 use mrp_obs::Json;
 
 fn main() -> ExitCode {
-    let args = Args::parse();
+    let args = Args::parse_known(&[
+        "warmup",
+        "measure",
+        "seed",
+        "workloads",
+        "threads",
+        "no-simd",
+        "metrics",
+        "manifest-dir",
+        "bless",
+        "golden-check",
+    ]);
     let threads = args.init_runtime_options();
     if let Some(code) = golden::golden_mode(
         &args,
@@ -42,7 +53,7 @@ fn main() -> ExitCode {
     let curves = roc::run(scale, workloads);
 
     let report_phase = mrp_obs::phase("report");
-    let mut sink = args.report_sink();
+    let mut sink = TextSink::stdout();
     for curve in &curves {
         let rows: Vec<Vec<String>> = curve
             .points
@@ -51,11 +62,7 @@ fn main() -> ExitCode {
             .filter(|&&(_, fpr, _)| fpr > 0.001 && fpr < 0.999)
             .map(|&(t, fpr, tpr)| vec![t.to_string(), format!("{fpr:.4}"), format!("{tpr:.4}")])
             .collect();
-        sink.table(
-            &format!("roc.{}", curve.predictor),
-            &["threshold", "FPR", "TPR"],
-            &rows,
-        );
+        sink.table(&["threshold", "FPR", "TPR"], &rows);
     }
 
     sink.comment("Fig 8(b) inset: TPR in the bypass-relevant FPR region (paper: multiperspective dominates at 0.25-0.31)");
@@ -70,11 +77,7 @@ fn main() -> ExitCode {
             ]
         })
         .collect();
-    sink.table(
-        "roc_inset",
-        &["predictor", "TPR@0.25", "TPR@0.28", "TPR@0.31"],
-        &inset,
-    );
+    sink.table(&["predictor", "TPR@0.25", "TPR@0.28", "TPR@0.31"], &inset);
 
     if let Some(m) = manifest.as_mut() {
         m.meta("threads", Json::U64(threads as u64));

@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin table3_contrib --
 //! [--workloads N] [--instructions N] [--seed N] [--threads N]
-//! [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
+//! [--metrics] [--manifest-dir DIR]`
 //!
 //! `--bless` regenerates the reduced-scale golden matrix at
 //! `results/table3_golden.txt` (checked by the `golden_tables` test)
@@ -12,11 +12,21 @@
 use std::process::ExitCode;
 
 use mrp_experiments::feature_table;
-use mrp_experiments::{finish_manifest, golden, Args};
+use mrp_experiments::{finish_manifest, golden, Args, TextSink};
 use mrp_obs::Json;
 
 fn main() -> ExitCode {
-    let args = Args::parse();
+    let args = Args::parse_known(&[
+        "workloads",
+        "instructions",
+        "seed",
+        "threads",
+        "no-simd",
+        "metrics",
+        "manifest-dir",
+        "bless",
+        "golden-check",
+    ]);
     let threads = args.init_runtime_options();
     if let Some(code) = golden::golden_mode(
         &args,
@@ -38,7 +48,7 @@ fn main() -> ExitCode {
     let rows = feature_table::run(workloads, instructions, seed);
 
     let report_phase = mrp_obs::phase("report");
-    let mut sink = args.report_sink();
+    let mut sink = TextSink::stdout();
     let rendered: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -52,7 +62,6 @@ fn main() -> ExitCode {
         })
         .collect();
     sink.table(
-        "table3_contrib",
         &["workload", "feature", "MPKI w/o", "MPKI with", "increase"],
         &rendered,
     );

@@ -1,16 +1,16 @@
 //! Tables 1 and 2: the published feature sets, with storage accounting.
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin tables_features --
-//! [--format text|tsv|jsonl] [--metrics] [--manifest-dir DIR]`
+//! [--metrics] [--manifest-dir DIR]`
 
 use mrp_core::feature_sets;
 use mrp_core::tables::WeightTables;
 use mrp_core::Feature;
-use mrp_experiments::{finish_manifest, Args, ReportSink};
+use mrp_experiments::{finish_manifest, Args, TextSink};
 use mrp_obs::{Json, RunManifest};
 
 fn describe(
-    sink: &mut dyn ReportSink,
+    sink: &mut TextSink,
     manifest: Option<&mut RunManifest>,
     key: &str,
     title: &str,
@@ -23,11 +23,10 @@ fn describe(
         .map(|f| (f.table_size() as u32).trailing_zeros())
         .sum();
     let rows: Vec<Vec<String>> = features.iter().map(|f| vec![f.to_string()]).collect();
-    sink.table(key, &["feature"], &rows);
+    sink.table(&["feature"], &rows);
     let storage_kb = tables.storage_bits() as f64 / 8192.0;
     sink.scalar(
         &format!("{key}.index_bits"),
-        index_bits as f64,
         &format!(
             "{} features, {index_bits} index bits per sampler entry, {storage_kb:.2} KB of weight tables",
             features.len()
@@ -47,26 +46,27 @@ fn describe(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_known(&["threads", "no-simd", "metrics", "manifest-dir"]);
+    args.init_runtime_options();
     let mut manifest = args.init_metrics("tables_features", 0);
     let report_phase = mrp_obs::phase("report");
-    let mut sink = args.report_sink();
+    let mut sink = TextSink::stdout();
     describe(
-        sink.as_mut(),
+        &mut sink,
         manifest.as_mut(),
         "table_1a",
         "Table 1(a): single-thread feature set A (cross-validated)",
         &feature_sets::table_1a(),
     );
     describe(
-        sink.as_mut(),
+        &mut sink,
         manifest.as_mut(),
         "table_1b",
         "Table 1(b): single-thread feature set B (paper's area estimate: 118 index bits)",
         &feature_sets::table_1b(),
     );
     describe(
-        sink.as_mut(),
+        &mut sink,
         manifest.as_mut(),
         "table_2",
         "Table 2: multi-programmed feature set (trained on 100 mixes)",

@@ -28,7 +28,19 @@ use mrp_trace::workloads;
 use mrp_verify::{run_replay_check, run_verification, PolicySpec, VerifyConfig};
 
 fn main() -> ExitCode {
-    let args = Args::parse();
+    let args = Args::parse_known(&[
+        "seed",
+        "accesses",
+        "jobs",
+        "policies",
+        "replay-workloads",
+        "replay-warmup",
+        "replay-measure",
+        "threads",
+        "no-simd",
+        "metrics",
+        "manifest-dir",
+    ]);
     let threads = args.init_runtime_options();
     let cfg = VerifyConfig {
         seed: args.get_u64("seed", 42),

@@ -2,15 +2,13 @@
 //!
 //! Generic `--key value` parsing lives in [`mrp_runtime::cli::Args`];
 //! this wrapper layers the experiment-stack resolution over it: run
-//! scale, report sinks, telemetry manifests, and the typed
-//! [`RuntimeOptions`] knobs.
+//! scale, telemetry manifests, and the typed [`RuntimeOptions`] knobs.
 
 use std::ops::Deref;
 
 use mrp_core::RuntimeOptions;
-use mrp_obs::RunManifest;
+use mrp_obs::{Json, RunManifest};
 
-use crate::output::{ReportFormat, ReportSink};
 use crate::runner::RunScale;
 
 /// Parsed `--key value` arguments plus experiment-specific resolution.
@@ -31,17 +29,6 @@ impl Deref for Args {
 }
 
 impl Args {
-    /// Parses the process arguments (see [`mrp_runtime::cli::Args::parse`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed or duplicated arguments.
-    pub fn parse() -> Self {
-        Args {
-            inner: mrp_runtime::cli::Args::parse(),
-        }
-    }
-
     /// Parses from an explicit iterator (tests).
     pub fn from_args<I: IntoIterator<Item = String>>(iter: I) -> Self {
         Args {
@@ -49,9 +36,10 @@ impl Args {
         }
     }
 
-    /// Parses the process arguments like [`Args::parse`], rejecting any
-    /// `--key` not in `known`, so a stale or misspelt flag fails instead
-    /// of being silently ignored.
+    /// Parses the process arguments (see
+    /// [`mrp_runtime::cli::Args::parse`]), rejecting any `--key` not in
+    /// `known`, so a stale or misspelt flag fails instead of being
+    /// silently ignored. Every binary parses its arguments this way.
     ///
     /// # Panics
     ///
@@ -71,6 +59,9 @@ impl Args {
             .filter_map(|a| a.strip_prefix("--"))
             .find(|key| !known.contains(key))
         {
+            if known.is_empty() {
+                panic!("unknown flag --{key}; this binary takes no flags");
+            }
             panic!(
                 "unknown flag --{key}; this binary reads --{}",
                 known.join(", --")
@@ -105,17 +96,6 @@ impl Args {
             .seed(self.get_u64("seed", defaults.seed))
     }
 
-    /// The report format selected by the shared `--format` flag
-    /// (`text`, the default, `tsv`, or `jsonl`).
-    pub fn report_format(&self) -> ReportFormat {
-        ReportFormat::parse(&self.get_str("format", "text"))
-    }
-
-    /// A stdout [`ReportSink`] in the `--format`-selected encoding.
-    pub fn report_sink(&self) -> Box<dyn ReportSink> {
-        self.report_format().stdout_sink()
-    }
-
     /// Resolves the shared telemetry flags: `--metrics` switches the
     /// `mrp_obs` registry on (counters, gauges, phase timers) and
     /// returns a [`RunManifest`] that [`finish_manifest`] writes to
@@ -138,14 +118,43 @@ impl Args {
 
 /// Writes a driver's run manifest (if `--metrics` produced one) and
 /// reports the path on stderr, keeping stdout for the report itself.
+///
+/// The `meta` line also records the dispatched SIMD level
+/// (`simd_level`) and the process's peak resident set size so far
+/// (`peak_rss_bytes`, Linux's `VmHWM`), which is omitted where
+/// `/proc/self/status` cannot be read.
 pub fn finish_manifest(manifest: Option<RunManifest>) {
-    let Some(manifest) = manifest else {
+    let Some(mut manifest) = manifest else {
         return;
     };
+    manifest.meta(
+        "simd_level",
+        Json::Str(mrp_core::simd::level().name().into()),
+    );
+    if let Some(bytes) = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| peak_rss_bytes(&status))
+    {
+        manifest.meta("peak_rss_bytes", Json::U64(bytes));
+    }
     match manifest.finish() {
         Ok(path) => eprintln!("run manifest: {}", path.display()),
         Err(err) => eprintln!("warning: could not write run manifest: {err}"),
     }
+}
+
+/// The `VmHWM` (peak resident set size) of a `/proc/<pid>/status` text,
+/// in bytes.
+fn peak_rss_bytes(status: &str) -> Option<u64> {
+    let kib = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse::<u64>()
+        .ok()?;
+    Some(kib * 1024)
 }
 
 #[cfg(test)]
@@ -173,6 +182,49 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "unknown flag --instrutions")]
+    fn misspelt_flag_panics() {
+        let given = ["--instrutions", "100000"].map(String::from);
+        Args::from_args_known(given, &["workloads", "instructions", "seed"]);
+    }
+
+    #[test]
+    fn peak_rss_reads_vm_hwm() {
+        let status = "Name:\tfig4\nVmPeak:\t  300000 kB\nVmHWM:\t  215756 kB\nVmRSS:\t 1000 kB\n";
+        assert_eq!(peak_rss_bytes(status), Some(215_756 * 1024));
+        assert_eq!(peak_rss_bytes("Name:\tfig4\n"), None);
+        assert_eq!(peak_rss_bytes("VmHWM:\t lots kB\n"), None);
+    }
+
+    #[test]
+    fn finished_manifest_records_simd_level_and_peak_rss() {
+        let dir = std::env::temp_dir().join(format!("mrp-cli-rss-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        finish_manifest(Some(RunManifest::new("test_rss", 1, &dir)));
+        let entry = std::fs::read_dir(&dir)
+            .expect("manifest dir")
+            .next()
+            .expect("one manifest")
+            .expect("dir entry");
+        let text = std::fs::read_to_string(entry.path()).expect("read manifest");
+        let meta = Json::parse(text.lines().next().expect("meta line")).expect("meta json");
+        // Another test in this binary switches the level, so check only
+        // that a level name was recorded.
+        let level = meta.get("simd_level").and_then(Json::as_str);
+        assert!(
+            matches!(level, Some("scalar" | "avx2" | "avx512")),
+            "{level:?}"
+        );
+        if std::fs::read_to_string("/proc/self/status").is_ok() {
+            assert!(meta
+                .get("peak_rss_bytes")
+                .and_then(Json::as_u64)
+                .is_some_and(|b| b > 0));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn runtime_options_flags_install_process_wide() {
         // Sole owner of the process-global runtime overrides in this
         // test binary: each sub-case restores the env-deferred default.
@@ -196,19 +248,6 @@ mod tests {
         assert_eq!(mp.warmup, 7);
         assert_eq!(mp.measure, RunScale::multi_core().measure);
         assert_eq!(mp.seed, 42);
-    }
-
-    #[test]
-    fn report_format_flag_selects_sink() {
-        assert_eq!(args(&[]).report_format(), ReportFormat::Text);
-        assert_eq!(
-            args(&["--format", "tsv"]).report_format(),
-            ReportFormat::Tsv
-        );
-        assert_eq!(
-            args(&["--format", "jsonl"]).report_format(),
-            ReportFormat::Jsonl
-        );
     }
 
     #[test]

@@ -15,6 +15,8 @@ use mrp_cache::replay::LlcRecording;
 use mrp_cache::CacheConfig;
 use mrp_core::mpppb::{Mpppb, MpppbConfig};
 
+use crate::runner::{record, RunScale};
+
 /// One row of the Table 3 reproduction.
 #[derive(Debug, Clone)]
 pub struct ContributionRow {
@@ -39,15 +41,13 @@ pub fn run(workload_count: usize, instructions: u64, seed: u64) -> Vec<Contribut
     let llc = CacheConfig::llc_single();
     let base = MpppbConfig::single_thread(&llc).with_features(features.clone());
 
-    // Record each workload's LLC stream once (fresh seed = fresh traces),
-    // in parallel, through the shared recording cache so any other driver
-    // at the same parameters reuses the streams.
-    let selected = &suite[..count];
-    crate::recording::prerecord(selected, seed, 0, instructions);
-    let recordings: Vec<_> = selected
-        .iter()
-        .map(|w| crate::recording::recording_for(w, seed, 0, instructions))
-        .collect();
+    // Record each workload's LLC stream once, cold (fresh seed = fresh
+    // traces), in parallel; every leave-one-out cell replays it.
+    let scale = RunScale::single_thread()
+        .warmup(0)
+        .measure(instructions)
+        .seed(seed);
+    let recordings = mrp_runtime::par_map(&suite[..count], |w| record(w, scale));
 
     let evaluate = |features: &[Feature], recording: &LlcRecording| -> f64 {
         let config = base.clone().with_features(features.to_vec());

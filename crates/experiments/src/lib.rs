@@ -29,14 +29,13 @@ pub mod golden;
 pub mod multi;
 pub mod output;
 pub mod policies;
-pub mod recording;
 pub mod roc;
 pub mod runner;
 pub mod search_curve;
 pub mod single_thread;
 
 pub use cli::{finish_manifest, Args};
-pub use output::{ReportFormat, ReportSink};
+pub use output::TextSink;
 pub use policies::PolicyKind;
 pub use runner::RunScale;
 

@@ -1,21 +1,13 @@
-//! Typed report emission shared by the experiment binaries.
+//! Report emission shared by the experiment binaries.
 //!
-//! Drivers used to hand-roll `println!` formatting; they now describe
-//! their report as typed items — comments, tables, series, scalars —
-//! against the [`ReportSink`] trait, and the sink decides rendering:
-//!
-//! * [`TextSink`] — the historical human-readable output (aligned
-//!   tables, paper-style percentages),
-//! * [`TsvSink`] — tab-separated records for awk/cut pipelines,
-//! * [`JsonlSink`] — one JSON object per item for `jq`.
-//!
-//! Pick a sink with the shared `--format text|tsv|jsonl` flag (see
-//! [`crate::Args::report_sink`]). The low-level [`table`], [`s_curve`]
-//! and [`pct`] formatters remain available for tests and ad-hoc tools.
+//! Drivers describe their stdout report as items — comments, tables,
+//! series, scalars — written by a [`TextSink`] as human-readable text
+//! (aligned tables, paper-style percentages). Machine-readable results
+//! go to the run manifest (`--metrics`) as `cell` and `scalar` records
+//! instead. The low-level [`table`], [`s_curve`] and [`pct`] formatters
+//! remain available for tests and ad-hoc tools.
 
 use std::fmt::Write as _;
-
-use mrp_obs::Json;
 
 /// Renders an aligned text table: `header` then `rows`, all columns
 /// left-padded to the widest cell.
@@ -72,67 +64,6 @@ pub fn pct(speedup: f64) -> String {
     format!("{:+.1}%", (speedup - 1.0) * 100.0)
 }
 
-/// Output encodings the drivers' shared `--format` flag selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReportFormat {
-    /// Human-readable text (default; the historical output).
-    Text,
-    /// Tab-separated records, one per line.
-    Tsv,
-    /// One JSON object per line.
-    Jsonl,
-}
-
-impl ReportFormat {
-    /// Parses a `--format` operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on an unknown format name.
-    pub fn parse(name: &str) -> ReportFormat {
-        match name {
-            "text" => ReportFormat::Text,
-            "tsv" => ReportFormat::Tsv,
-            "jsonl" => ReportFormat::Jsonl,
-            other => panic!("--format expects text|tsv|jsonl, got {other:?}"),
-        }
-    }
-
-    /// A sink of this format writing to `out`.
-    pub fn sink_to<W: std::io::Write + 'static>(self, out: W) -> Box<dyn ReportSink> {
-        match self {
-            ReportFormat::Text => Box::new(TextSink::new(out)),
-            ReportFormat::Tsv => Box::new(TsvSink::new(out)),
-            ReportFormat::Jsonl => Box::new(JsonlSink::new(out)),
-        }
-    }
-
-    /// A sink of this format writing to stdout.
-    pub fn stdout_sink(self) -> Box<dyn ReportSink> {
-        self.sink_to(std::io::stdout())
-    }
-}
-
-/// A typed destination for driver reports.
-///
-/// Items arrive in presentation order; sinks render them immediately
-/// (no buffering contract), so interleaving with `eprintln!` progress
-/// messages behaves like the old direct printing.
-pub trait ReportSink {
-    /// Free-form context for human readers (headers, paper references).
-    fn comment(&mut self, text: &str);
-
-    /// A named table with one row per entity.
-    fn table(&mut self, title: &str, header: &[&str], rows: &[Vec<String>]);
-
-    /// A sorted/sampled series, e.g. an S-curve, as `(index, value)`.
-    fn series(&mut self, label: &str, points: &[(usize, f64)]);
-
-    /// A named summary number. `rendered` is the human formatting
-    /// (e.g. `+9.0%`); structured sinks emit the raw `value` instead.
-    fn scalar(&mut self, name: &str, value: f64, rendered: &str);
-}
-
 /// Downsamples sorted `values` to at most `points` `(index, value)`
 /// pairs — the series-shaped equivalent of [`s_curve`].
 pub fn series_points(mut values: Vec<f64>, ascending: bool, points: usize) -> Vec<(usize, f64)> {
@@ -150,9 +81,18 @@ pub fn series_points(mut values: Vec<f64>, ascending: bool, points: usize) -> Ve
         .collect()
 }
 
-/// Human-readable rendering (the historical driver output).
-pub struct TextSink<W: std::io::Write> {
+/// The drivers' report writer: renders each item as text as soon as it
+/// arrives, so the report interleaves with `eprintln!` progress messages
+/// as direct printing would.
+pub struct TextSink<W: std::io::Write = std::io::Stdout> {
     out: W,
+}
+
+impl TextSink {
+    /// A text sink writing to stdout.
+    pub fn stdout() -> Self {
+        TextSink::new(std::io::stdout())
+    }
 }
 
 impl<W: std::io::Write> TextSink<W> {
@@ -160,128 +100,28 @@ impl<W: std::io::Write> TextSink<W> {
     pub fn new(out: W) -> Self {
         TextSink { out }
     }
-}
 
-impl<W: std::io::Write> ReportSink for TextSink<W> {
-    fn comment(&mut self, text: &str) {
+    /// Free-form context for human readers (headers, paper references).
+    pub fn comment(&mut self, text: &str) {
         let _ = writeln!(self.out, "{text}");
     }
 
-    fn table(&mut self, _title: &str, header: &[&str], rows: &[Vec<String>]) {
+    /// An aligned table with one row per entity.
+    pub fn table(&mut self, header: &[&str], rows: &[Vec<String>]) {
         let _ = writeln!(self.out, "{}", table(header, rows));
     }
 
-    fn series(&mut self, label: &str, points: &[(usize, f64)]) {
+    /// A sorted/sampled series, e.g. an S-curve, as `(index, value)`.
+    pub fn series(&mut self, label: &str, points: &[(usize, f64)]) {
         let _ = writeln!(self.out, "# s-curve: {label}");
         for (i, v) in points {
             let _ = writeln!(self.out, "{i:4}  {v:.4}");
         }
     }
 
-    fn scalar(&mut self, name: &str, _value: f64, rendered: &str) {
+    /// A named summary number, already formatted (e.g. `+9.0%`).
+    pub fn scalar(&mut self, name: &str, rendered: &str) {
         let _ = writeln!(self.out, "  {name:<12} {rendered}");
-    }
-}
-
-/// Tab-separated records: `kind<TAB>...` per line, `#`-prefixed
-/// comments, so `cut -f`/`awk -F'\t'` consume driver output directly.
-pub struct TsvSink<W: std::io::Write> {
-    out: W,
-}
-
-impl<W: std::io::Write> TsvSink<W> {
-    /// A TSV sink writing to `out`.
-    pub fn new(out: W) -> Self {
-        TsvSink { out }
-    }
-}
-
-impl<W: std::io::Write> ReportSink for TsvSink<W> {
-    fn comment(&mut self, text: &str) {
-        let _ = writeln!(self.out, "# {text}");
-    }
-
-    fn table(&mut self, title: &str, header: &[&str], rows: &[Vec<String>]) {
-        let _ = writeln!(self.out, "table\t{title}\t{}", header.join("\t"));
-        for row in rows {
-            let _ = writeln!(self.out, "row\t{title}\t{}", row.join("\t"));
-        }
-    }
-
-    fn series(&mut self, label: &str, points: &[(usize, f64)]) {
-        for (i, v) in points {
-            let _ = writeln!(self.out, "series\t{label}\t{i}\t{v}");
-        }
-    }
-
-    fn scalar(&mut self, name: &str, value: f64, _rendered: &str) {
-        let _ = writeln!(self.out, "scalar\t{name}\t{value}");
-    }
-}
-
-/// One JSON object per item, for `jq`-style post-processing.
-pub struct JsonlSink<W: std::io::Write> {
-    out: W,
-}
-
-impl<W: std::io::Write> JsonlSink<W> {
-    /// A JSONL sink writing to `out`.
-    pub fn new(out: W) -> Self {
-        JsonlSink { out }
-    }
-
-    fn emit(&mut self, line: Json) {
-        let _ = writeln!(self.out, "{}", line.render());
-    }
-}
-
-impl<W: std::io::Write> ReportSink for JsonlSink<W> {
-    fn comment(&mut self, text: &str) {
-        self.emit(Json::Obj(vec![
-            ("type".into(), Json::Str("comment".into())),
-            ("text".into(), Json::Str(text.into())),
-        ]));
-    }
-
-    fn table(&mut self, title: &str, header: &[&str], rows: &[Vec<String>]) {
-        for row in rows {
-            assert_eq!(row.len(), header.len(), "ragged table row");
-            let mut obj = vec![
-                ("type".into(), Json::Str("row".into())),
-                ("table".into(), Json::Str(title.into())),
-            ];
-            for (col, cell) in header.iter().zip(row) {
-                // Numeric cells stay numbers; annotated ones ("1.23x")
-                // stay strings.
-                let value = match cell.parse::<f64>() {
-                    Ok(v) if v.is_finite() => Json::F64(v),
-                    _ => Json::Str(cell.clone()),
-                };
-                obj.push((col.to_string(), value));
-            }
-            self.emit(Json::Obj(obj));
-        }
-    }
-
-    fn series(&mut self, label: &str, points: &[(usize, f64)]) {
-        let values = points
-            .iter()
-            .map(|(i, v)| Json::Arr(vec![Json::U64(*i as u64), Json::F64(*v)]))
-            .collect();
-        self.emit(Json::Obj(vec![
-            ("type".into(), Json::Str("series".into())),
-            ("label".into(), Json::Str(label.into())),
-            ("points".into(), Json::Arr(values)),
-        ]));
-    }
-
-    fn scalar(&mut self, name: &str, value: f64, rendered: &str) {
-        self.emit(Json::Obj(vec![
-            ("type".into(), Json::Str("scalar".into())),
-            ("name".into(), Json::Str(name.into())),
-            ("value".into(), Json::F64(value)),
-            ("rendered".into(), Json::Str(rendered.into())),
-        ]));
     }
 }
 
@@ -333,30 +173,11 @@ mod tests {
         assert_eq!(pct(0.95), "-5.0%");
     }
 
-    fn collect<F: FnOnce(&mut dyn ReportSink)>(format: ReportFormat, emit: F) -> String {
-        let buf: Vec<u8> = Vec::new();
-        let shared = std::sync::Arc::new(std::sync::Mutex::new(buf));
-        struct SharedWriter(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-        impl std::io::Write for SharedWriter {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut sink = format.sink_to(SharedWriter(std::sync::Arc::clone(&shared)));
-        emit(sink.as_mut());
-        drop(sink);
-        let bytes = shared.lock().unwrap().clone();
-        String::from_utf8(bytes).expect("utf8 report")
-    }
-
-    fn emit_sample(sink: &mut dyn ReportSink) {
+    #[test]
+    fn text_sink_keeps_human_formatting() {
+        let mut sink = TextSink::new(Vec::new());
         sink.comment("hello");
         sink.table(
-            "t",
             &["name", "ipc"],
             &[
                 vec!["a".into(), "1.5".into()],
@@ -364,44 +185,18 @@ mod tests {
             ],
         );
         sink.series("s", &[(0, 1.0), (1, 2.0)]);
-        sink.scalar("geo", 1.09, "+9.0%");
-    }
-
-    #[test]
-    fn text_sink_keeps_human_formatting() {
-        let out = collect(ReportFormat::Text, emit_sample);
-        assert!(out.contains("hello"));
-        assert!(out.contains("name"));
-        assert!(out.contains("+9.0%"));
-    }
-
-    #[test]
-    fn tsv_sink_is_tab_separated() {
-        let out = collect(ReportFormat::Tsv, emit_sample);
-        assert!(out.contains("# hello"));
-        assert!(out.contains("row\tt\ta\t1.5"));
-        assert!(out.contains("series\ts\t1\t2"));
-        assert!(out.contains("scalar\tgeo\t1.09"));
-    }
-
-    #[test]
-    fn jsonl_sink_lines_parse_and_type_cells() {
-        let out = collect(ReportFormat::Jsonl, emit_sample);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 5, "comment + 2 rows + series + scalar");
-        for line in &lines {
-            let parsed = Json::parse(line).expect("every line is JSON");
-            assert!(parsed.get("type").is_some());
-        }
-        let row = Json::parse(lines[1]).unwrap();
-        assert_eq!(row.get("ipc").and_then(Json::as_f64), Some(1.5));
-        let row_b = Json::parse(lines[2]).unwrap();
-        assert_eq!(row_b.get("ipc").and_then(Json::as_str), Some("2x"));
-    }
-
-    #[test]
-    #[should_panic(expected = "expects text|tsv|jsonl")]
-    fn unknown_format_panics() {
-        let _ = ReportFormat::parse("xml");
+        sink.scalar("geo", "+9.0%");
+        let out = String::from_utf8(sink.out).expect("utf8 report");
+        let want = "hello\n\
+                    name  ipc\n\
+                    ---------\n   \
+                    a  1.5\n   \
+                    b   2x\n\
+                    \n\
+                    # s-curve: s\n   \
+                    0  1.0000\n   \
+                    1  2.0000\n  \
+                    geo          +9.0%\n";
+        assert_eq!(out, want);
     }
 }

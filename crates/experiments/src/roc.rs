@@ -12,13 +12,13 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use mrp_baselines::{PerceptronPolicy, Sdbp};
+use mrp_cache::replay::LlcRecording;
 use mrp_cache::{AccessInfo, Cache, CacheConfig, HierarchyConfig, ReplacementPolicy};
 use mrp_core::mpppb::{Mpppb, MpppbConfig};
 use mrp_cpu::replay_single;
-use mrp_trace::{workloads, MemoryAccess, Workload};
+use mrp_trace::{workloads, MemoryAccess};
 
-use crate::recording;
-use crate::runner::RunScale;
+use crate::runner::{record, RunScale};
 
 /// A policy that exposes the confidence of its most recent prediction.
 pub trait ConfidenceSource: ReplacementPolicy {
@@ -207,15 +207,14 @@ impl RocCurve {
     }
 }
 
-/// Drives one measure-only probe over a workload's shared recording,
+/// Drives one measure-only probe over a workload's recording,
 /// discarding the timing result (only the probe's resolved samples
 /// matter). The probe observes the same LLC operation sequence full
 /// simulation would produce, so the samples are bit-identical to it.
-fn drive_probe(workload: &Workload, scale: RunScale, policy: Box<dyn ReplacementPolicy + Send>) {
+fn drive_probe(rec: &LlcRecording, policy: Box<dyn ReplacementPolicy + Send>) {
     let config = HierarchyConfig::single_thread();
-    let rec = recording::recording_for(workload, scale.seed, scale.warmup, scale.measure);
     let mut cache = Cache::new(config.llc, policy);
-    let _ = replay_single(&rec, &mut cache, &config.latencies);
+    let _ = replay_single(rec, &mut cache, &config.latencies);
 }
 
 /// Computes per-threshold (FPR, TPR) for one workload's samples.
@@ -248,7 +247,7 @@ pub fn rates(samples: &[Sample], thresholds: &[i32]) -> Vec<(f64, f64)> {
 pub fn run(scale: RunScale, workload_count: usize) -> Vec<RocCurve> {
     let suite = workloads::suite();
     let count = workload_count.min(suite.len()).max(1);
-    recording::prerecord(&suite[..count], scale.seed, scale.warmup, scale.measure);
+    let recordings = mrp_runtime::par_map(&suite[..count], |w| record(w, scale));
     let predictors = [
         RocPredictor::Sdbp,
         RocPredictor::Perceptron,
@@ -260,12 +259,11 @@ pub fn run(scale: RunScale, workload_count: usize) -> Vec<RocCurve> {
     let per_workload: Vec<Vec<(f64, f64)>> =
         mrp_runtime::map_indexed(predictors.len() * count, |job| {
             let predictor = &predictors[job / count];
-            let w = &suite[job % count];
             let thresholds = predictor.thresholds();
             let config = HierarchyConfig::single_thread();
             let samples = Arc::new(Mutex::new(Vec::new()));
             let policy = predictor.build_probe(&config.llc, samples.clone());
-            drive_probe(w, scale, policy);
+            drive_probe(&recordings[job % count], policy);
             let collected = samples.lock().expect("sample lock");
             rates(&collected, &thresholds)
         });

@@ -1,20 +1,21 @@
-//! Shared run orchestration: single-thread runs (including Belady MIN's
-//! two passes), multi-programmed runs, and the standalone-IPC baseline
-//! needed for weighted speedup. Every single-thread cell replays its
-//! workload's shared [`crate::recording`]; multi-programmed mixes run the
-//! full shared-LLC co-simulation.
+//! Shared run orchestration: recording, single-thread runs (including
+//! Belady MIN's two passes), multi-programmed runs, and the
+//! standalone-IPC baseline needed for weighted speedup. Every
+//! single-thread cell replays a recording made by [`record`] and owned by
+//! its driver; multi-programmed mixes run the full shared-LLC
+//! co-simulation.
 
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use mrp_baselines::MinPolicy;
+use mrp_cache::replay::LlcRecording;
 use mrp_cache::{CacheConfig, HierarchyConfig, ReplacementPolicy};
 use mrp_core::{EngineConfig, PredictionEngine};
 use mrp_cpu::{replay_single, MulticoreResult, MulticoreSim, SingleCoreResult};
 use mrp_trace::{Mix, Workload};
 
 use crate::policies::PolicyKind;
-use crate::recording;
 
 /// Run-scale parameters for every experiment driver.
 ///
@@ -77,48 +78,45 @@ impl Default for RunScale {
     }
 }
 
-/// Runs one workload on the single-thread hierarchy with a given policy.
+/// Records `workload`'s LLC-bound stream at `scale`: trace generation,
+/// L1, L2 and the prefetcher run once on the single-thread hierarchy.
 ///
-/// Replays the workload's shared [`crate::recording`] stream (recorded
-/// once per `(workload, seed, warmup, measure)`) into the policy under
-/// test: bit-identical to full simulation (`mrp-verify`'s replay pass
-/// proves it) and much cheaper once a second policy asks for the same
-/// workload.
+/// The stream does not depend on the LLC's policy or geometry, so one
+/// recording replays into every policy under test, against the 2MB
+/// single-thread LLC ([`run_single`]) or the 8MB standalone LLC
+/// ([`standalone_ipcs`]). This is the only place the drivers record.
+pub fn record(workload: &Workload, scale: RunScale) -> LlcRecording {
+    let _phase = mrp_obs::phase("record");
+    LlcRecording::record(
+        workload.name(),
+        workload.trace(scale.seed),
+        &HierarchyConfig::single_thread(),
+        scale.warmup,
+        scale.measure,
+    )
+}
+
+/// Runs one single-thread cell: replays `rec` into `policy` on the
+/// single-thread LLC. Bit-identical to full simulation (`mrp-verify`'s
+/// replay pass proves it).
 pub fn run_single(
-    workload: &Workload,
+    rec: &LlcRecording,
     policy: Box<dyn ReplacementPolicy + Send>,
-    scale: RunScale,
 ) -> SingleCoreResult {
     let config = HierarchyConfig::single_thread();
-    let mut engine = single_engine(config.llc, workload, policy);
-    let rec = recording::recording_for(workload, scale.seed, scale.warmup, scale.measure);
+    let mut engine = single_engine(config.llc, rec.name(), policy);
     let _phase = mrp_obs::phase("replay");
-    replay_single(&rec, engine.cache_mut(), &config.latencies)
+    replay_single(rec, engine.cache_mut(), &config.latencies)
 }
 
 /// Builds the facade engine every single-thread run drives: the policy
 /// under test over the LLC geometry, labelled with the workload.
 fn single_engine(
     llc: CacheConfig,
-    workload: &Workload,
+    label: &str,
     policy: Box<dyn ReplacementPolicy + Send>,
 ) -> PredictionEngine {
-    EngineConfig::new(llc)
-        .policy(policy)
-        .label(workload.name())
-        .build()
-}
-
-/// Runs one workload under a named policy.
-pub fn run_single_kind(workload: &Workload, kind: PolicyKind, scale: RunScale) -> SingleCoreResult {
-    let config = HierarchyConfig::single_thread();
-    run_single(workload, kind.build(&config.llc), scale)
-}
-
-/// Runs one workload under Hawkeye.
-pub fn run_single_hawkeye(workload: &Workload, scale: RunScale) -> SingleCoreResult {
-    let config = HierarchyConfig::single_thread();
-    run_single(workload, PolicyKind::hawkeye(&config.llc), scale)
+    EngineConfig::new(llc).policy(policy).label(label).build()
 }
 
 /// Builds the cross-validated MPPPB policy for a workload: workloads in
@@ -161,11 +159,6 @@ pub fn in_tuning_half_a(workload: &Workload) -> bool {
     ids.contains(&workload.id().0)
 }
 
-/// Runs one workload under the cross-validated MPPPB configuration.
-pub fn run_single_mpppb_cv(workload: &Workload, scale: RunScale) -> SingleCoreResult {
-    run_single(workload, mpppb_cv_policy(workload), scale)
-}
-
 /// Builds the headline MPPPB policy: the configuration co-tuned on the
 /// workload's own suite half. This matches the common practice of the
 /// baselines the paper compares against (SHiP, DRRIP, Hawkeye were all
@@ -184,22 +177,16 @@ pub fn mpppb_headline_policy(workload: &Workload) -> Box<dyn ReplacementPolicy +
     Box::new(Mpppb::new(config, &llc))
 }
 
-/// Runs one workload under the headline MPPPB configuration.
-pub fn run_single_mpppb(workload: &Workload, scale: RunScale) -> SingleCoreResult {
-    run_single(workload, mpppb_headline_policy(workload), scale)
-}
-
-/// Runs one workload under Belady MIN with optimal bypass: pass 1 is the
-/// workload's shared recording (the LLC stream is policy-independent, so
-/// MIN's lookahead pass is the same recording every other policy replays),
-/// pass 2 replays under MIN.
-pub fn run_single_min(workload: &Workload, scale: RunScale) -> SingleCoreResult {
+/// Runs one single-thread cell under Belady MIN with optimal bypass:
+/// pass 1 is `rec` itself (the LLC stream is policy-independent, so
+/// MIN's lookahead is the same recording every other policy replays),
+/// pass 2 replays it under MIN.
+pub fn run_single_min(rec: &LlcRecording) -> SingleCoreResult {
     let config = HierarchyConfig::single_thread();
-    let rec = recording::recording_for(workload, scale.seed, scale.warmup, scale.measure);
     let _phase = mrp_obs::phase("replay");
     let min = MinPolicy::new(&config.llc, &rec.llc_blocks());
-    let mut engine = single_engine(config.llc, workload, Box::new(min));
-    replay_single(&rec, engine.cache_mut(), &config.latencies)
+    let mut engine = single_engine(config.llc, rec.name(), Box::new(min));
+    replay_single(rec, engine.cache_mut(), &config.latencies)
 }
 
 /// Runs a mix under a named policy on the shared 8MB LLC.
@@ -235,13 +222,13 @@ pub fn run_mix_policy(
 /// (§4.5 "SingleIPC_i ... running in isolation with a 8MB cache with LRU
 /// replacement"). Returns IPC per suite index.
 ///
-/// Recordings are LLC-geometry-independent, so the same cached stream
-/// the single-thread figures replay against the 2MB LLC replays here
-/// against the standalone 8MB LLC.
+/// Each job records its workload ([`record`]; recordings do not depend
+/// on the LLC geometry), replays it once against the standalone 8MB LLC
+/// and drops it, so at most one recording per worker is alive.
 pub fn standalone_ipcs(workloads: &[Workload], scale: RunScale) -> Vec<f64> {
     mrp_runtime::par_map(workloads, |w| {
         let config = HierarchyConfig::multi_core();
-        let rec = recording::recording_for(w, scale.seed, scale.warmup, scale.measure);
+        let rec = record(w, scale);
         let _phase = mrp_obs::phase("replay");
         let mut engine = PolicyKind::Lru.engine(config.llc).label(w.name()).build();
         replay_single(&rec, engine.cache_mut(), &config.latencies).ipc
@@ -265,9 +252,9 @@ mod tests {
     #[test]
     fn min_beats_lru_on_thrash_loop() {
         let suite = workloads::suite();
-        let loop_edge = &suite[4];
-        let lru = run_single_kind(loop_edge, PolicyKind::Lru, tiny());
-        let min = run_single_min(loop_edge, tiny());
+        let rec = record(&suite[4], tiny()); // loop.edge
+        let lru = run_single(&rec, PolicyKind::Lru.build(&CacheConfig::llc_single()));
+        let min = run_single_min(&rec);
         assert!(
             min.mpki < lru.mpki,
             "MIN ({}) should beat LRU ({}) on loop.edge",
@@ -286,11 +273,11 @@ mod tests {
         let scale = tiny();
         for name in ["loop.edge", "scanhot.protect"] {
             let w = suite.iter().find(|w| w.name() == name).expect(name);
-            let replayed = run_single_min(w, scale);
+            let rec = record(w, scale);
+            let replayed = run_single_min(&rec);
             let config = HierarchyConfig::single_thread();
-            let rec = recording::recording_for(w, scale.seed, scale.warmup, scale.measure);
             let min = MinPolicy::new(&config.llc, &rec.llc_blocks());
-            let llc = single_engine(config.llc, w, Box::new(min)).into_llc();
+            let llc = single_engine(config.llc, name, Box::new(min)).into_llc();
             let mut sim = mrp_cpu::SingleCoreSim::with_llc(config, llc, w.trace(scale.seed));
             let simulated = sim.run(scale.warmup, scale.measure);
             assert_eq!(replayed.stats, simulated.stats, "{name} stats diverge");
@@ -304,16 +291,17 @@ mod tests {
     #[test]
     fn all_headline_policies_run_on_one_workload() {
         let suite = workloads::suite();
-        let w = &suite[14]; // scanhot.protect
+        let rec = record(&suite[14], tiny()); // scanhot.protect
+        let llc = CacheConfig::llc_single();
         for kind in [
             PolicyKind::Lru,
             PolicyKind::Perceptron,
             PolicyKind::MpppbSingle,
         ] {
-            let r = run_single_kind(w, kind, tiny());
+            let r = run_single(&rec, kind.build(&llc));
             assert!(r.ipc > 0.0, "{:?} produced zero IPC", kind);
         }
-        let h = run_single_hawkeye(w, tiny());
+        let h = run_single(&rec, PolicyKind::hawkeye(&llc));
         assert!(h.ipc > 0.0);
     }
 
@@ -324,15 +312,14 @@ mod tests {
         // engine-built cache and through a hand-built `Cache` must agree
         // on every counter, for a fig6 baseline and the MPPPB row alike.
         let suite = workloads::suite();
-        let scale = tiny();
         let config = HierarchyConfig::single_thread();
         let w = suite
             .iter()
             .find(|w| w.name() == "loop.edge")
             .expect("fig6 fingerprint workload");
-        let rec = recording::recording_for(w, scale.seed, scale.warmup, scale.measure);
+        let rec = record(w, tiny());
         for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::MpppbSingle] {
-            let facade = run_single(w, kind.build(&config.llc), scale);
+            let facade = run_single(&rec, kind.build(&config.llc));
             let mut cache = mrp_cache::Cache::new(config.llc, kind.build(&config.llc));
             let legacy = replay_single(&rec, &mut cache, &config.latencies);
             assert_eq!(facade.stats, legacy.stats, "{kind:?} stats diverge");

@@ -7,8 +7,10 @@
 
 use mrp_baselines::MinPolicy;
 use mrp_cache::policies::Lru;
-use mrp_search::{HillClimber, RandomFeatures};
+use mrp_search::{FastEvaluator, HillClimber, RandomFeatures};
 use mrp_trace::Workload;
+
+use crate::runner::{record, RunScale};
 
 /// Results of the search experiment.
 #[derive(Debug, Clone)]
@@ -71,7 +73,12 @@ fn training_workloads(params: &SearchParams) -> Vec<Workload> {
 /// Runs the experiment.
 pub fn run(params: SearchParams) -> SearchCurve {
     let selected = training_workloads(&params);
-    let evaluator = crate::recording::fast_evaluator(&selected, params.seed, params.instructions);
+    let scale = RunScale::single_thread()
+        .warmup(0)
+        .measure(params.instructions)
+        .seed(params.seed);
+    let evaluator =
+        FastEvaluator::from_recordings(mrp_runtime::par_map(&selected, |w| record(w, scale)));
 
     let lru_mpki =
         evaluator.average_mpki_with(|llc, _| Box::new(Lru::new(llc.sets(), llc.associativity())));

@@ -1,12 +1,12 @@
 //! Single-thread comparison matrix: Figures 6 (speedup) and 7 (MPKI).
 
+use mrp_cache::CacheConfig;
 use mrp_cpu::metrics::{arithmetic_mean, geometric_mean};
 use mrp_trace::workloads;
 
 use crate::policies::PolicyKind;
 use crate::runner::{
-    run_single_hawkeye, run_single_kind, run_single_min, run_single_mpppb, run_single_mpppb_cv,
-    RunScale,
+    mpppb_cv_policy, mpppb_headline_policy, record, run_single, run_single_min, RunScale,
 };
 
 /// Per-workload results for all compared policies.
@@ -94,30 +94,24 @@ fn run_inner(scale: RunScale, workload_count: usize, include_min: bool, cv: bool
     let count = workload_count.min(suite.len()).max(1);
     let selected = &suite[..count];
 
-    // Record every workload's LLC stream up front, in parallel: the cell
-    // fan-out below has `cols` cells per workload, and without this the
-    // first cell to touch a workload would record it while its siblings
-    // block on the memo.
-    crate::recording::prerecord(selected, scale.seed, scale.warmup, scale.measure);
+    // Record every workload's LLC stream once, in parallel; each cell
+    // below replays its workload's recording.
+    let recordings = mrp_runtime::par_map(selected, |w| record(w, scale));
 
-    // One job per (workload × policy) cell: every cell owns its own trace
-    // stream and policy instance, and cells are collected by index, so
-    // the parallel schedule cannot affect row contents or order.
+    // One job per (workload × policy) cell: every cell owns its own
+    // policy instance, and cells are collected by index, so the parallel
+    // schedule cannot affect row contents or order.
+    let llc = CacheConfig::llc_single();
     let cols = if include_min { 5 } else { 4 };
     let cells = mrp_runtime::map_indexed(count * cols, |job| {
-        let w = &selected[job / cols];
+        let (w, rec) = (&selected[job / cols], &recordings[job / cols]);
         match job % cols {
-            0 => run_single_kind(w, PolicyKind::Lru, scale),
-            1 => run_single_hawkeye(w, scale),
-            2 => run_single_kind(w, PolicyKind::Perceptron, scale),
-            3 => {
-                if cv {
-                    run_single_mpppb_cv(w, scale)
-                } else {
-                    run_single_mpppb(w, scale)
-                }
-            }
-            _ => run_single_min(w, scale),
+            0 => run_single(rec, PolicyKind::Lru.build(&llc)),
+            1 => run_single(rec, PolicyKind::hawkeye(&llc)),
+            2 => run_single(rec, PolicyKind::Perceptron.build(&llc)),
+            3 if cv => run_single(rec, mpppb_cv_policy(w)),
+            3 => run_single(rec, mpppb_headline_policy(w)),
+            _ => run_single_min(rec),
         }
     });
 

@@ -5,8 +5,8 @@
 //! and dependency-free. Three pieces:
 //!
 //! * [`registry`] — process-global hierarchical **counters** and
-//!   **gauges** with dotted names (`recording.memo.hits`,
-//!   `runtime.jobs`). Atomic, and no-ops while telemetry is disabled,
+//!   **gauges** with dotted names (`runtime.jobs`,
+//!   `runtime.queue_depth`). Atomic, and no-ops while telemetry is disabled,
 //!   so instrumented hot paths cost one relaxed load + branch when a
 //!   driver runs without `--metrics`.
 //! * [`phase`] — scoped wall-clock **phase timers** (`record`,

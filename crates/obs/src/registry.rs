@@ -1,6 +1,6 @@
 //! Process-global hierarchical counter/gauge registry.
 //!
-//! Names are dotted paths (`recording.memo.hits`); the registry is a
+//! Names are dotted paths (`runtime.jobs`); the registry is a
 //! sorted map so snapshots iterate deterministically. Handles are
 //! cheap `Arc` clones — call sites that increment in hot loops should
 //! obtain a handle once (e.g. in a `OnceLock`) rather than looking up

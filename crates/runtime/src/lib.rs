@@ -5,7 +5,7 @@
 //! is an independent run that owns its own trace stream and policy
 //! instance. This crate provides the one fan-out primitive they all
 //! share — [`map_indexed`] — built on [`std::thread::scope`] with an
-//! atomic work-queue cursor, so no external dependencies are needed.
+//! atomic work-queue cursor. It caches nothing: callers own results.
 //!
 //! # Determinism
 //!
@@ -235,92 +235,6 @@ where
     map_indexed(items.len(), |i| f(&items[i]))
 }
 
-/// A concurrent compute-once cache for expensive, pure, keyed work.
-///
-/// Built for the record-once/replay-many layer: many pool workers may
-/// ask for the same workload recording simultaneously, and exactly one
-/// must compute it while the rest block on the result instead of
-/// duplicating minutes of work. The map lock is held only to resolve
-/// the per-key cell, never across `compute`, so distinct keys build
-/// concurrently.
-pub struct Memo<K, V> {
-    map: std::sync::Mutex<std::collections::HashMap<K, std::sync::Arc<OnceLock<V>>>>,
-}
-
-impl<K, V> Default for Memo<K, V> {
-    fn default() -> Self {
-        Memo::new()
-    }
-}
-
-impl<K, V> Memo<K, V> {
-    /// Creates an empty memo.
-    pub fn new() -> Self {
-        Memo {
-            map: std::sync::Mutex::new(std::collections::HashMap::new()),
-        }
-    }
-
-    /// Number of keys resolved or being resolved.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("memo map poisoned").len()
-    }
-
-    /// True when no key has been requested yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached value (e.g. between parameter sweeps whose
-    /// keys will never be requested again).
-    pub fn clear(&self) {
-        self.map.lock().expect("memo map poisoned").clear();
-    }
-}
-
-impl<K, V> Memo<K, V>
-where
-    K: std::hash::Hash + Eq,
-    V: Clone,
-{
-    /// Returns the cached value for `key`, computing it with `compute`
-    /// on first request. Concurrent requests for the same key block
-    /// until the single computation finishes; requests for other keys
-    /// proceed independently.
-    pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        self.get_or_compute_tracked(key, compute).0
-    }
-
-    /// [`Memo::get_or_compute`] plus whether the value was already
-    /// resolved (`true` = cache hit). A request that joins a computation
-    /// already in flight counts as a hit: it did not pay the compute.
-    pub fn get_or_compute_tracked(&self, key: K, compute: impl FnOnce() -> V) -> (V, bool) {
-        let cell = {
-            let mut map = self.map.lock().expect("memo map poisoned");
-            std::sync::Arc::clone(map.entry(key).or_default())
-        };
-        let mut computed = false;
-        let value = cell
-            .get_or_init(|| {
-                computed = true;
-                compute()
-            })
-            .clone();
-        (value, !computed)
-    }
-
-    /// Drops `key`'s cached value (or in-flight cell), returning whether
-    /// it was present. Callers already blocked on an in-flight compute
-    /// still receive their value; only future lookups miss.
-    pub fn remove(&self, key: &K) -> bool {
-        self.map
-            .lock()
-            .expect("memo map poisoned")
-            .remove(key)
-            .is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,38 +305,6 @@ mod tests {
             let expected: Vec<usize> = (0..8).map(|i| outer * 8 + i).collect();
             assert_eq!(*inner_results, expected);
         }
-    }
-
-    #[test]
-    fn memo_computes_each_key_once_under_contention() {
-        let memo = Memo::new();
-        let computed = AtomicUsize::new(0);
-        let out = map_indexed_with(32, 4, |i| {
-            memo.get_or_compute(i % 4, || {
-                computed.fetch_add(1, Ordering::Relaxed);
-                (i % 4) * 10
-            })
-        });
-        assert_eq!(computed.load(Ordering::Relaxed), 4);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, (i % 4) * 10);
-        }
-        assert_eq!(memo.len(), 4);
-        memo.clear();
-        assert!(memo.is_empty());
-    }
-
-    #[test]
-    fn memo_tracked_reports_hits_and_remove_forgets() {
-        let memo = Memo::new();
-        let (v, hit) = memo.get_or_compute_tracked(7, || 70);
-        assert_eq!((v, hit), (70, false), "first request must compute");
-        let (v, hit) = memo.get_or_compute_tracked(7, || unreachable!("must be cached"));
-        assert_eq!((v, hit), (70, true), "second request must hit");
-        assert!(memo.remove(&7), "remove must report the key was present");
-        assert!(!memo.remove(&7), "second remove must report absence");
-        let (v, hit) = memo.get_or_compute_tracked(7, || 71);
-        assert_eq!((v, hit), (71, false), "removed key must recompute");
     }
 
     #[test]

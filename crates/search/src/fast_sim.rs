@@ -4,11 +4,9 @@
 //! above the LLC, never on the LLC policy, so each workload's
 //! [`LlcRecording`] is made once and every candidate replays it against a
 //! cold LLC. (Prefetch fills are part of the stream; they are replayed
-//! with their prefetch flag.) Recordings are held behind an `Arc`, so
-//! sharing a memoized recording with the figure drivers is free.
+//! with their prefetch flag.)
 
 use std::fmt;
-use std::sync::Arc;
 
 use mrp_cache::policies::Lru;
 use mrp_cache::replay::LlcRecording;
@@ -36,7 +34,7 @@ pub fn replay_mpki(
 
 /// Evaluates candidate feature sets against a suite of recorded streams.
 pub struct FastEvaluator {
-    recordings: Vec<Arc<LlcRecording>>,
+    recordings: Vec<LlcRecording>,
     llc: CacheConfig,
     base_config: MpppbConfig,
     lru_mpkis: Vec<f64>,
@@ -66,19 +64,24 @@ impl FastEvaluator {
         // Each recording is an independent simulation of its own trace
         // stream, so the suite records in parallel.
         let recordings = mrp_runtime::par_map(workloads, |w| {
-            Arc::new(LlcRecording::record(
+            LlcRecording::record(
                 w.name(),
                 w.trace(seed),
                 &HierarchyConfig::single_thread(),
                 0,
                 instructions,
-            ))
+            )
         });
         FastEvaluator::from_recordings(recordings)
     }
 
-    /// Builds an evaluator from pre-recorded (e.g. memoized) streams.
-    pub fn from_recordings(recordings: Vec<Arc<LlcRecording>>) -> Self {
+    /// Builds an evaluator from streams the caller recorded (cold, on the
+    /// single-thread hierarchy, as [`FastEvaluator::new`] records them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `recordings` is empty.
+    pub fn from_recordings(recordings: Vec<LlcRecording>) -> Self {
         assert!(!recordings.is_empty(), "need at least one recording");
         let llc = CacheConfig::llc_single();
         let lru_mpkis = mrp_runtime::par_map(&recordings, |r| {

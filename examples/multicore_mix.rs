@@ -10,7 +10,7 @@ use mrp_experiments::{Args, PolicyKind, RunScale};
 use mrp_trace::{workloads, MixBuilder};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_known(&["mix"]);
     let mix_index = args.get_usize("mix", 0);
     let mix = MixBuilder::new(42).mix(100 + mix_index);
     println!("mix {}: {}", mix_index, mix.label());

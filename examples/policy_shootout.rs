@@ -1,13 +1,15 @@
 //! Policy shootout: every implemented LLC policy on one workload.
 //!
-//! Run with: `cargo run -p mrp-experiments --release --example policy_shootout -- [--workload name]`
+//! Run with: `cargo run -p mrp-experiments --release --example policy_shootout --
+//! [--workload name] [--warmup N] [--measure N]`
 
-use mrp_experiments::runner::{run_single_hawkeye, run_single_kind, run_single_min};
+use mrp_cache::CacheConfig;
+use mrp_experiments::runner::{record, run_single, run_single_min};
 use mrp_experiments::{Args, PolicyKind, RunScale};
 use mrp_trace::workloads;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_known(&["workload", "warmup", "measure"]);
     let name = args.get_str("workload", "zipf.hot");
     let workload = workloads::suite()
         .into_iter()
@@ -18,6 +20,8 @@ fn main() {
     let scale = RunScale::single_thread()
         .warmup(args.get_u64("warmup", 1_000_000))
         .measure(args.get_u64("measure", 5_000_000));
+    let rec = record(&workload, scale);
+    let llc = CacheConfig::llc_single();
 
     println!(
         "{:<12} {:>8} {:>8} {:>10}",
@@ -37,7 +41,7 @@ fn main() {
         PolicyKind::MpppbAdaptive,
     ];
     for kind in kinds {
-        let r = run_single_kind(&workload, kind, scale);
+        let r = run_single(&rec, kind.build(&llc));
         println!(
             "{:<12} {:>8.3} {:>8.2} {:>10}",
             kind.name(),
@@ -46,12 +50,12 @@ fn main() {
             r.stats.llc.bypasses
         );
     }
-    let hawkeye = run_single_hawkeye(&workload, scale);
+    let hawkeye = run_single(&rec, PolicyKind::hawkeye(&llc));
     println!(
         "{:<12} {:>8.3} {:>8.2} {:>10}",
         "Hawkeye", hawkeye.ipc, hawkeye.mpki, hawkeye.stats.llc.bypasses
     );
-    let min = run_single_min(&workload, scale);
+    let min = run_single_min(&rec);
     println!(
         "{:<12} {:>8.3} {:>8.2} {:>10}",
         "MIN", min.ipc, min.mpki, min.stats.llc.bypasses

@@ -2,14 +2,20 @@
 //! model -> policies -> experiment metrics, exercised end to end at small
 //! scale.
 
-use mrp_cache::{HierarchyConfig, ReplacementPolicy};
-use mrp_cpu::SingleCoreSim;
-use mrp_experiments::runner::{run_single_hawkeye, run_single_kind, run_single_min};
+use mrp_cache::replay::LlcRecording;
+use mrp_cache::{CacheConfig, HierarchyConfig, ReplacementPolicy};
+use mrp_cpu::{SingleCoreResult, SingleCoreSim};
+use mrp_experiments::runner::{record, run_single, run_single_min};
 use mrp_experiments::{PolicyKind, RunScale};
 use mrp_trace::{workloads, MixBuilder};
 
 fn tiny() -> RunScale {
     RunScale::single_thread().warmup(100_000).measure(400_000)
+}
+
+/// Replays `rec` under `kind` on the single-thread LLC.
+fn run_kind(rec: &LlcRecording, kind: PolicyKind) -> SingleCoreResult {
+    run_single(rec, kind.build(&CacheConfig::llc_single()))
 }
 
 #[test]
@@ -19,8 +25,9 @@ fn mpppb_beats_lru_on_scan_hot_workload() {
         .iter()
         .find(|w| w.name() == "scanhot.protect")
         .unwrap();
-    let lru = run_single_kind(scanhot, PolicyKind::Lru, tiny());
-    let mpppb = run_single_kind(scanhot, PolicyKind::MpppbSingle, tiny());
+    let rec = record(scanhot, tiny());
+    let lru = run_kind(&rec, PolicyKind::Lru);
+    let mpppb = run_kind(&rec, PolicyKind::MpppbSingle);
     assert!(
         mpppb.mpki < lru.mpki * 0.9,
         "MPPPB mpki {} vs LRU {}",
@@ -35,9 +42,10 @@ fn min_lower_bounds_every_realistic_policy() {
     let suite = workloads::suite();
     // loop.edge is LRU-pathological, so the gap is wide and stable.
     let w = suite.iter().find(|w| w.name() == "loop.edge").unwrap();
-    let min = run_single_min(w, tiny());
+    let rec = record(w, tiny());
+    let min = run_single_min(&rec);
     for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::MpppbSingle] {
-        let r = run_single_kind(w, kind, tiny());
+        let r = run_kind(&rec, kind);
         assert!(
             min.mpki <= r.mpki + 0.3,
             "MIN ({:.2}) above {:?} ({:.2})",
@@ -52,9 +60,10 @@ fn min_lower_bounds_every_realistic_policy() {
 fn hawkeye_never_bypasses_but_mpppb_does() {
     let suite = workloads::suite();
     let stream = suite.iter().find(|w| w.name() == "stream.rw").unwrap();
-    let hawkeye = run_single_hawkeye(stream, tiny());
+    let rec = record(stream, tiny());
+    let hawkeye = run_single(&rec, PolicyKind::hawkeye(&CacheConfig::llc_single()));
     assert_eq!(hawkeye.stats.llc.bypasses, 0);
-    let mpppb = run_single_kind(stream, PolicyKind::MpppbSingle, tiny());
+    let mpppb = run_kind(&rec, PolicyKind::MpppbSingle);
     assert!(mpppb.stats.llc.bypasses > 0, "MPPPB should bypass a stream");
 }
 
@@ -62,13 +71,16 @@ fn hawkeye_never_bypasses_but_mpppb_does() {
 fn single_thread_runs_are_reproducible_across_policies() {
     let suite = workloads::suite();
     let w = &suite[10];
+    // Two independent recordings: recording and replay must both be
+    // deterministic.
+    let (rec_a, rec_b) = (record(w, tiny()), record(w, tiny()));
     for kind in [
         PolicyKind::Lru,
         PolicyKind::Perceptron,
         PolicyKind::MpppbSingle,
     ] {
-        let a = run_single_kind(w, kind, tiny());
-        let b = run_single_kind(w, kind, tiny());
+        let a = run_kind(&rec_a, kind);
+        let b = run_kind(&rec_b, kind);
         assert_eq!(a.cycles, b.cycles, "{kind:?} not deterministic");
         assert_eq!(a.stats, b.stats);
     }
@@ -108,7 +120,7 @@ fn every_workload_runs_under_mpppb_without_panic() {
         .measure(60_000)
         .seed(3);
     for w in workloads::suite() {
-        let r = run_single_kind(&w, PolicyKind::MpppbSingle, scale);
+        let r = run_kind(&record(&w, scale), PolicyKind::MpppbSingle);
         assert!(r.ipc > 0.0, "{} produced zero IPC", w.name());
         assert!(r.mpki.is_finite());
     }
@@ -123,9 +135,10 @@ fn adaptive_guard_tracks_raw_mpppb_on_friendly_workloads() {
         .iter()
         .find(|w| w.name() == "scanhot.protect")
         .unwrap();
-    let raw = run_single_kind(scanhot, PolicyKind::MpppbSingle, tiny());
-    let guarded = run_single_kind(scanhot, PolicyKind::MpppbAdaptive, tiny());
-    let lru = run_single_kind(scanhot, PolicyKind::Lru, tiny());
+    let rec = record(scanhot, tiny());
+    let raw = run_kind(&rec, PolicyKind::MpppbSingle);
+    let guarded = run_kind(&rec, PolicyKind::MpppbAdaptive);
+    let lru = run_kind(&rec, PolicyKind::Lru);
     assert!(raw.ipc > lru.ipc, "MPPPB should beat LRU here");
     assert!(
         guarded.ipc > lru.ipc * 0.98,

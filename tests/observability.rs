@@ -5,7 +5,8 @@
 
 use std::path::PathBuf;
 
-use mrp_experiments::runner::run_single_kind;
+use mrp_cache::CacheConfig;
+use mrp_experiments::runner::{record, run_single};
 use mrp_experiments::{PolicyKind, RunScale};
 use mrp_obs::{Json, RunManifest};
 use mrp_trace::workloads;
@@ -76,25 +77,18 @@ fn metrics_toggle_is_invisible_to_results() {
         .iter()
         .map(|n| suite.iter().find(|w| w.name() == *n).expect("workload"))
         .collect();
-    let baseline: Vec<(u64, u64)> = cells
-        .iter()
-        .map(|w| {
-            let r = run_single_kind(w, PolicyKind::MpppbSingle, scale);
-            (r.ipc.to_bits(), r.mpki.to_bits())
-        })
-        .collect();
+    let llc = CacheConfig::llc_single();
+    let run = |w: &&mrp_trace::Workload| {
+        let r = run_single(&record(w, scale), PolicyKind::MpppbSingle.build(&llc));
+        (r.ipc.to_bits(), r.mpki.to_bits())
+    };
+    let baseline: Vec<(u64, u64)> = cells.iter().map(run).collect();
 
     // Same cells with telemetry recording.
     mrp_obs::set_enabled(true);
     counter.incr();
     assert_eq!(counter.get(), 1, "enabled counter must record");
-    let with_metrics: Vec<(u64, u64)> = cells
-        .iter()
-        .map(|w| {
-            let r = run_single_kind(w, PolicyKind::MpppbSingle, scale);
-            (r.ipc.to_bits(), r.mpki.to_bits())
-        })
-        .collect();
+    let with_metrics: Vec<(u64, u64)> = cells.iter().map(run).collect();
     mrp_obs::set_enabled(false);
 
     assert_eq!(
@@ -150,4 +144,33 @@ fn manifest_check_rejects_the_deleted_bench_gate_flag() {
     );
     assert!(stderr.contains("unknown flag --bench-gate"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn drivers_reject_misspelt_flags() {
+    // An ignored flag would run the default study instead, e.g. a
+    // misspelt `--instrutions` at the default 2M instructions. Each must
+    // fail before any work starts.
+    let cases = [
+        (
+            env!("CARGO_BIN_EXE_table3_contrib"),
+            "--instrutions",
+            "100000",
+        ),
+        (env!("CARGO_BIN_EXE_fig6_st_speedup"), "--worklods", "4"),
+        (env!("CARGO_BIN_EXE_fig9_assoc"), "--mix", "1"),
+        (env!("CARGO_BIN_EXE_tables_features"), "--threds", "2"),
+        (env!("CARGO_BIN_EXE_verify"), "--sed", "7"),
+        (env!("CARGO_BIN_EXE_simd_level"), "--level", "avx2"),
+    ];
+    for (bin, flag, value) in cases {
+        let out = std::process::Command::new(bin)
+            .args([flag, value])
+            .output()
+            .expect("spawn driver");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{bin} accepted {flag}");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+        assert!(out.stdout.is_empty(), "{bin} printed a report");
+    }
 }
