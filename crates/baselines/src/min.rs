@@ -49,7 +49,7 @@ pub struct MinPolicy {
     /// Shadow of (set, way) -> block for victim bookkeeping.
     contents: Vec<Option<u64>>,
     assoc: u32,
-    bypass_enabled: bool,
+    bypass: bool,
 }
 
 impl MinPolicy {
@@ -61,13 +61,13 @@ impl MinPolicy {
             block_next_use: HashMap::new(),
             contents: vec![None; llc.sets() as usize * llc.associativity() as usize],
             assoc: llc.associativity(),
-            bypass_enabled: true,
+            bypass: true,
         }
     }
 
     /// Disables the optimal-bypass extension (pure MIN replacement).
     pub fn set_bypass(&mut self, enabled: bool) {
-        self.bypass_enabled = enabled;
+        self.bypass = enabled;
     }
 
     /// Next-use index of the block being accessed right now.
@@ -93,7 +93,7 @@ impl ReplacementPolicy for MinPolicy {
     }
 
     fn should_bypass(&mut self, info: &AccessInfo) -> bool {
-        if !self.bypass_enabled {
+        if !self.bypass {
             return false;
         }
         let my_next = self.current_next_use();

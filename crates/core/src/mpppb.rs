@@ -65,8 +65,6 @@ pub struct MpppbConfig {
     pub sampler_sets: u32,
     /// Default replacement policy.
     pub default_policy: DefaultPolicyKind,
-    /// Allow bypass (disable to get a pure placement/promotion policy).
-    pub bypass_enabled: bool,
     /// Measure-only mode: predictions are computed and the sampler
     /// trains, but bypass/placement/promotion fall back to the default
     /// policy (used for the ROC accuracy experiments, §6.3).
@@ -94,7 +92,6 @@ impl MpppbConfig {
             training_threshold: 18,
             sampler_sets: 64.min(llc.sets()),
             default_policy: DefaultPolicyKind::Mdpp,
-            bypass_enabled: true,
             measure_only: false,
         }
     }
@@ -136,7 +133,6 @@ impl MpppbConfig {
             training_threshold: 18,
             sampler_sets: 256.min(llc.sets()),
             default_policy: DefaultPolicyKind::Srrip,
-            bypass_enabled: true,
             measure_only: false,
         }
     }
@@ -245,12 +241,6 @@ impl Mpppb {
     /// experiments read this after each `Cache::access`).
     pub fn last_confidence(&self) -> i32 {
         self.last_confidence
-    }
-
-    /// Enables or disables the bypass optimization at runtime (used by
-    /// [`crate::adaptive::AdaptiveMpppb`]'s set dueling).
-    pub fn set_bypass_enabled(&mut self, enabled: bool) {
-        self.config.bypass_enabled = enabled;
     }
 
     /// Switches neutral mode: the predictor keeps training but cache
@@ -379,7 +369,7 @@ impl ReplacementPolicy for Mpppb {
     fn should_bypass(&mut self, info: &AccessInfo) -> bool {
         let confidence = self.predict_and_train(info, true);
         self.pending_fill = Some(confidence);
-        if self.neutral || self.config.measure_only || !self.config.bypass_enabled {
+        if self.neutral || self.config.measure_only {
             return false;
         }
         let bypass = confidence > self.config.bypass_threshold;

@@ -9,10 +9,9 @@ use mrp_cache::HierarchyConfig;
 use mrp_core::mpppb::{Mpppb, MpppbConfig};
 use mrp_core::{feature_sets, Feature};
 use mrp_cpu::metrics::geometric_mean;
-use mrp_trace::{workloads, MixBuilder};
+use mrp_trace::MixBuilder;
 
-use crate::policies::PolicyKind;
-use crate::runner::{mix_standalone, run_mix_kind, run_mix_policy, standalone_ipcs, RunScale};
+use crate::runner::{run_mixes, RunScale};
 
 /// Result of the ablation study.
 #[derive(Debug, Clone)]
@@ -44,9 +43,7 @@ pub fn without(features: &[Feature], index: usize) -> Vec<Feature> {
 /// ablating only the first `feature_limit` features (16 = full study).
 /// `scale.seed` draws the mixes and seeds the standalone-IPC traces.
 pub fn run(scale: RunScale, mix_count: usize, feature_limit: usize) -> Ablation {
-    let suite = workloads::suite();
     let builder = MixBuilder::new(scale.seed);
-    let standalone = standalone_ipcs(&suite, scale);
     let config = HierarchyConfig::multi_core();
     // Fig. 10 uses the single-thread Table 1(a) features over the
     // multi-programmed setup (SRRIP default).
@@ -55,29 +52,20 @@ pub fn run(scale: RunScale, mix_count: usize, feature_limit: usize) -> Ablation 
     let mixes: Vec<_> = (0..mix_count.max(1))
         .map(|i| builder.mix(100 + i))
         .collect();
-    let bases: Vec<Vec<f64>> = mixes
-        .iter()
-        .map(|m| mix_standalone(m, &standalone))
-        .collect();
-    let lru_weighted: Vec<f64> = mrp_runtime::map_indexed(mixes.len(), |mi| {
-        run_mix_kind(&mixes[mi], PolicyKind::Lru, scale).weighted_ipc(&bases[mi])
-    });
-
     // Candidate feature sets: the full set first, then each leave-one-out
-    // set. One job per (set × mix) cell; each set's geomean reduces its
-    // cells in mix order, exactly as the serial loop did.
+    // set. Each set's geomean reduces its column in mix order.
     let limit = feature_limit.max(1).min(base.features.len());
     let mut sets: Vec<Vec<Feature>> = vec![base.features.clone()];
     sets.extend((0..limit).map(|i| without(&base.features, i)));
 
-    let n_mixes = mixes.len();
-    let cells: Vec<f64> = mrp_runtime::map_indexed(sets.len() * n_mixes, |job| {
-        let (si, mi) = (job / n_mixes, job % n_mixes);
-        let policy_config = base.clone().with_features(sets[si].clone());
-        let policy = Box::new(Mpppb::new(policy_config, &config.llc));
-        run_mix_policy(&mixes[mi], policy, scale).weighted_ipc(&bases[mi]) / lru_weighted[mi]
+    let run = run_mixes(scale, &mixes, &sets, |set| {
+        let policy_config = base.clone().with_features(set.clone());
+        Box::new(Mpppb::new(policy_config, &config.llc))
     });
-    let geomean_of = |si: usize| geometric_mean(&cells[si * n_mixes..(si + 1) * n_mixes]);
+    let geomean_of = |si: usize| {
+        let speedups: Vec<f64> = run.rows.iter().map(|cells| cells[1 + si].speedup).collect();
+        geometric_mean(&speedups)
+    };
 
     let original = geomean_of(0);
     let omitted = base

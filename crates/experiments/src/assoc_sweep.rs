@@ -9,10 +9,9 @@ use mrp_cache::HierarchyConfig;
 use mrp_core::mpppb::{Mpppb, MpppbConfig};
 use mrp_core::Feature;
 use mrp_cpu::metrics::geometric_mean;
-use mrp_trace::{workloads, MixBuilder};
+use mrp_trace::MixBuilder;
 
-use crate::policies::PolicyKind;
-use crate::runner::{mix_standalone, run_mix_kind, run_mix_policy, standalone_ipcs, RunScale};
+use crate::runner::{run_mixes, RunScale};
 
 /// Result of the sweep.
 #[derive(Debug, Clone)]
@@ -35,27 +34,16 @@ pub fn with_uniform_assoc(features: &[Feature], assoc: u8) -> Vec<Feature> {
 /// sample every k-th associativity. `scale.seed` draws the mixes and
 /// seeds the standalone-IPC traces.
 pub fn run(scale: RunScale, mix_count: usize, assoc_step: usize) -> AssocSweep {
-    let suite = workloads::suite();
     let builder = MixBuilder::new(scale.seed);
-    let standalone = standalone_ipcs(&suite, scale);
     let config = HierarchyConfig::multi_core();
     let base = MpppbConfig::multi_core(&config.llc);
 
     let mixes: Vec<_> = (0..mix_count.max(1))
         .map(|i| builder.mix(100 + i))
         .collect();
-    let bases: Vec<Vec<f64>> = mixes
-        .iter()
-        .map(|m| mix_standalone(m, &standalone))
-        .collect();
-    // LRU baselines per mix.
-    let lru_weighted: Vec<f64> = mrp_runtime::map_indexed(mixes.len(), |mi| {
-        run_mix_kind(&mixes[mi], PolicyKind::Lru, scale).weighted_ipc(&bases[mi])
-    });
-
     // Candidate feature sets: each sampled uniform associativity, then
-    // the original variable-A set last. One job per (set × mix) cell;
-    // each set's geomean reduces its cells in mix order.
+    // the original variable-A set last. Each set's geomean reduces its
+    // column in mix order.
     let assocs: Vec<u8> = (1..=18u8).step_by(assoc_step.max(1)).collect();
     let mut sets: Vec<Vec<Feature>> = assocs
         .iter()
@@ -63,14 +51,14 @@ pub fn run(scale: RunScale, mix_count: usize, assoc_step: usize) -> AssocSweep {
         .collect();
     sets.push(base.features.clone());
 
-    let n_mixes = mixes.len();
-    let cells: Vec<f64> = mrp_runtime::map_indexed(sets.len() * n_mixes, |job| {
-        let (si, mi) = (job / n_mixes, job % n_mixes);
-        let policy_config = base.clone().with_features(sets[si].clone());
-        let policy = Box::new(Mpppb::new(policy_config, &config.llc));
-        run_mix_policy(&mixes[mi], policy, scale).weighted_ipc(&bases[mi]) / lru_weighted[mi]
+    let run = run_mixes(scale, &mixes, &sets, |set| {
+        let policy_config = base.clone().with_features(set.clone());
+        Box::new(Mpppb::new(policy_config, &config.llc))
     });
-    let geomean_of = |si: usize| geometric_mean(&cells[si * n_mixes..(si + 1) * n_mixes]);
+    let geomean_of = |si: usize| {
+        let speedups: Vec<f64> = run.rows.iter().map(|cells| cells[1 + si].speedup).collect();
+        geometric_mean(&speedups)
+    };
 
     let uniform = assocs
         .iter()

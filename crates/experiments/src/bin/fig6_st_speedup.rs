@@ -1,4 +1,6 @@
-//! Figure 6: single-thread speedup over LRU per benchmark.
+//! Figures 6 and 7: single-thread speedup over LRU and MPKI per
+//! benchmark (Fig. 7 plots MPKI on a log scale in the paper). Both
+//! figures come from one run of the single-thread matrix.
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin fig6_st_speedup --
 //! [--warmup N] [--measure N] [--workloads N] [--min 0|1|true|false] [--seed N] [--threads N]
@@ -61,6 +63,7 @@ fn main() -> ExitCode {
     // Scoped so the report phase lands in the manifest's phase snapshot.
     let report_phase = mrp_obs::phase("report");
     let mut sink = TextSink::stdout();
+    sink.comment("# Fig. 6: speedup over LRU per benchmark");
     let mut header = vec!["benchmark", "LRU ipc"];
     for n in &matrix.policy_names {
         header.push(n);
@@ -86,6 +89,32 @@ fn main() -> ExitCode {
         sink.scalar(&format!("geomean_speedup.{n}"), &pct(g));
     }
 
+    sink.comment("# Fig. 7: LLC MPKI per benchmark");
+    let mut header = vec!["benchmark", "LRU"];
+    for n in &matrix.policy_names {
+        header.push(n);
+    }
+    let rows: Vec<Vec<String>> = matrix
+        .rows
+        .iter()
+        .map(|r| {
+            let mut row = vec![r.workload.clone(), format!("{:.2}", r.lru_mpki)];
+            for n in &matrix.policy_names {
+                row.push(format!("{:.2}", r.mpki(n)));
+            }
+            row
+        })
+        .collect();
+    sink.table(&header, &rows);
+
+    sink.comment("mean MPKI (paper: Hawkeye 3.8, Perceptron 3.7, MPPPB 3.5):");
+    let mpki_names =
+        || std::iter::once("LRU").chain(matrix.policy_names.iter().map(String::as_str));
+    for n in mpki_names() {
+        let mean = matrix.mean_mpki(n);
+        sink.scalar(&format!("mean_mpki.{n}"), &format!("{mean:.2}"));
+    }
+
     if let Some(m) = manifest.as_mut() {
         m.meta("threads", Json::U64(threads as u64));
         m.meta("cv", Json::Bool(cv));
@@ -105,6 +134,9 @@ fn main() -> ExitCode {
         }
         for n in &matrix.policy_names {
             m.scalar(&format!("geomean_speedup.{n}"), matrix.geomean_speedup(n));
+        }
+        for n in mpki_names() {
+            m.scalar(&format!("mean_mpki.{n}"), matrix.mean_mpki(n));
         }
     }
     drop(report_phase);

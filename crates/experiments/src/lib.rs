@@ -2,16 +2,17 @@
 //! reproduction.
 //!
 //! One module per evaluation artifact in the paper; each has a matching
-//! binary in `src/bin/`:
+//! binary in `src/bin/` (Figs. 5 and 7 are the MPKI sections of the
+//! Fig. 4 and Fig. 6 reports, from the same run):
 //!
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|
 //! | Fig. 1 / Fig. 8 (ROC curves) | [`roc`] | `fig_roc` |
 //! | Fig. 3 (feature search) | [`search_curve`] | `fig3_search` |
 //! | Fig. 4 (MP weighted speedup) | [`multi`] | `fig4_mp_speedup` |
-//! | Fig. 5 (MP MPKI) | [`multi`] | `fig5_mp_mpki` |
+//! | Fig. 5 (MP MPKI) | [`multi`] | `fig4_mp_speedup` |
 //! | Fig. 6 (ST speedup) | [`single_thread`] | `fig6_st_speedup` |
-//! | Fig. 7 (ST MPKI) | [`single_thread`] | `fig7_st_mpki` |
+//! | Fig. 7 (ST MPKI) | [`single_thread`] | `fig6_st_speedup` |
 //! | Fig. 9 (associativity sweep) | [`assoc_sweep`] | `fig9_assoc` |
 //! | Fig. 10 (feature ablation) | [`ablation`] | `fig10_ablation` |
 //! | Tables 1 & 2 (feature sets) | [`mrp_core::feature_sets`] | `tables_features` |

@@ -1,10 +1,11 @@
 //! Multi-programmed comparison: Figures 4 (weighted speedup) and 5 (MPKI).
 
+use mrp_cache::{CacheConfig, ReplacementPolicy};
 use mrp_cpu::metrics::{arithmetic_mean, geometric_mean};
-use mrp_trace::{workloads, MixBuilder};
+use mrp_trace::MixBuilder;
 
 use crate::policies::PolicyKind;
-use crate::runner::{mix_standalone, run_mix_hawkeye, run_mix_kind, standalone_ipcs, RunScale};
+use crate::runner::{run_mixes, RunScale};
 
 /// Per-mix results of the multi-programmed comparison.
 #[derive(Debug, Clone)]
@@ -72,63 +73,46 @@ impl MpMatrix {
     }
 }
 
-/// Runs the multi-programmed comparison over `mix_count` test mixes.
+/// Runs the multi-programmed comparison (LRU, Hawkeye, Perceptron,
+/// MPPPB) over `mix_count` test mixes.
 ///
 /// Mixes are drawn after `train_skip` training mixes (the paper trains on
 /// the first 100 of 1000 and reports the remaining 900). `scale.seed`
 /// draws the mixes and seeds the standalone-IPC traces.
 pub fn run(scale: RunScale, mix_count: usize, train_skip: usize) -> MpMatrix {
-    let suite = workloads::suite();
     let builder = MixBuilder::new(scale.seed);
-    let standalone = standalone_ipcs(&suite, scale);
-
-    // One job per (mix × policy) cell, collected by index; the weighted
-    // speedups are normalized against each mix's LRU cell afterward.
     let mixes: Vec<_> = (0..mix_count)
         .map(|i| builder.mix(train_skip + i))
         .collect();
-    const COLS: usize = 4;
-    let cells = mrp_runtime::map_indexed(mixes.len() * COLS, |job| {
-        let mix = &mixes[job / COLS];
-        match job % COLS {
-            0 => run_mix_kind(mix, PolicyKind::Lru, scale),
-            1 => run_mix_hawkeye(mix, scale),
-            2 => run_mix_kind(mix, PolicyKind::Perceptron, scale),
-            _ => run_mix_kind(mix, PolicyKind::MpppbMulti, scale),
-        }
-    });
+    type Build = fn(&CacheConfig) -> Box<dyn ReplacementPolicy + Send>;
+    let columns: [(&str, Build); 3] = [
+        ("Hawkeye", PolicyKind::hawkeye),
+        ("Perceptron", |llc| PolicyKind::Perceptron.build(llc)),
+        ("MPPPB", |llc| PolicyKind::MpppbMulti.build(llc)),
+    ];
+    let llc = CacheConfig::llc_multi();
+    let run = run_mixes(scale, &mixes, &columns, |(_, build)| build(&llc));
+    let names = columns.map(|(name, _)| name);
 
-    let mut rows = Vec::with_capacity(mixes.len());
-    for (mi, mix) in mixes.iter().enumerate() {
-        let base = mix_standalone(mix, &standalone);
-        let cell = |policy: usize| &cells[mi * COLS + policy];
-        let lru_weighted = cell(0).weighted_ipc(&base);
-
-        let named = [(1, "Hawkeye"), (2, "Perceptron"), (3, "MPPPB")];
-        let speedups = named
-            .iter()
-            .map(|&(p, name)| (name.to_string(), cell(p).weighted_ipc(&base) / lru_weighted))
-            .collect();
-        let mut mpkis = vec![("LRU".to_string(), cell(0).mpki)];
-        mpkis.extend(
-            named
-                .iter()
-                .map(|&(p, name)| (name.to_string(), cell(p).mpki)),
-        );
-
-        rows.push(MpRow {
-            label: mix.label(),
-            speedups,
-            mpkis,
-        });
-    }
+    let rows = mixes
+        .iter()
+        .zip(&run.rows)
+        .map(|(mix, cells)| {
+            let named = || names.iter().zip(&cells[1..]);
+            let mut mpkis = vec![("LRU".to_string(), cells[0].mpki)];
+            mpkis.extend(named().map(|(name, c)| (name.to_string(), c.mpki)));
+            MpRow {
+                label: mix.label(),
+                speedups: named()
+                    .map(|(name, c)| (name.to_string(), c.speedup))
+                    .collect(),
+                mpkis,
+            }
+        })
+        .collect();
     MpMatrix {
         rows,
-        policy_names: vec![
-            "Hawkeye".to_string(),
-            "Perceptron".to_string(),
-            "MPPPB".to_string(),
-        ],
+        policy_names: names.map(String::from).to_vec(),
     }
 }
 

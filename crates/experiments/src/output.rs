@@ -4,8 +4,8 @@
 //! series, scalars — written by a [`TextSink`] as human-readable text
 //! (aligned tables, paper-style percentages). Machine-readable results
 //! go to the run manifest (`--metrics`) as `cell` and `scalar` records
-//! instead. The low-level [`table`], [`s_curve`] and [`pct`] formatters
-//! remain available for tests and ad-hoc tools.
+//! instead. The low-level [`table`], [`series_points`] and [`pct`]
+//! formatters remain available for tests and ad-hoc tools.
 
 use std::fmt::Write as _;
 
@@ -41,31 +41,14 @@ pub fn table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Formats a sorted S-curve (as the paper's Figures 4/5 plot) as
-/// `index value` pairs, downsampled to at most `points` lines.
-pub fn s_curve(label: &str, mut values: Vec<f64>, ascending: bool, points: usize) -> String {
-    if ascending {
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    } else {
-        values.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
-    }
-    let mut out = format!("# s-curve: {label} ({} workloads)\n", values.len());
-    let step = (values.len() / points.max(1)).max(1);
-    for (i, v) in values.iter().enumerate() {
-        if i % step == 0 || i == values.len() - 1 {
-            let _ = writeln!(out, "{i:4}  {v:.4}");
-        }
-    }
-    out
-}
-
 /// Formats a percentage speedup like the paper's prose ("9.0%").
 pub fn pct(speedup: f64) -> String {
     format!("{:+.1}%", (speedup - 1.0) * 100.0)
 }
 
-/// Downsamples sorted `values` to at most `points` `(index, value)`
-/// pairs — the series-shaped equivalent of [`s_curve`].
+/// Sorts `values` (as the paper's S-curves plot them) and downsamples
+/// them to about `points` `(index, value)` pairs, always keeping the
+/// last.
 pub fn series_points(mut values: Vec<f64>, ascending: bool, points: usize) -> Vec<(usize, f64)> {
     if ascending {
         values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -151,20 +134,15 @@ mod tests {
     }
 
     #[test]
-    fn s_curve_sorts_and_downsamples() {
-        let s = s_curve("test", vec![3.0, 1.0, 2.0], true, 10);
-        let body: Vec<&str> = s.lines().skip(1).collect();
-        assert_eq!(body.len(), 3);
-        assert!(body[0].contains("1.0000"));
-        assert!(body[2].contains("3.0000"));
-    }
-
-    #[test]
-    fn series_points_match_s_curve_sampling() {
+    fn series_points_sort_and_downsample() {
         let pts = series_points(vec![3.0, 1.0, 2.0], true, 10);
         assert_eq!(pts, vec![(0, 1.0), (1, 2.0), (2, 3.0)]);
         let descending = series_points(vec![3.0, 1.0, 2.0], false, 10);
         assert_eq!(descending[0], (0, 3.0));
+        // Every second point, plus the last.
+        let values: Vec<f64> = (0..5).map(f64::from).collect();
+        let sampled = series_points(values, true, 2);
+        assert_eq!(sampled, vec![(0, 0.0), (2, 2.0), (4, 4.0)]);
     }
 
     #[test]

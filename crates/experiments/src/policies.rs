@@ -3,7 +3,7 @@
 //! The name→policy factory itself ([`PolicyKind`]) lives in
 //! `mrp-baselines` so the serving fleet (`mrp-serve`) and the batch
 //! drivers construct policies through the same registry; this module
-//! re-exports it and keeps the experiment-specific lineups.
+//! re-exports it and keeps the verification lineup.
 
 use std::sync::Arc;
 
@@ -11,21 +11,6 @@ use mrp_cache::CacheConfig;
 use mrp_verify::PolicySpec;
 
 pub use mrp_baselines::PolicyKind;
-
-/// The four policies of the headline single-thread comparison (Fig. 6/7),
-/// in plotting order. MIN is added by the runner.
-pub const HEADLINE_ST: [PolicyKind; 3] = [
-    PolicyKind::Lru,
-    PolicyKind::Perceptron,
-    PolicyKind::MpppbSingle,
-];
-
-/// The policies of the multi-programmed comparison (Fig. 4/5).
-pub const HEADLINE_MP: [PolicyKind; 3] = [
-    PolicyKind::Lru,
-    PolicyKind::Perceptron,
-    PolicyKind::MpppbMulti,
-];
 
 /// Every policy the differential verification covers, in CLI naming.
 pub const ALL_POLICIES: [&str; 13] = [

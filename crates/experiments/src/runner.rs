@@ -1,11 +1,11 @@
 //! Shared run orchestration: recording, single-thread runs (including
-//! Belady MIN's two passes), multi-programmed runs, and the
+//! Belady MIN's two passes), and multi-programmed runs with the
 //! standalone-IPC baseline needed for weighted speedup. Every
 //! single-thread cell replays a recording made by [`record`] and owned by
-//! its driver; multi-programmed mixes run the full shared-LLC
-//! co-simulation.
+//! its driver; multi-programmed mixes ([`run_mixes`]) run the full
+//! shared-LLC co-simulation.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::OnceLock;
 
 use mrp_baselines::MinPolicy;
@@ -13,7 +13,7 @@ use mrp_cache::replay::LlcRecording;
 use mrp_cache::{CacheConfig, HierarchyConfig, ReplacementPolicy};
 use mrp_core::{EngineConfig, PredictionEngine};
 use mrp_cpu::{replay_single, MulticoreResult, MulticoreSim, SingleCoreResult};
-use mrp_trace::{Mix, Workload};
+use mrp_trace::{workloads, Mix, Workload, WorkloadId};
 
 use crate::policies::PolicyKind;
 
@@ -84,7 +84,7 @@ impl Default for RunScale {
 /// The stream does not depend on the LLC's policy or geometry, so one
 /// recording replays into every policy under test, against the 2MB
 /// single-thread LLC ([`run_single`]) or the 8MB standalone LLC
-/// ([`standalone_ipcs`]). This is the only place the drivers record.
+/// ([`run_mixes`]). This is the only place the drivers record.
 pub fn record(workload: &Workload, scale: RunScale) -> LlcRecording {
     let _phase = mrp_obs::phase("record");
     LlcRecording::record(
@@ -189,20 +189,8 @@ pub fn run_single_min(rec: &LlcRecording) -> SingleCoreResult {
     replay_single(rec, engine.cache_mut(), &config.latencies)
 }
 
-/// Runs a mix under a named policy on the shared 8MB LLC.
-pub fn run_mix_kind(mix: &Mix, kind: PolicyKind, scale: RunScale) -> MulticoreResult {
-    let config = HierarchyConfig::multi_core();
-    run_mix_policy(mix, kind.build(&config.llc), scale)
-}
-
-/// Runs a mix under Hawkeye.
-pub fn run_mix_hawkeye(mix: &Mix, scale: RunScale) -> MulticoreResult {
-    let config = HierarchyConfig::multi_core();
-    run_mix_policy(mix, PolicyKind::hawkeye(&config.llc), scale)
-}
-
-/// Runs a mix under an arbitrary prebuilt policy (ablation experiments).
-/// Only `scale`'s instruction counts apply: the mix carries its own seed.
+/// Runs one mix cell: `mix` under `policy` on the shared 8MB LLC. Only
+/// `scale`'s instruction counts apply: the mix carries its own seed.
 pub fn run_mix_policy(
     mix: &Mix,
     policy: Box<dyn ReplacementPolicy + Send>,
@@ -218,26 +206,76 @@ pub fn run_mix_policy(
     sim.run(scale.warmup, scale.measure)
 }
 
-/// Standalone-IPC baseline: each workload alone on the 8MB LLC with LRU
-/// (§4.5 "SingleIPC_i ... running in isolation with a 8MB cache with LRU
-/// replacement"). Returns IPC per suite index.
+/// One mix cell of a [`MixRun`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MixCell {
+    /// Weighted speedup over the mix's LRU cell (exactly 1.0 for LRU).
+    pub speedup: f64,
+    /// Aggregate LLC MPKI over the mix's cores.
+    pub mpki: f64,
+}
+
+/// The outcome of [`run_mixes`].
+#[derive(Debug, Clone)]
+pub struct MixRun {
+    /// Standalone IPC of every distinct mix member, each from one
+    /// recording (§4.5 "SingleIPC_i ... running in isolation with a 8MB
+    /// cache with LRU replacement").
+    pub standalone: BTreeMap<WorkloadId, f64>,
+    /// One row per mix: the LRU cell, then one cell per policy column.
+    pub rows: Vec<Vec<MixCell>>,
+}
+
+/// Runs every mix under LRU and under each of `columns` (built by
+/// `policy`), and normalizes each cell's weighted speedup by its mix's
+/// LRU cell.
 ///
-/// Each job records its workload ([`record`]; recordings do not depend
-/// on the LLC geometry), replays it once against the standalone 8MB LLC
-/// and drops it, so at most one recording per worker is alive.
-pub fn standalone_ipcs(workloads: &[Workload], scale: RunScale) -> Vec<f64> {
-    mrp_runtime::par_map(workloads, |w| {
-        let config = HierarchyConfig::multi_core();
+/// Standalone IPCs come first: each distinct member of `mixes` is
+/// recorded once at `scale.seed` ([`record`]) and replayed under LRU on
+/// the 8MB LLC. Then every (mix × column) cell, LRU included, runs in
+/// one fan-out collected by index, so the schedule cannot affect the
+/// rows.
+pub fn run_mixes<T: Sync>(
+    scale: RunScale,
+    mixes: &[Mix],
+    columns: &[T],
+    policy: impl Fn(&T) -> Box<dyn ReplacementPolicy + Send> + Sync,
+) -> MixRun {
+    let config = HierarchyConfig::multi_core();
+    let suite = workloads::suite();
+    let ids: BTreeSet<WorkloadId> = mixes.iter().flat_map(|m| *m.members()).collect();
+    let members: Vec<&Workload> = ids.iter().map(|id| &suite[id.0]).collect();
+    let ipcs = mrp_runtime::par_map(&members, |w| {
         let rec = record(w, scale);
         let _phase = mrp_obs::phase("replay");
         let mut engine = PolicyKind::Lru.engine(config.llc).label(w.name()).build();
         replay_single(&rec, engine.cache_mut(), &config.latencies).ipc
-    })
-}
+    });
+    let standalone: BTreeMap<WorkloadId, f64> = ids.into_iter().zip(ipcs).collect();
 
-/// Looks up the standalone IPCs for a mix's members.
-pub fn mix_standalone(mix: &Mix, all_ipcs: &[f64]) -> Vec<f64> {
-    mix.members().iter().map(|id| all_ipcs[id.0]).collect()
+    let width = 1 + columns.len();
+    let cells = mrp_runtime::map_indexed(mixes.len() * width, |job| {
+        let built = match job % width {
+            0 => PolicyKind::Lru.build(&config.llc),
+            col => policy(&columns[col - 1]),
+        };
+        run_mix_policy(&mixes[job / width], built, scale)
+    });
+    let rows = mixes
+        .iter()
+        .zip(cells.chunks(width))
+        .map(|(mix, row)| {
+            let base: Vec<f64> = mix.members().iter().map(|id| standalone[id]).collect();
+            let lru_weighted = row[0].weighted_ipc(&base);
+            row.iter()
+                .map(|cell| MixCell {
+                    speedup: cell.weighted_ipc(&base) / lru_weighted,
+                    mpki: cell.mpki,
+                })
+                .collect()
+        })
+        .collect();
+    MixRun { standalone, rows }
 }
 
 #[cfg(test)]
@@ -332,16 +370,59 @@ mod tests {
 
     #[test]
     fn mix_runner_produces_weighted_speedup_near_one_for_lru() {
-        let suite = workloads::suite();
         let mix = MixBuilder::new(5).mix(0);
         let scale = RunScale::multi_core()
             .warmup(30_000)
             .measure(150_000)
             .seed(mix.seed());
-        let standalone = standalone_ipcs(&suite, scale);
-        let result = run_mix_kind(&mix, PolicyKind::Lru, scale);
-        let ws = result.weighted_ipc(&mix_standalone(&mix, &standalone));
+        let run = run_mixes(scale, std::slice::from_ref(&mix), &[PolicyKind::Lru], |k| {
+            k.build(&CacheConfig::llc_multi())
+        });
+        let base: Vec<f64> = mix.members().iter().map(|id| run.standalone[id]).collect();
+        let lru = run_mix_policy(
+            &mix,
+            PolicyKind::Lru.build(&CacheConfig::llc_multi()),
+            scale,
+        );
+        let ws = lru.weighted_ipc(&base);
         // Four programs sharing a cache are at most as fast as standalone.
         assert!(ws > 0.5 && ws <= 4.2, "weighted IPC {ws}");
+        // The runner's own LRU cell and an LRU column are the same run.
+        assert_eq!(
+            run.rows[0][0],
+            MixCell {
+                speedup: 1.0,
+                mpki: lru.mpki
+            }
+        );
+        assert_eq!(run.rows[0][1], run.rows[0][0]);
+    }
+
+    #[test]
+    fn mix_runner_records_each_distinct_member_once_at_the_scale_seed() {
+        // Two mixes sharing workload 3: seven distinct members.
+        let ids = |a: [usize; 4]| a.map(WorkloadId);
+        let mixes = [
+            Mix::new(ids([0, 1, 2, 3]), 11),
+            Mix::new(ids([3, 4, 5, 6]), 12),
+        ];
+        let scale = RunScale::multi_core()
+            .warmup(20_000)
+            .measure(80_000)
+            .seed(9);
+        let columns: [PolicyKind; 0] = [];
+        let run = run_mixes(scale, &mixes, &columns, |k| {
+            k.build(&CacheConfig::llc_multi())
+        });
+        assert_eq!(run.standalone.len(), 7, "one recording per distinct member");
+        assert_eq!(run.rows.len(), 2);
+        let suite = workloads::suite();
+        let config = HierarchyConfig::multi_core();
+        for id in mixes.iter().flat_map(|m| m.members()) {
+            let rec = record(&suite[id.0], scale);
+            let mut cache = mrp_cache::Cache::new(config.llc, PolicyKind::Lru.build(&config.llc));
+            let direct = replay_single(&rec, &mut cache, &config.latencies).ipc;
+            assert_eq!(run.standalone[id].to_bits(), direct.to_bits(), "{id}");
+        }
     }
 }

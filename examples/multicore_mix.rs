@@ -1,11 +1,11 @@
-//! Four programs sharing an 8MB LLC: weighted speedup of MPPPB over LRU
-//! on one multi-programmed mix (the paper's Figure 4 setting, one point).
+//! Four programs sharing an 8MB LLC: weighted speedup of Perceptron and
+//! MPPPB over LRU on one multi-programmed mix (the paper's Figure 4
+//! setting, one point).
 //!
 //! Run with: `cargo run -p mrp-experiments --release --example multicore_mix -- [--mix N]`
 
 use mrp_cache::HierarchyConfig;
-use mrp_cpu::MulticoreSim;
-use mrp_experiments::runner::{mix_standalone, standalone_ipcs};
+use mrp_experiments::runner::run_mixes;
 use mrp_experiments::{Args, PolicyKind, RunScale};
 use mrp_trace::{workloads, MixBuilder};
 
@@ -19,29 +19,26 @@ fn main() {
         .warmup(1_000_000)
         .measure(4_000_000)
         .seed(mix.seed());
-    let suite = workloads::suite();
-    println!("computing standalone-LRU baselines for weighted speedup...");
-    let standalone = standalone_ipcs(&suite, scale);
-    let base = mix_standalone(&mix, &standalone);
+    let llc = HierarchyConfig::multi_core().llc;
+    let columns = [PolicyKind::Perceptron, PolicyKind::MpppbMulti];
+    let run = run_mixes(scale, std::slice::from_ref(&mix), &columns, |k| {
+        k.build(&llc)
+    });
 
-    let config = HierarchyConfig::multi_core();
-    for kind in [
-        PolicyKind::Lru,
-        PolicyKind::Perceptron,
-        PolicyKind::MpppbMulti,
-    ] {
-        let mut sim = MulticoreSim::new(config, kind.build(&config.llc), &mix);
-        let result = sim.run(scale.warmup, scale.measure);
+    let suite = workloads::suite();
+    for (id, ipc) in &run.standalone {
         println!(
-            "{:<12} weighted IPC {:.3}  aggregate MPKI {:>6.2}  per-core IPC {:?}",
-            kind.name(),
-            result.weighted_ipc(&base),
-            result.mpki,
-            result
-                .ipc
-                .iter()
-                .map(|i| (i * 1000.0).round() / 1000.0)
-                .collect::<Vec<_>>()
+            "standalone IPC (8MB LLC, LRU) {:<16} {ipc:.3}",
+            suite[id.0].name()
+        );
+    }
+    let names = std::iter::once(PolicyKind::Lru)
+        .chain(columns)
+        .map(|k| k.name());
+    for (name, cell) in names.zip(&run.rows[0]) {
+        println!(
+            "{name:<12} weighted speedup over LRU {:.3}  aggregate MPKI {:>6.2}",
+            cell.speedup, cell.mpki
         );
     }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerates every table and figure: builds once, then runs the ten
+# Regenerates every table and figure: builds once, then runs the eight
 # driver binaries one after another. Each driver's stdout (its report)
 # lands in results/<name>.txt and its run manifest under runs/; stderr
 # stays on the terminal. The script stops at the first driver that
@@ -45,9 +45,7 @@ run() {
 
 run fig_roc     fig_roc         --warmup 2000000 --measure "$ROC_MEASURE" --workloads 33
 run fig6        fig6_st_speedup --warmup "$ST_WARMUP" --measure "$ST_MEASURE" --workloads 33
-run fig7        fig7_st_mpki    --warmup "$ST_WARMUP" --measure "$ST_MEASURE" --workloads 33
 run fig4        fig4_mp_speedup --warmup "$MP_WARMUP" --measure "$MP_MEASURE" --mixes "$MIXES"
-run fig5        fig5_mp_mpki    --warmup "$MP_WARMUP" --measure "$MP_MEASURE" --mixes "$MIXES"
 run fig3_search fig3_search     --candidates "$CANDIDATES" --workloads 10 --instructions 2000000
 run fig9        fig9_assoc      --mixes "$SWEEP_MIXES" --warmup 1000000 --measure "$SWEEP_MEASURE" --step 2
 run fig10       fig10_ablation  --mixes "$SWEEP_MIXES" --warmup 1000000 --measure "$SWEEP_MEASURE"

@@ -5,7 +5,7 @@
 use mrp_cache::replay::LlcRecording;
 use mrp_cache::{CacheConfig, HierarchyConfig, ReplacementPolicy};
 use mrp_cpu::{SingleCoreResult, SingleCoreSim};
-use mrp_experiments::runner::{record, run_single, run_single_min};
+use mrp_experiments::runner::{record, run_mix_policy, run_mixes, run_single, run_single_min};
 use mrp_experiments::{PolicyKind, RunScale};
 use mrp_trace::{workloads, MixBuilder};
 
@@ -100,15 +100,18 @@ fn instruction_accounting_is_consistent_between_cache_and_cpu() {
 
 #[test]
 fn multicore_weighted_speedup_is_bounded_by_core_count() {
-    let suite = workloads::suite();
     let mix = MixBuilder::new(7).mix(3);
     let scale = RunScale::multi_core()
         .warmup(50_000)
         .measure(200_000)
         .seed(mix.seed());
-    let standalone = mrp_experiments::runner::standalone_ipcs(&suite, scale);
-    let base = mrp_experiments::runner::mix_standalone(&mix, &standalone);
-    let result = mrp_experiments::runner::run_mix_kind(&mix, PolicyKind::MpppbMulti, scale);
+    let llc = HierarchyConfig::multi_core().llc;
+    let columns: [PolicyKind; 0] = [];
+    let run = run_mixes(scale, std::slice::from_ref(&mix), &columns, |k| {
+        k.build(&llc)
+    });
+    let base: Vec<f64> = mix.members().iter().map(|id| run.standalone[id]).collect();
+    let result = run_mix_policy(&mix, PolicyKind::MpppbMulti.build(&llc), scale);
     let ws = result.weighted_ipc(&base);
     assert!(ws > 0.0 && ws <= 4.3, "weighted IPC out of range: {ws}");
 }
