@@ -3,7 +3,7 @@
 //! figures come from one run of the single-thread matrix.
 //!
 //! Usage: `cargo run -p mrp-experiments --release --bin fig6_st_speedup --
-//! [--warmup N] [--measure N] [--workloads N] [--min 0|1|true|false] [--seed N] [--threads N]
+//! [--warmup N] [--measure N] [--workloads N] [--cv 0|1|true|false] [--seed N] [--threads N]
 //! [--metrics] [--manifest-dir DIR]`
 //!
 //! Each workload's LLC-bound stream is recorded once and replayed into
@@ -19,7 +19,8 @@
 use std::process::ExitCode;
 
 use mrp_experiments::output::pct;
-use mrp_experiments::{finish_manifest, golden, single_thread, Args, RunScale, TextSink};
+use mrp_experiments::single_thread::{self, StMatrix};
+use mrp_experiments::{finish_manifest, golden, Args, RunScale, TextSink};
 use mrp_obs::Json;
 
 fn main() -> ExitCode {
@@ -28,7 +29,6 @@ fn main() -> ExitCode {
         "measure",
         "seed",
         "workloads",
-        "min",
         "cv",
         "threads",
         "no-simd",
@@ -50,33 +50,26 @@ fn main() -> ExitCode {
     let scale = args.run_scale(RunScale::single_thread());
     let mut manifest = args.init_metrics("fig6_st_speedup", scale.seed);
     let workloads = args.get_usize("workloads", 33);
-    let include_min = args.get_flag("min", true);
     let cv = args.get_flag("cv", false);
 
     eprintln!("fig6: running {workloads} workloads, warmup {} / measure {} instructions (cv={cv}, {threads} threads)", scale.warmup, scale.measure);
-    let matrix = if cv {
-        single_thread::run_cv(scale, workloads, include_min)
-    } else {
-        single_thread::run(scale, workloads, include_min)
-    };
+    let matrix = single_thread::run(scale, workloads, cv);
+    let names = StMatrix::POLICY_NAMES;
 
     // Scoped so the report phase lands in the manifest's phase snapshot.
     let report_phase = mrp_obs::phase("report");
     let mut sink = TextSink::stdout();
     sink.comment("# Fig. 6: speedup over LRU per benchmark");
-    let mut header = vec!["benchmark", "LRU ipc"];
-    for n in &matrix.policy_names {
-        header.push(n);
-    }
+    let header: Vec<&str> = ["benchmark", "LRU ipc"].into_iter().chain(names).collect();
     let mut rows: Vec<Vec<String>> = matrix
         .rows
         .iter()
         .map(|r| {
-            let mut row = vec![r.workload.clone(), format!("{:.3}", r.lru_ipc)];
-            for n in &matrix.policy_names {
-                row.push(format!("{:.3}x", r.speedup(n)));
-            }
-            row
+            let speedups = names.map(|n| format!("{:.3}x", r.speedup(n)));
+            [r.workload.clone(), format!("{:.3}", r.lru_ipc)]
+                .into_iter()
+                .chain(speedups)
+                .collect()
         })
         .collect();
     // Sort by MPPPB speedup, as the figure does.
@@ -84,32 +77,28 @@ fn main() -> ExitCode {
     sink.table(&header, &rows);
 
     sink.comment("geometric mean speedup over LRU (paper: Hawkeye +5.1%, Perceptron +6.3%, MPPPB +9.0%, MIN +13.6%):");
-    for n in &matrix.policy_names {
+    for n in names {
         let g = matrix.geomean_speedup(n);
         sink.scalar(&format!("geomean_speedup.{n}"), &pct(g));
     }
 
     sink.comment("# Fig. 7: LLC MPKI per benchmark");
-    let mut header = vec!["benchmark", "LRU"];
-    for n in &matrix.policy_names {
-        header.push(n);
-    }
+    let header: Vec<&str> = ["benchmark", "LRU"].into_iter().chain(names).collect();
     let rows: Vec<Vec<String>> = matrix
         .rows
         .iter()
         .map(|r| {
-            let mut row = vec![r.workload.clone(), format!("{:.2}", r.lru_mpki)];
-            for n in &matrix.policy_names {
-                row.push(format!("{:.2}", r.mpki(n)));
-            }
-            row
+            let mpkis = names.map(|n| format!("{:.2}", r.mpki(n)));
+            [r.workload.clone(), format!("{:.2}", r.lru_mpki)]
+                .into_iter()
+                .chain(mpkis)
+                .collect()
         })
         .collect();
     sink.table(&header, &rows);
 
     sink.comment("mean MPKI (paper: Hawkeye 3.8, Perceptron 3.7, MPPPB 3.5):");
-    let mpki_names =
-        || std::iter::once("LRU").chain(matrix.policy_names.iter().map(String::as_str));
+    let mpki_names = || std::iter::once("LRU").chain(names);
     for n in mpki_names() {
         let mean = matrix.mean_mpki(n);
         sink.scalar(&format!("mean_mpki.{n}"), &format!("{mean:.2}"));
@@ -132,7 +121,7 @@ fn main() -> ExitCode {
                 );
             }
         }
-        for n in &matrix.policy_names {
+        for n in names {
             m.scalar(&format!("geomean_speedup.{n}"), matrix.geomean_speedup(n));
         }
         for n in mpki_names() {

@@ -41,28 +41,29 @@ pub fn run(workload_count: usize, instructions: u64, seed: u64) -> Vec<Contribut
     let llc = CacheConfig::llc_single();
     let base = MpppbConfig::single_thread(&llc).with_features(features.clone());
 
-    // Record each workload's LLC stream once, cold (fresh seed = fresh
-    // traces), in parallel; every leave-one-out cell replays it.
+    // One job per workload records its LLC stream cold (fresh seed =
+    // fresh traces), replays it with the full set and each leave-one-out
+    // set in series, and drops it: at most one recording per worker.
     let scale = RunScale::single_thread()
         .warmup(0)
         .measure(instructions)
         .seed(seed);
-    let recordings = mrp_runtime::par_map(&suite[..count], |w| record(w, scale));
-
-    let evaluate = |features: &[Feature], recording: &LlcRecording| -> f64 {
-        let config = base.clone().with_features(features.to_vec());
+    let evaluate = |features: Vec<Feature>, recording: &LlcRecording| -> f64 {
+        let config = base.clone().with_features(features);
         replay_mpki(recording, llc, Box::new(Mpppb::new(config, &llc)))
     };
-
-    // MPKI with the full set, per workload.
-    let full: Vec<f64> = mrp_runtime::par_map(&recordings, |r| evaluate(&features, r));
-
-    // One replay job per (feature × workload) leave-one-out cell.
-    let cells: Vec<f64> = mrp_runtime::map_indexed(features.len() * count, |job| {
-        let (fi, ti) = (job / count, job % count);
-        let mut reduced = features.clone();
-        reduced.remove(fi);
-        evaluate(&reduced, &recordings[ti])
+    // Per workload: MPKI with the full set, then without each feature.
+    let mpkis: Vec<(f64, Vec<f64>)> = mrp_runtime::par_map(&suite[..count], |w| {
+        let rec = record(w, scale);
+        let with = evaluate(features.clone(), &rec);
+        let without = (0..features.len())
+            .map(|fi| {
+                let mut reduced = features.clone();
+                reduced.remove(fi);
+                evaluate(reduced, &rec)
+            })
+            .collect();
+        (with, without)
     });
 
     features
@@ -71,8 +72,8 @@ pub fn run(workload_count: usize, instructions: u64, seed: u64) -> Vec<Contribut
         .map(|(i, f)| {
             // Find the workload with the largest relative MPKI increase.
             let mut best: Option<ContributionRow> = None;
-            for (ti, (r, &with)) in recordings.iter().zip(&full).enumerate() {
-                let without = cells[i * count + ti];
+            for (w, (with, without)) in suite.iter().zip(&mpkis) {
+                let (with, without) = (*with, without[i]);
                 let percent = if with > 0.0 {
                     (without - with) / with * 100.0
                 } else {
@@ -80,7 +81,7 @@ pub fn run(workload_count: usize, instructions: u64, seed: u64) -> Vec<Contribut
                 };
                 let candidate = ContributionRow {
                     feature: f.to_string(),
-                    workload: r.name().to_string(),
+                    workload: w.name().to_string(),
                     mpki_without: without,
                     mpki_with: with,
                     percent_increase: percent,

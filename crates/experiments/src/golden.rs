@@ -3,9 +3,9 @@
 //! The Fig. 6 matrix, ROC (Figs. 1/8), feature-search (Fig. 3),
 //! multi-programmed (Figs. 4/5), associativity-sweep (Fig. 9), ablation
 //! (Fig. 10), and feature-contribution (Table 3) drivers promise deterministic, bit-identical outputs for a given seed. Each
-//! gets a reduced-scale golden matrix in `results/`, regenerated with
-//! the driver's `--bless` flag (or `MRP_UPDATE_GOLDEN=1` on the test),
-//! in a shared format: a trace fingerprint line followed by rows
+//! gets a reduced-scale golden matrix in `results/`, regenerated only
+//! with the driver's `--bless` flag (the tests never write one), in a
+//! shared format: a trace fingerprint line followed by rows
 //! carrying exact `f64::to_bits` values plus a human comment.
 //!
 //! The fingerprint line pins the trace streams: it folds the first
@@ -85,7 +85,7 @@ pub fn fig6_golden() -> String {
     );
     let _ = writeln!(
         out,
-        "# regenerate: MRP_UPDATE_GOLDEN=1 cargo test -p mrp-experiments --test golden"
+        "# regenerate: cargo run -p mrp-experiments --bin fig6_st_speedup -- --bless"
     );
     let _ = writeln!(out, "fingerprint {:016x}", trace_fingerprint(FIG6_SEED));
     for name in FINGERPRINT_WORKLOADS {
@@ -416,30 +416,16 @@ pub fn diff_against_committed(file: &str, rendered: &str) -> GoldenOutcome {
     }
 }
 
-/// Compares a freshly rendered golden against the committed file.
-///
-/// * `MRP_UPDATE_GOLDEN=1` (or a missing-but-blessing caller) rewrites
-///   the file instead of comparing.
-/// * Otherwise the fingerprint line and every row must match exactly.
+/// Compares a freshly rendered golden against the committed file: the
+/// fingerprint line and every row must match exactly. It never writes
+/// the file; the driver's `--bless` flag does.
 ///
 /// # Panics
 ///
 /// Panics when the committed file is absent, the trace fingerprint
 /// differs, or any line differs.
 pub fn check_against_committed(file: &str, rendered: &str) {
-    if std::env::var("MRP_UPDATE_GOLDEN").is_ok() {
-        let path = results_path(file);
-        std::fs::write(&path, rendered).expect("write golden");
-        eprintln!("golden regenerated at {}", path.display());
-        return;
-    }
-    expect_match(file, diff_against_committed(file, rendered));
-}
-
-/// Panics unless `outcome` (of comparing against golden `file`) is a
-/// match.
-fn expect_match(file: &str, outcome: GoldenOutcome) {
-    match outcome {
+    match diff_against_committed(file, rendered) {
         GoldenOutcome::Match => {}
         GoldenOutcome::FingerprintMismatch { committed, fresh } => panic!(
             "{file}: trace fingerprint mismatch ({committed:016x} committed vs \
@@ -498,7 +484,9 @@ pub fn golden_check_cli(file: &str, rendered: &str) -> bool {
 ///   `golden_tables` tests' check) renders it,
 ///   diffs it against the committed `file`, reports on stderr, and —
 ///   with `--metrics` — records the outcome in the run manifest
-///   (`golden.match` scalar, `golden_file` meta).
+///   (`golden.match` scalar, `golden_file` meta). The whole render is
+///   timed as one `render` phase, so `simulate` counts only the mix
+///   cells the render runs.
 ///
 /// Returns the process exit code when either flag is set (success only
 /// on a match; failure on drift, a fingerprint mismatch or a missing
@@ -521,9 +509,9 @@ pub fn golden_mode(
         return None;
     }
     let mut manifest = args.init_metrics(bin, seed);
-    let simulate_phase = mrp_obs::phase("simulate");
+    let render_phase = mrp_obs::phase("render");
     let rendered = render();
-    drop(simulate_phase);
+    drop(render_phase);
     let report_phase = mrp_obs::phase("report");
     let ok = golden_check_cli(file, &rendered);
     if let Some(m) = manifest.as_mut() {
@@ -609,10 +597,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "trace fingerprint mismatch")]
     fn fingerprint_mismatch_fails_the_test_tier() {
-        // `check_against_committed` minus its `MRP_UPDATE_GOLDEN` branch,
-        // which would bless the doctored render.
-        let outcome = diff_against_committed("fig10_golden.txt", &refingerprinted_fig10());
-        expect_match("fig10_golden.txt", outcome);
+        check_against_committed("fig10_golden.txt", &refingerprinted_fig10());
     }
 
     #[test]

@@ -12,7 +12,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use mrp_baselines::{PerceptronPolicy, Sdbp};
-use mrp_cache::replay::LlcRecording;
 use mrp_cache::{AccessInfo, Cache, CacheConfig, HierarchyConfig, ReplacementPolicy};
 use mrp_core::mpppb::{Mpppb, MpppbConfig};
 use mrp_cpu::replay_single;
@@ -207,16 +206,6 @@ impl RocCurve {
     }
 }
 
-/// Drives one measure-only probe over a workload's recording,
-/// discarding the timing result (only the probe's resolved samples
-/// matter). The probe observes the same LLC operation sequence full
-/// simulation would produce, so the samples are bit-identical to it.
-fn drive_probe(rec: &LlcRecording, policy: Box<dyn ReplacementPolicy + Send>) {
-    let config = HierarchyConfig::single_thread();
-    let mut cache = Cache::new(config.llc, policy);
-    let _ = replay_single(rec, &mut cache, &config.latencies);
-}
-
 /// Computes per-threshold (FPR, TPR) for one workload's samples.
 pub fn rates(samples: &[Sample], thresholds: &[i32]) -> Vec<(f64, f64)> {
     let dead_total = samples.iter().filter(|(_, d)| *d).count().max(1) as f64;
@@ -244,37 +233,44 @@ pub fn rates(samples: &[Sample], thresholds: &[i32]) -> Vec<(f64, f64)> {
 }
 
 /// Runs the ROC experiment over `workload_count` workloads.
+///
+/// One job per workload records its LLC stream, drives every predictor's
+/// probe over it in series and drops it, so at most one recording per
+/// worker is alive. Per-workload rate curves are then averaged in suite
+/// order.
 pub fn run(scale: RunScale, workload_count: usize) -> Vec<RocCurve> {
     let suite = workloads::suite();
     let count = workload_count.min(suite.len()).max(1);
-    let recordings = mrp_runtime::par_map(&suite[..count], |w| record(w, scale));
     let predictors = [
         RocPredictor::Sdbp,
         RocPredictor::Perceptron,
         RocPredictor::Multiperspective,
     ];
-    // One measure-only job per (predictor × workload) cell; per-workload
-    // rate curves are averaged afterward in suite order, exactly as the
-    // serial loop did.
-    let per_workload: Vec<Vec<(f64, f64)>> =
-        mrp_runtime::map_indexed(predictors.len() * count, |job| {
-            let predictor = &predictors[job / count];
-            let thresholds = predictor.thresholds();
-            let config = HierarchyConfig::single_thread();
-            let samples = Arc::new(Mutex::new(Vec::new()));
-            let policy = predictor.build_probe(&config.llc, samples.clone());
-            drive_probe(&recordings[job % count], policy);
-            let collected = samples.lock().expect("sample lock");
-            rates(&collected, &thresholds)
-        });
+    let config = HierarchyConfig::single_thread();
+    let per_workload: Vec<Vec<Vec<(f64, f64)>>> = mrp_runtime::par_map(&suite[..count], |w| {
+        let rec = record(w, scale);
+        predictors
+            .iter()
+            .map(|predictor| {
+                // The probe sees the LLC operations full simulation would,
+                // so its samples are bit-identical to it; the timing result
+                // is discarded.
+                let samples = Arc::new(Mutex::new(Vec::new()));
+                let probe = predictor.build_probe(&config.llc, samples.clone());
+                let _ = replay_single(&rec, &mut Cache::new(config.llc, probe), &config.latencies);
+                let collected = samples.lock().expect("sample lock");
+                rates(&collected, &predictor.thresholds())
+            })
+            .collect()
+    });
     predictors
         .iter()
         .enumerate()
         .map(|(pi, predictor)| {
             let thresholds = predictor.thresholds();
             let mut sums: Vec<(f64, f64)> = vec![(0.0, 0.0); thresholds.len()];
-            for workload_rates in &per_workload[pi * count..(pi + 1) * count] {
-                for (i, &(fpr, tpr)) in workload_rates.iter().enumerate() {
+            for workload in &per_workload {
+                for (i, &(fpr, tpr)) in workload[pi].iter().enumerate() {
                     sums[i].0 += fpr;
                     sums[i].1 += tpr;
                 }

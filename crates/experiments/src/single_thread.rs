@@ -14,30 +14,32 @@ use crate::runner::{
 pub struct StRow {
     /// Workload name.
     pub workload: String,
-    /// LRU baseline IPC / MPKI.
+    /// LRU baseline IPC.
     pub lru_ipc: f64,
     /// LRU MPKI.
     pub lru_mpki: f64,
-    /// (policy name, ipc, mpki) for Hawkeye, Perceptron, MPPPB, MIN.
-    pub policies: Vec<(String, f64, f64)>,
+    /// (policy name, ipc, mpki) per [`StMatrix::POLICY_NAMES`] column.
+    pub policies: [(&'static str, f64, f64); 4],
 }
 
 impl StRow {
     /// Speedup of policy `name` over LRU.
     pub fn speedup(&self, name: &str) -> f64 {
-        self.policies
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .map(|(_, ipc, _)| ipc / self.lru_ipc)
-            .unwrap_or_else(|| panic!("no policy {name}"))
+        self.column(name).1 / self.lru_ipc
     }
 
-    /// MPKI of policy `name`.
+    /// MPKI of policy `name` (`"LRU"` included).
     pub fn mpki(&self, name: &str) -> f64 {
+        match name {
+            "LRU" => self.lru_mpki,
+            _ => self.column(name).2,
+        }
+    }
+
+    fn column(&self, name: &str) -> &(&'static str, f64, f64) {
         self.policies
             .iter()
-            .find(|(n, _, _)| n == name)
-            .map(|(_, _, mpki)| *mpki)
+            .find(|(n, _, _)| *n == name)
             .unwrap_or_else(|| panic!("no policy {name}"))
     }
 }
@@ -47,11 +49,12 @@ impl StRow {
 pub struct StMatrix {
     /// One row per workload.
     pub rows: Vec<StRow>,
-    /// Policy names in column order.
-    pub policy_names: Vec<String>,
 }
 
 impl StMatrix {
+    /// The compared policies after the LRU baseline, in column order.
+    pub const POLICY_NAMES: [&'static str; 4] = ["Hawkeye", "Perceptron", "MPPPB", "MIN"];
+
     /// Geometric-mean speedup over LRU for `name`.
     pub fn geomean_speedup(&self, name: &str) -> f64 {
         geometric_mean(
@@ -65,83 +68,50 @@ impl StMatrix {
 
     /// Arithmetic-mean MPKI for `name` (`"LRU"` included).
     pub fn mean_mpki(&self, name: &str) -> f64 {
-        if name == "LRU" {
-            arithmetic_mean(&self.rows.iter().map(|r| r.lru_mpki).collect::<Vec<_>>())
-        } else {
-            arithmetic_mean(&self.rows.iter().map(|r| r.mpki(name)).collect::<Vec<_>>())
-        }
+        arithmetic_mean(&self.rows.iter().map(|r| r.mpki(name)).collect::<Vec<_>>())
     }
 }
 
-/// Runs the headline single-thread comparison (LRU, Hawkeye, Perceptron,
-/// MPPPB, MIN) over `workload_count` workloads of the suite.
+/// Runs the single-thread comparison (LRU, Hawkeye, Perceptron, MPPPB,
+/// MIN) over `workload_count` workloads of the suite.
 ///
-/// MPPPB uses the default suite-tuned configuration. For the strict
-/// cross-validated variant (each workload reported with features tuned
-/// on the other half, plus the dueling guard — a sensitivity check on
-/// feature generalization) use [`run_cv`].
-pub fn run(scale: RunScale, workload_count: usize, include_min: bool) -> StMatrix {
-    run_inner(scale, workload_count, include_min, false)
-}
-
-/// The cross-validated sensitivity variant of [`run`].
-pub fn run_cv(scale: RunScale, workload_count: usize, include_min: bool) -> StMatrix {
-    run_inner(scale, workload_count, include_min, true)
-}
-
-fn run_inner(scale: RunScale, workload_count: usize, include_min: bool, cv: bool) -> StMatrix {
+/// MPPPB uses the headline suite-tuned configuration, or with `cv` the
+/// strict cross-validated variant (each workload reported with features
+/// tuned on the other half, plus the dueling guard — a sensitivity check
+/// on feature generalization).
+///
+/// One job per workload records its LLC stream, replays it into every
+/// column in series and drops it, so at most one recording per worker is
+/// alive. Rows are collected in suite order, so the parallel schedule
+/// cannot affect their contents or order.
+pub fn run(scale: RunScale, workload_count: usize, cv: bool) -> StMatrix {
     let suite = workloads::suite();
     let count = workload_count.min(suite.len()).max(1);
-    let selected = &suite[..count];
-
-    // Record every workload's LLC stream once, in parallel; each cell
-    // below replays its workload's recording.
-    let recordings = mrp_runtime::par_map(selected, |w| record(w, scale));
-
-    // One job per (workload × policy) cell: every cell owns its own
-    // policy instance, and cells are collected by index, so the parallel
-    // schedule cannot affect row contents or order.
     let llc = CacheConfig::llc_single();
-    let cols = if include_min { 5 } else { 4 };
-    let cells = mrp_runtime::map_indexed(count * cols, |job| {
-        let (w, rec) = (&selected[job / cols], &recordings[job / cols]);
-        match job % cols {
-            0 => run_single(rec, PolicyKind::Lru.build(&llc)),
-            1 => run_single(rec, PolicyKind::hawkeye(&llc)),
-            2 => run_single(rec, PolicyKind::Perceptron.build(&llc)),
-            3 if cv => run_single(rec, mpppb_cv_policy(w)),
-            3 => run_single(rec, mpppb_headline_policy(w)),
-            _ => run_single_min(rec),
+    let mpppb = if cv {
+        mpppb_cv_policy
+    } else {
+        mpppb_headline_policy
+    };
+    let rows = mrp_runtime::par_map(&suite[..count], |w| {
+        let rec = record(w, scale);
+        let lru = run_single(&rec, PolicyKind::Lru.build(&llc));
+        let cells = [
+            run_single(&rec, PolicyKind::hawkeye(&llc)),
+            run_single(&rec, PolicyKind::Perceptron.build(&llc)),
+            run_single(&rec, mpppb(w)),
+            run_single_min(&rec),
+        ];
+        StRow {
+            workload: w.name().to_string(),
+            lru_ipc: lru.ipc,
+            lru_mpki: lru.mpki,
+            policies: std::array::from_fn(|i| {
+                (StMatrix::POLICY_NAMES[i], cells[i].ipc, cells[i].mpki)
+            }),
         }
     });
-
-    let mut rows = Vec::with_capacity(count);
-    for (wi, w) in selected.iter().enumerate() {
-        let cell = |policy: usize| &cells[wi * cols + policy];
-        let mut policies = vec![
-            ("Hawkeye".to_string(), cell(1).ipc, cell(1).mpki),
-            ("Perceptron".to_string(), cell(2).ipc, cell(2).mpki),
-            ("MPPPB".to_string(), cell(3).ipc, cell(3).mpki),
-        ];
-        if include_min {
-            policies.push(("MIN".to_string(), cell(4).ipc, cell(4).mpki));
-        }
-        rows.push(StRow {
-            workload: w.name().to_string(),
-            lru_ipc: cell(0).ipc,
-            lru_mpki: cell(0).mpki,
-            policies,
-        });
-    }
-    let mut policy_names = vec![
-        "Hawkeye".to_string(),
-        "Perceptron".to_string(),
-        "MPPPB".to_string(),
-    ];
-    if include_min {
-        policy_names.push("MIN".to_string());
-    }
-    StMatrix { rows, policy_names }
+    StMatrix { rows }
 }
 
 #[cfg(test)]
@@ -149,15 +119,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matrix_has_requested_shape() {
-        let scale = RunScale::single_thread().warmup(20_000).measure(100_000);
-        let m = run(scale, 2, true);
-        assert_eq!(m.rows.len(), 2);
-        assert_eq!(m.policy_names.len(), 4);
-        for row in &m.rows {
-            assert!(row.lru_ipc > 0.0);
-            let _ = row.speedup("MPPPB");
-            let _ = row.mpki("MIN");
+    fn rows_equal_direct_record_and_replay() {
+        // Every cell, headline and CV, must hold exactly what a direct
+        // recording replayed into its column's policy gives.
+        let scale = RunScale::single_thread().warmup(10_000).measure(40_000);
+        let llc = CacheConfig::llc_single();
+        for cv in [false, true] {
+            let m = run(scale, 2, cv);
+            assert_eq!(m.rows.len(), 2);
+            for (row, w) in m.rows.iter().zip(&workloads::suite()) {
+                let rec = record(w, scale);
+                let mpppb = if cv {
+                    mpppb_cv_policy(w)
+                } else {
+                    mpppb_headline_policy(w)
+                };
+                let want = [
+                    run_single(&rec, PolicyKind::Lru.build(&llc)),
+                    run_single(&rec, PolicyKind::hawkeye(&llc)),
+                    run_single(&rec, PolicyKind::Perceptron.build(&llc)),
+                    run_single(&rec, mpppb),
+                    run_single_min(&rec),
+                ];
+                let got = std::iter::once((row.lru_ipc, row.lru_mpki))
+                    .chain(row.policies.iter().map(|&(_, ipc, mpki)| (ipc, mpki)));
+                assert_eq!(row.workload, w.name());
+                assert_eq!(row.policies.map(|p| p.0), StMatrix::POLICY_NAMES);
+                for (r, (ipc, mpki)) in want.iter().zip(got) {
+                    let bits = (r.ipc.to_bits(), r.mpki.to_bits());
+                    assert_eq!(bits, (ipc.to_bits(), mpki.to_bits()), "{row:?} cv={cv}");
+                }
+            }
         }
     }
 

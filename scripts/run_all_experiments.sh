@@ -2,8 +2,10 @@
 # Regenerates every table and figure: builds once, then runs the eight
 # driver binaries one after another. Each driver's stdout (its report)
 # lands in results/<name>.txt and its run manifest under runs/; stderr
-# stays on the terminal. The script stops at the first driver that
-# fails and names it.
+# stays on the terminal. After each driver the script prints one
+# `<name> <wall s> <peak MB>` line, the peak being the `peak_rss_bytes`
+# of the manifest the driver just wrote. The script stops at the first
+# driver that fails and names it.
 #
 # Scale knobs via environment: ST_WARMUP, ST_MEASURE, MP_WARMUP,
 # MP_MEASURE, MIXES, SWEEP_MIXES, SWEEP_MEASURE, ROC_MEASURE,
@@ -36,11 +38,19 @@ run() {
   local name="$1" bin="$2"
   shift 2
   echo "=== $name: $bin $* ==="
+  local start manifest peak
+  start=$(date +%s.%N)
   if ! "$BIN/$bin" "$@" --threads "$THREADS" --metrics > "results/$name.txt.tmp"; then
     echo "run_all_experiments: $name ($bin) failed" >&2
     exit 1
   fi
   mv "results/$name.txt.tmp" "results/$name.txt"
+  # sed reads all of ls's output, so ls never meets a closed pipe under
+  # pipefail however many manifests runs/ holds.
+  manifest=$(ls -t runs/"$bin"-*.jsonl | sed -n 1p)
+  peak=$(head -n 1 "$manifest" | grep -o '"peak_rss_bytes":[0-9]*' | cut -d: -f2 || true)
+  awk -v name="$name" -v start="$start" -v end="$(date +%s.%N)" -v peak="${peak:-0}" \
+    'BEGIN { printf "%s %.1f s %.1f MB\n", name, end - start, peak / 1e6 }'
 }
 
 run fig_roc     fig_roc         --warmup 2000000 --measure "$ROC_MEASURE" --workloads 33

@@ -7,9 +7,7 @@
 //! Regenerate after an *intentional* output change with the driver's
 //! `--bless` flag (`cargo run -p mrp-experiments --bin fig10_ablation --
 //! --bless`, likewise `fig_roc`, `fig3_search`, `fig4_mp_speedup`,
-//! `fig9_assoc` and `table3_contrib`),
-//! or with
-//! `MRP_UPDATE_GOLDEN=1 cargo test -p mrp-experiments --test golden_tables`.
+//! `fig9_assoc` and `table3_contrib`); the tests never write a golden.
 //!
 //! Values depend on the trace generators and the vendored `rand`, which
 //! the golden's fingerprint line pins; a fingerprint mismatch fails (see

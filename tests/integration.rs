@@ -188,12 +188,11 @@ fn parallel_single_thread_matrix_is_bit_identical_to_serial() {
         .measure(80_000)
         .seed(3);
     mrp_runtime::set_threads(1);
-    let serial = mrp_experiments::single_thread::run(scale, 3, true);
+    let serial = mrp_experiments::single_thread::run(scale, 3, false);
     mrp_runtime::set_threads(4);
-    let parallel = mrp_experiments::single_thread::run(scale, 3, true);
+    let parallel = mrp_experiments::single_thread::run(scale, 3, false);
     mrp_runtime::set_threads(0);
 
-    assert_eq!(serial.policy_names, parallel.policy_names);
     assert_eq!(serial.rows.len(), parallel.rows.len());
     for (s, p) in serial.rows.iter().zip(&parallel.rows) {
         assert_eq!(s.workload, p.workload);

@@ -158,6 +158,7 @@ fn drivers_reject_misspelt_flags() {
             "100000",
         ),
         (env!("CARGO_BIN_EXE_fig6_st_speedup"), "--worklods", "4"),
+        (env!("CARGO_BIN_EXE_fig6_st_speedup"), "--min", "0"),
         (env!("CARGO_BIN_EXE_fig9_assoc"), "--mix", "1"),
         (env!("CARGO_BIN_EXE_tables_features"), "--threds", "2"),
         (env!("CARGO_BIN_EXE_verify"), "--sed", "7"),
