@@ -21,8 +21,10 @@
 //!
 //! All policies implement [`mrp_cache::ReplacementPolicy`], so they drop
 //! into the same hierarchy as MPPPB. [`policy_kind::PolicyKind`] is the
-//! shared name→policy factory over all of them (plus the MPPPB variants
-//! from `mrp-core`), feeding the `PredictionEngine` facade.
+//! registry of every LLC policy the workspace compares (these, the
+//! `mrp-cache` baselines and the MPPPB variants from `mrp-core`; MIN
+//! aside): it names each one and builds it for an LLC geometry, also
+//! through the `PredictionEngine` facade.
 
 pub mod hawkeye;
 pub mod min;

@@ -1,11 +1,12 @@
-//! The named policy registry shared by experiments and serving.
+//! The policy registry shared by experiments, verification and serving.
 //!
-//! [`PolicyKind`] is the one place a policy name (as typed on a command
-//! line or listed in a job spec) turns into a constructed
-//! [`ReplacementPolicy`] for a given LLC geometry. It lives here — below
-//! `mrp-experiments` and `mrp-serve` — so both the batch drivers and the
-//! serving fleet build policies through the same factory, via
-//! [`PolicyKind::engine`] and the `PredictionEngine` facade.
+//! [`PolicyKind`] is the one list of the LLC policies the workspace
+//! compares, and the one place a policy name (as typed on a command
+//! line) turns into a constructed [`ReplacementPolicy`] for a given LLC
+//! geometry. It lives here — below `mrp-experiments`, `mrp-verify` and
+//! `mrp-serve` — so the batch drivers, the differential verifier and the
+//! serving fleet all build policies through the same factory, directly
+//! or via [`PolicyKind::engine`] and the `PredictionEngine` facade.
 
 use mrp_cache::policies::{Drrip, Lru, Mdpp, MdppConfig, RandomPolicy, Srrip, TreePlru};
 use mrp_cache::{CacheConfig, ReplacementPolicy};
@@ -14,7 +15,8 @@ use mrp_core::{AdaptiveMpppb, EngineConfig};
 
 use crate::{Hawkeye, PerceptronPolicy, Sdbp, Ship};
 
-/// The LLC management policies the experiments compare.
+/// The LLC management policies the experiments compare; [`PolicyKind::ALL`]
+/// lists every one.
 ///
 /// `Min` is intentionally absent: Belady MIN needs a recorded stream and
 /// is constructed by the experiment runner via its two-pass path.
@@ -44,10 +46,51 @@ pub enum PolicyKind {
     MpppbMulti,
     /// MPPPB with set-dueled bypass (the §7 future-work extension).
     MpppbAdaptive,
+    /// Hawkeye: OPTgen-trained PC classifier.
+    Hawkeye,
 }
 
 impl PolicyKind {
-    /// Display name matching the paper's terminology.
+    /// Every registered policy, in the order `verify` checks and reports
+    /// them.
+    pub const ALL: [PolicyKind; 13] = [
+        PolicyKind::Lru,
+        PolicyKind::Random,
+        PolicyKind::TreePlru,
+        PolicyKind::Srrip,
+        PolicyKind::Drrip,
+        PolicyKind::Mdpp,
+        PolicyKind::Ship,
+        PolicyKind::Sdbp,
+        PolicyKind::Perceptron,
+        PolicyKind::MpppbSingle,
+        PolicyKind::MpppbMulti,
+        PolicyKind::MpppbAdaptive,
+        PolicyKind::Hawkeye,
+    ];
+
+    /// The command-line name (`verify --policies`, `serve --policy`),
+    /// unique per kind.
+    pub fn key(&self) -> &'static str {
+        match self {
+            PolicyKind::Lru => "lru",
+            PolicyKind::Random => "random",
+            PolicyKind::TreePlru => "plru",
+            PolicyKind::Srrip => "srrip",
+            PolicyKind::Drrip => "drrip",
+            PolicyKind::Mdpp => "mdpp",
+            PolicyKind::Ship => "ship",
+            PolicyKind::Sdbp => "sdbp",
+            PolicyKind::Perceptron => "perceptron",
+            PolicyKind::MpppbSingle => "mpppb",
+            PolicyKind::MpppbMulti => "mpppb-srrip",
+            PolicyKind::MpppbAdaptive => "mpppb-adaptive",
+            PolicyKind::Hawkeye => "hawkeye",
+        }
+    }
+
+    /// Display name matching the paper's terminology (both MPPPB
+    /// configurations read "MPPPB").
     pub fn name(&self) -> &'static str {
         match self {
             PolicyKind::Lru => "LRU",
@@ -62,26 +105,15 @@ impl PolicyKind {
             PolicyKind::MpppbSingle => "MPPPB",
             PolicyKind::MpppbMulti => "MPPPB",
             PolicyKind::MpppbAdaptive => "MPPPB-A",
+            PolicyKind::Hawkeye => "Hawkeye",
         }
     }
 
-    /// Parses a name as used on experiment command lines.
+    /// The kind whose [`PolicyKind::key`] is `name`, ignoring ASCII case.
     pub fn from_name(name: &str) -> Option<PolicyKind> {
-        Some(match name.to_ascii_lowercase().as_str() {
-            "lru" => PolicyKind::Lru,
-            "random" => PolicyKind::Random,
-            "treeplru" | "plru" => PolicyKind::TreePlru,
-            "srrip" => PolicyKind::Srrip,
-            "drrip" => PolicyKind::Drrip,
-            "mdpp" => PolicyKind::Mdpp,
-            "ship" => PolicyKind::Ship,
-            "sdbp" => PolicyKind::Sdbp,
-            "perceptron" => PolicyKind::Perceptron,
-            "mpppb" | "mpppb-mdpp" => PolicyKind::MpppbSingle,
-            "mpppb-srrip" => PolicyKind::MpppbMulti,
-            "mpppb-adaptive" => PolicyKind::MpppbAdaptive,
-            _ => return None,
-        })
+        PolicyKind::ALL
+            .into_iter()
+            .find(|kind| kind.key().eq_ignore_ascii_case(name))
     }
 
     /// Builds the policy for an LLC geometry.
@@ -128,6 +160,7 @@ impl PolicyKind {
                 config.sampler_sets = (64 * scale).min(llc.sets());
                 Box::new(AdaptiveMpppb::new(config, llc))
             }
+            PolicyKind::Hawkeye => Box::new(Hawkeye::new(llc, (64 * scale).min(llc.sets()))),
         }
     }
 
@@ -142,10 +175,13 @@ impl PolicyKind {
             .label(kind.name())
     }
 
-    /// Builds Hawkeye (separate because it shares the name scheme).
+    /// Same as `PolicyKind::Hawkeye.build(llc)`.
+    ///
+    /// Nothing in the workspace calls this any more. It stays only
+    /// because the benchmark's driver (`perfbench/src/drive.rs`) calls
+    /// it, and goes in the next change that edits the benchmark.
     pub fn hawkeye(llc: &CacheConfig) -> Box<dyn ReplacementPolicy + Send> {
-        let scale = (llc.size_bytes() / (2 * 1024 * 1024)).max(1) as u32;
-        Box::new(Hawkeye::new(llc, (64 * scale).min(llc.sets())))
+        PolicyKind::Hawkeye.build(llc)
     }
 }
 
@@ -153,31 +189,16 @@ impl PolicyKind {
 mod tests {
     use super::*;
 
-    const ALL_KINDS: [PolicyKind; 12] = [
-        PolicyKind::Lru,
-        PolicyKind::Random,
-        PolicyKind::TreePlru,
-        PolicyKind::Srrip,
-        PolicyKind::Drrip,
-        PolicyKind::Mdpp,
-        PolicyKind::Ship,
-        PolicyKind::Sdbp,
-        PolicyKind::Perceptron,
-        PolicyKind::MpppbSingle,
-        PolicyKind::MpppbMulti,
-        PolicyKind::MpppbAdaptive,
-    ];
-
     #[test]
     fn every_policy_builds_for_both_llc_geometries() {
         for llc in [CacheConfig::llc_single(), CacheConfig::llc_multi()] {
-            for kind in ALL_KINDS {
+            for kind in PolicyKind::ALL {
                 let p = kind.build(&llc);
                 assert!(!p.name().is_empty());
             }
-            let h = PolicyKind::hawkeye(&llc);
-            assert_eq!(h.name(), "hawkeye");
         }
+        let h = PolicyKind::Hawkeye.build(&CacheConfig::llc_single());
+        assert_eq!(h.name(), "hawkeye");
     }
 
     #[test]
@@ -186,26 +207,30 @@ mod tests {
         // subscribed would silently receive none and run a path nothing
         // exercises.
         let llc = CacheConfig::llc_single();
-        let policies = ALL_KINDS
-            .iter()
-            .map(|kind| kind.build(&llc))
-            .chain([PolicyKind::hawkeye(&llc)]);
-        for p in policies {
+        for kind in PolicyKind::ALL {
+            let p = kind.build(&llc);
             assert!(!p.uses_upcoming_accesses(), "{} subscribes", p.name());
         }
     }
 
     #[test]
-    fn names_round_trip() {
-        for (name, kind) in [
-            ("lru", PolicyKind::Lru),
-            ("mpppb", PolicyKind::MpppbSingle),
-            ("perceptron", PolicyKind::Perceptron),
-            ("SRRIP", PolicyKind::Srrip),
-        ] {
-            assert_eq!(PolicyKind::from_name(name), Some(kind));
+    fn registry_lists_thirteen_distinct_keys() {
+        let keys = PolicyKind::ALL.map(|kind| kind.key());
+        for (i, key) in keys.iter().enumerate() {
+            assert!(!keys[..i].contains(key), "{key} listed twice");
         }
-        assert_eq!(PolicyKind::from_name("bogus"), None);
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for kind in PolicyKind::ALL {
+            assert_eq!(PolicyKind::from_name(kind.key()), Some(kind));
+            let upper = kind.key().to_ascii_uppercase();
+            assert_eq!(PolicyKind::from_name(&upper), Some(kind));
+        }
+        for unknown in ["treeplru", "mpppb-mdpp", "bogus"] {
+            assert_eq!(PolicyKind::from_name(unknown), None, "{unknown}");
+        }
     }
 
     #[test]

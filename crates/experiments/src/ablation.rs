@@ -39,6 +39,26 @@ pub fn without(features: &[Feature], index: usize) -> Vec<Feature> {
     out
 }
 
+/// The feature sets an ablation of the first `limit` features runs: the
+/// full set first, then each distinct leave-one-out set. Also returns,
+/// per ablated feature, the index of its leave-one-out set.
+///
+/// Table 1(a) lists `pc(17,6,20,0,1)` twice, so omitting either copy
+/// leaves the same set; it runs once and both report rows read it.
+fn candidate_sets(features: &[Feature], limit: usize) -> (Vec<Vec<Feature>>, Vec<usize>) {
+    let mut sets = vec![features.to_vec()];
+    let columns = (0..limit)
+        .map(|i| {
+            let set = without(features, i);
+            sets.iter().position(|s| *s == set).unwrap_or_else(|| {
+                sets.push(set);
+                sets.len() - 1
+            })
+        })
+        .collect();
+    (sets, columns)
+}
+
 /// Runs the ablation of the Table 1(a) set over `mix_count` mixes,
 /// ablating only the first `feature_limit` features (16 = full study).
 /// `scale.seed` draws the mixes and seeds the standalone-IPC traces.
@@ -52,11 +72,9 @@ pub fn run(scale: RunScale, mix_count: usize, feature_limit: usize) -> Ablation 
     let mixes: Vec<_> = (0..mix_count.max(1))
         .map(|i| builder.mix(100 + i))
         .collect();
-    // Candidate feature sets: the full set first, then each leave-one-out
-    // set. Each set's geomean reduces its column in mix order.
+    // Each set's geomean reduces its column in mix order.
     let limit = feature_limit.max(1).min(base.features.len());
-    let mut sets: Vec<Vec<Feature>> = vec![base.features.clone()];
-    sets.extend((0..limit).map(|i| without(&base.features, i)));
+    let (sets, columns) = candidate_sets(&base.features, limit);
 
     let run = run_mixes(scale, &mixes, &sets, |set| {
         let policy_config = base.clone().with_features(set.clone());
@@ -72,8 +90,8 @@ pub fn run(scale: RunScale, mix_count: usize, feature_limit: usize) -> Ablation 
         .features
         .iter()
         .take(limit)
-        .enumerate()
-        .map(|(i, f)| (f.to_string(), geomean_of(i + 1)))
+        .zip(&columns)
+        .map(|(f, &si)| (f.to_string(), geomean_of(si)))
         .collect();
 
     Ablation { original, omitted }
@@ -102,5 +120,19 @@ mod tests {
         assert_eq!(a.omitted.len(), 2);
         assert!(a.original > 0.0);
         let _ = a.most_valuable();
+    }
+
+    #[test]
+    fn duplicate_features_share_one_leave_one_out_set() {
+        // Table 1(a)'s rows 12 and 13 are the two copies of
+        // `pc(17,6,20,0,1)`: 16 ablated features, 15 distinct sets.
+        let features = feature_sets::table_1a();
+        let (sets, columns) = candidate_sets(&features, features.len());
+        assert_eq!(sets.len(), 1 + 15);
+        assert_eq!(sets[0], features);
+        assert_eq!(columns[12], columns[13]);
+        for (i, &si) in columns.iter().enumerate() {
+            assert_eq!(sets[si], without(&features, i));
+        }
     }
 }

@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use mrp_cache::{Cache, HierarchyConfig, ReplacementPolicy};
+use mrp_cache::{Cache, HierarchyConfig};
 use mrp_core::context::FeatureContext;
 use mrp_core::feature_sets;
 use mrp_core::{FeaturePlan, MultiperspectivePredictor, SimdLevel};
@@ -297,42 +297,14 @@ fn mpppb_and_lru(workload: &Workload, chunk: u64) -> (f64, f64) {
     (instructions / secs[0], instructions / secs[1])
 }
 
-/// Fresh instances of all 13 registered policies (CLI names + Hawkeye).
-fn all_policies(config: &HierarchyConfig) -> Vec<Box<dyn ReplacementPolicy + Send>> {
-    let names = [
-        "lru",
-        "random",
-        "plru",
-        "srrip",
-        "drrip",
-        "mdpp",
-        "ship",
-        "sdbp",
-        "perceptron",
-        "mpppb",
-        "mpppb-srrip",
-        "mpppb-adaptive",
-    ];
-    let mut out: Vec<Box<dyn ReplacementPolicy + Send>> = names
-        .iter()
-        .map(|n| {
-            PolicyKind::from_name(n)
-                .expect("known policy")
-                .build(&config.llc)
-        })
-        .collect();
-    out.push(PolicyKind::hawkeye(&config.llc));
-    out
-}
-
 /// Wall-clock ms of a 13-policy sweep of `workload` as 13 full
 /// simulations.
 fn full_sweep_ms(workload: &Workload, instructions: u64) -> f64 {
     let config = HierarchyConfig::single_thread();
     let start = Instant::now();
     let mut total = 0.0;
-    for policy in all_policies(&config) {
-        let mut sim = SingleCoreSim::new(config, policy, workload.trace(1));
+    for kind in PolicyKind::ALL {
+        let mut sim = SingleCoreSim::new(config, kind.build(&config.llc), workload.trace(1));
         total += sim.run(instructions / 5, instructions).mpki;
     }
     std::hint::black_box(total);
@@ -351,8 +323,8 @@ fn replay_sweep_ms(workload: &Workload, instructions: u64) -> f64 {
         .seed(1);
     let recording = record(workload, scale);
     let mut total = 0.0;
-    for policy in all_policies(&config) {
-        let mut cache = Cache::new(config.llc, policy);
+    for kind in PolicyKind::ALL {
+        let mut cache = Cache::new(config.llc, kind.build(&config.llc));
         total += replay_single(&recording, &mut cache, &config.latencies).mpki;
     }
     std::hint::black_box(total);

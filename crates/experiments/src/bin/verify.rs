@@ -21,8 +21,7 @@
 
 use std::process::ExitCode;
 
-use mrp_experiments::policies::{spec, ALL_POLICIES};
-use mrp_experiments::{finish_manifest, Args};
+use mrp_experiments::{finish_manifest, Args, PolicyKind};
 use mrp_obs::Json;
 use mrp_trace::workloads;
 use mrp_verify::{run_replay_check, run_verification, PolicySpec, VerifyConfig};
@@ -47,14 +46,14 @@ fn main() -> ExitCode {
         accesses: args.get_usize("accesses", 1_000_000),
         jobs: args.get_usize("jobs", 8),
     };
-    let mut manifest = args.init_metrics("verify", cfg.seed);
-    let selection = args.get_str("policies", "all");
-    let names: Vec<&str> = if selection == "all" {
-        ALL_POLICIES.to_vec()
-    } else {
-        selection.split(',').map(str::trim).collect()
+    let policies: Vec<PolicySpec> = match selected(&args.get_str("policies", "all")) {
+        Ok(kinds) => kinds.into_iter().map(PolicySpec::from).collect(),
+        Err(name) => {
+            eprintln!("unknown policy {name:?}");
+            return ExitCode::FAILURE;
+        }
     };
-    let policies: Vec<PolicySpec> = names.iter().map(|n| spec(n)).collect();
+    let mut manifest = args.init_metrics("verify", cfg.seed);
 
     eprintln!(
         "verify: seed {} / {} accesses over {} jobs x {} policies on {threads} threads",
@@ -69,7 +68,7 @@ fn main() -> ExitCode {
         "# verify seed={} jobs={} accesses/job={}",
         summary.seed, summary.jobs, summary.accesses_per_job
     );
-    for name in &names {
+    for name in policies.iter().map(|p| &p.name) {
         let cells: Vec<_> = summary
             .policy_cells
             .iter()
@@ -194,4 +193,33 @@ fn main() -> ExitCode {
     }
     finish_manifest(manifest);
     ExitCode::FAILURE
+}
+
+/// The policies a `--policies` value names: `all` is every registered
+/// policy in [`PolicyKind::ALL`] order, otherwise a comma-separated list
+/// of keys. Errs with the first unknown name.
+fn selected(selection: &str) -> Result<Vec<PolicyKind>, String> {
+    if selection == "all" {
+        return Ok(PolicyKind::ALL.to_vec());
+    }
+    selection
+        .split(',')
+        .map(str::trim)
+        .map(|name| PolicyKind::from_name(name).ok_or_else(|| name.to_string()))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_selection_is_the_registry_in_order() {
+        assert_eq!(selected("all"), Ok(PolicyKind::ALL.to_vec()));
+        assert_eq!(
+            selected("mpppb, LRU"),
+            Ok(vec![PolicyKind::MpppbSingle, PolicyKind::Lru])
+        );
+        assert_eq!(selected("lru,treeplru"), Err("treeplru".to_string()));
+    }
 }

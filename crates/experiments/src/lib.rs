@@ -29,15 +29,14 @@ pub mod feature_table;
 pub mod golden;
 pub mod multi;
 pub mod output;
-pub mod policies;
 pub mod roc;
 pub mod runner;
 pub mod search_curve;
 pub mod single_thread;
 
 pub use cli::{finish_manifest, Args};
+pub use mrp_baselines::PolicyKind;
 pub use output::TextSink;
-pub use policies::PolicyKind;
 pub use runner::RunScale;
 
 /// The fixed cross-validation split seed shared by the tuning binary

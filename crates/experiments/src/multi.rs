@@ -1,11 +1,11 @@
 //! Multi-programmed comparison: Figures 4 (weighted speedup) and 5 (MPKI).
 
-use mrp_cache::{CacheConfig, ReplacementPolicy};
+use mrp_cache::CacheConfig;
 use mrp_cpu::metrics::{arithmetic_mean, geometric_mean};
 use mrp_trace::MixBuilder;
 
-use crate::policies::PolicyKind;
 use crate::runner::{run_mixes, RunScale};
+use crate::PolicyKind;
 
 /// Per-mix results of the multi-programmed comparison.
 #[derive(Debug, Clone)]
@@ -84,15 +84,14 @@ pub fn run(scale: RunScale, mix_count: usize, train_skip: usize) -> MpMatrix {
     let mixes: Vec<_> = (0..mix_count)
         .map(|i| builder.mix(train_skip + i))
         .collect();
-    type Build = fn(&CacheConfig) -> Box<dyn ReplacementPolicy + Send>;
-    let columns: [(&str, Build); 3] = [
-        ("Hawkeye", PolicyKind::hawkeye),
-        ("Perceptron", |llc| PolicyKind::Perceptron.build(llc)),
-        ("MPPPB", |llc| PolicyKind::MpppbMulti.build(llc)),
+    let columns = [
+        PolicyKind::Hawkeye,
+        PolicyKind::Perceptron,
+        PolicyKind::MpppbMulti,
     ];
     let llc = CacheConfig::llc_multi();
-    let run = run_mixes(scale, &mixes, &columns, |(_, build)| build(&llc));
-    let names = columns.map(|(name, _)| name);
+    let run = run_mixes(scale, &mixes, &columns, |kind| kind.build(&llc));
+    let names = columns.map(|kind| kind.name());
 
     let rows = mixes
         .iter()

@@ -15,7 +15,7 @@ use mrp_core::{EngineConfig, PredictionEngine};
 use mrp_cpu::{replay_single, MulticoreResult, MulticoreSim, SingleCoreResult};
 use mrp_trace::{workloads, Mix, Workload, WorkloadId};
 
-use crate::policies::PolicyKind;
+use crate::PolicyKind;
 
 /// Run-scale parameters for every experiment driver.
 ///
@@ -335,12 +335,11 @@ mod tests {
             PolicyKind::Lru,
             PolicyKind::Perceptron,
             PolicyKind::MpppbSingle,
+            PolicyKind::Hawkeye,
         ] {
             let r = run_single(&rec, kind.build(&llc));
             assert!(r.ipc > 0.0, "{:?} produced zero IPC", kind);
         }
-        let h = run_single(&rec, PolicyKind::hawkeye(&llc));
-        assert!(h.ipc > 0.0);
     }
 
     #[test]

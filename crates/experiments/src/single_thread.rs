@@ -4,10 +4,10 @@ use mrp_cache::CacheConfig;
 use mrp_cpu::metrics::{arithmetic_mean, geometric_mean};
 use mrp_trace::workloads;
 
-use crate::policies::PolicyKind;
 use crate::runner::{
     mpppb_cv_policy, mpppb_headline_policy, record, run_single, run_single_min, RunScale,
 };
+use crate::PolicyKind;
 
 /// Per-workload results for all compared policies.
 #[derive(Debug, Clone)]
@@ -97,7 +97,7 @@ pub fn run(scale: RunScale, workload_count: usize, cv: bool) -> StMatrix {
         let rec = record(w, scale);
         let lru = run_single(&rec, PolicyKind::Lru.build(&llc));
         let cells = [
-            run_single(&rec, PolicyKind::hawkeye(&llc)),
+            run_single(&rec, PolicyKind::Hawkeye.build(&llc)),
             run_single(&rec, PolicyKind::Perceptron.build(&llc)),
             run_single(&rec, mpppb(w)),
             run_single_min(&rec),
@@ -136,7 +136,7 @@ mod tests {
                 };
                 let want = [
                     run_single(&rec, PolicyKind::Lru.build(&llc)),
-                    run_single(&rec, PolicyKind::hawkeye(&llc)),
+                    run_single(&rec, PolicyKind::Hawkeye.build(&llc)),
                     run_single(&rec, PolicyKind::Perceptron.build(&llc)),
                     run_single(&rec, mpppb),
                     run_single_min(&rec),

@@ -40,7 +40,7 @@ pub mod replay_check;
 use std::fmt;
 use std::sync::Arc;
 
-use mrp_baselines::MinPolicy;
+use mrp_baselines::{MinPolicy, PolicyKind};
 use mrp_cache::{Cache, CacheConfig, ReplacementPolicy};
 use mrp_runtime::map_indexed;
 
@@ -58,9 +58,13 @@ pub type PolicyBuilder =
     Arc<dyn Fn(&CacheConfig) -> Box<dyn ReplacementPolicy + Send> + Send + Sync>;
 
 /// A named policy under verification.
+///
+/// Registered policies come from [`PolicyKind`] (`PolicySpec::from`);
+/// [`PolicySpec::new`] also takes any other factory, which is how the
+/// tests plant deliberately broken policies.
 #[derive(Clone)]
 pub struct PolicySpec {
-    /// Display name (matches the experiment CLI's policy names).
+    /// Display name (a registered policy's [`PolicyKind::key`]).
     pub name: String,
     /// Factory for fresh instances.
     pub build: PolicyBuilder,
@@ -73,6 +77,16 @@ impl PolicySpec {
             name: name.to_string(),
             build,
         }
+    }
+}
+
+impl From<PolicyKind> for PolicySpec {
+    /// The registered policy `kind`, named by its command-line key.
+    fn from(kind: PolicyKind) -> Self {
+        PolicySpec::new(
+            kind.key(),
+            Arc::new(move |llc: &CacheConfig| kind.build(llc)),
+        )
     }
 }
 
@@ -362,17 +376,18 @@ fn shrink_first_failure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrp_cache::policies::{Lru, Srrip};
+    use mrp_cache::policies::Lru;
     use mrp_cache::AccessInfo;
 
-    fn lru_spec() -> PolicySpec {
-        PolicySpec::new(
-            "lru",
-            Arc::new(|llc: &CacheConfig| {
-                Box::new(Lru::new(llc.sets(), llc.associativity()))
-                    as Box<dyn ReplacementPolicy + Send>
-            }),
-        )
+    #[test]
+    fn specs_build_the_policy_their_kind_builds() {
+        for llc in [CacheConfig::llc_single(), CacheConfig::llc_multi()] {
+            for kind in PolicyKind::ALL {
+                let spec = PolicySpec::from(kind);
+                assert_eq!(spec.name, kind.key());
+                assert_eq!((spec.build)(&llc).name(), kind.build(&llc).name());
+            }
+        }
     }
 
     #[test]
@@ -382,16 +397,7 @@ mod tests {
             accesses: 4_000,
             jobs: 4,
         };
-        let specs = vec![
-            lru_spec(),
-            PolicySpec::new(
-                "srrip",
-                Arc::new(|llc: &CacheConfig| {
-                    Box::new(Srrip::new(llc.sets(), llc.associativity()))
-                        as Box<dyn ReplacementPolicy + Send>
-                }),
-            ),
-        ];
+        let specs = [PolicyKind::Lru, PolicyKind::Srrip].map(PolicySpec::from);
         let summary = run_verification(&cfg, &specs);
         assert!(
             summary.is_clean(),

@@ -312,30 +312,14 @@ pub fn run_replay_check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrp_cache::policies::{Lru, Srrip};
-    use mrp_cache::{CacheConfig, ReplacementPolicy};
+    use mrp_baselines::PolicyKind;
     use mrp_trace::workloads;
-    use std::sync::Arc;
-
-    fn spec(name: &'static str) -> PolicySpec {
-        PolicySpec::new(
-            name,
-            Arc::new(
-                move |llc: &CacheConfig| -> Box<dyn ReplacementPolicy + Send> {
-                    match name {
-                        "lru" => Box::new(Lru::new(llc.sets(), llc.associativity())),
-                        _ => Box::new(Srrip::new(llc.sets(), llc.associativity())),
-                    }
-                },
-            ),
-        )
-    }
 
     #[test]
     fn replay_matches_full_simulation_on_small_cells() {
         let suite = workloads::suite();
         let summary = run_replay_check(
-            &[spec("lru"), spec("srrip")],
+            &[PolicyKind::Lru, PolicyKind::Srrip].map(PolicySpec::from),
             &suite[..2],
             10_000,
             40_000,

@@ -1,4 +1,5 @@
-//! Policy shootout: every implemented LLC policy on one workload.
+//! Policy shootout: every registered LLC policy, then Belady MIN, on one
+//! workload.
 //!
 //! Run with: `cargo run -p mrp-experiments --release --example policy_shootout --
 //! [--workload name] [--warmup N] [--measure N]`
@@ -24,40 +25,17 @@ fn main() {
     let llc = CacheConfig::llc_single();
 
     println!(
-        "{:<12} {:>8} {:>8} {:>10}",
+        "{:<16} {:>8} {:>8} {:>10}",
         "policy", "IPC", "MPKI", "bypasses"
     );
-    let kinds = [
-        PolicyKind::Random,
-        PolicyKind::Lru,
-        PolicyKind::TreePlru,
-        PolicyKind::Srrip,
-        PolicyKind::Drrip,
-        PolicyKind::Mdpp,
-        PolicyKind::Ship,
-        PolicyKind::Sdbp,
-        PolicyKind::Perceptron,
-        PolicyKind::MpppbSingle,
-        PolicyKind::MpppbAdaptive,
-    ];
-    for kind in kinds {
-        let r = run_single(&rec, kind.build(&llc));
+    let rows = PolicyKind::ALL
+        .iter()
+        .map(|kind| (kind.key(), run_single(&rec, kind.build(&llc))))
+        .chain(std::iter::once_with(|| ("min", run_single_min(&rec))));
+    for (key, r) in rows {
         println!(
-            "{:<12} {:>8.3} {:>8.2} {:>10}",
-            kind.name(),
-            r.ipc,
-            r.mpki,
-            r.stats.llc.bypasses
+            "{key:<16} {:>8.3} {:>8.2} {:>10}",
+            r.ipc, r.mpki, r.stats.llc.bypasses
         );
     }
-    let hawkeye = run_single(&rec, PolicyKind::hawkeye(&llc));
-    println!(
-        "{:<12} {:>8.3} {:>8.2} {:>10}",
-        "Hawkeye", hawkeye.ipc, hawkeye.mpki, hawkeye.stats.llc.bypasses
-    );
-    let min = run_single_min(&rec);
-    println!(
-        "{:<12} {:>8.3} {:>8.2} {:>10}",
-        "MIN", min.ipc, min.mpki, min.stats.llc.bypasses
-    );
 }

@@ -61,7 +61,7 @@ fn hawkeye_never_bypasses_but_mpppb_does() {
     let suite = workloads::suite();
     let stream = suite.iter().find(|w| w.name() == "stream.rw").unwrap();
     let rec = record(stream, tiny());
-    let hawkeye = run_single(&rec, PolicyKind::hawkeye(&CacheConfig::llc_single()));
+    let hawkeye = run_kind(&rec, PolicyKind::Hawkeye);
     assert_eq!(hawkeye.stats.llc.bypasses, 0);
     let mpppb = run_kind(&rec, PolicyKind::MpppbSingle);
     assert!(mpppb.stats.llc.bypasses > 0, "MPPPB should bypass a stream");
@@ -227,12 +227,7 @@ fn parallel_single_thread_matrix_is_bit_identical_to_serial() {
 fn policy_trait_objects_are_send() {
     fn assert_send<T: Send>(_: &T) {}
     let llc = HierarchyConfig::single_thread().llc;
-    for kind in [
-        PolicyKind::Lru,
-        PolicyKind::Sdbp,
-        PolicyKind::Perceptron,
-        PolicyKind::MpppbSingle,
-    ] {
+    for kind in PolicyKind::ALL {
         let p: Box<dyn ReplacementPolicy + Send> = kind.build(&llc);
         assert_send(&p);
     }

@@ -150,23 +150,38 @@ fn manifest_check_rejects_the_deleted_bench_gate_flag() {
 fn drivers_reject_misspelt_flags() {
     // An ignored flag would run the default study instead, e.g. a
     // misspelt `--instrutions` at the default 2M instructions. Each must
-    // fail before any work starts.
+    // fail before any work starts. The misspelt flag comes first; the
+    // rest is a tiny scale, so a driver that wrongly accepts the flag
+    // fails in seconds instead of running its whole default study.
     let cases = [
         (
             env!("CARGO_BIN_EXE_table3_contrib"),
-            "--instrutions",
-            "100000",
+            "--instrutions 100000 --workloads 1 --instructions 1000",
         ),
-        (env!("CARGO_BIN_EXE_fig6_st_speedup"), "--worklods", "4"),
-        (env!("CARGO_BIN_EXE_fig6_st_speedup"), "--min", "0"),
-        (env!("CARGO_BIN_EXE_fig9_assoc"), "--mix", "1"),
-        (env!("CARGO_BIN_EXE_tables_features"), "--threds", "2"),
-        (env!("CARGO_BIN_EXE_verify"), "--sed", "7"),
-        (env!("CARGO_BIN_EXE_simd_level"), "--level", "avx2"),
+        (
+            env!("CARGO_BIN_EXE_fig6_st_speedup"),
+            "--worklods 4 --workloads 1 --warmup 1000 --measure 1000",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig6_st_speedup"),
+            "--min 0 --workloads 1 --warmup 1000 --measure 1000",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig9_assoc"),
+            "--mix 1 --mixes 1 --warmup 1000 --measure 1000",
+        ),
+        (env!("CARGO_BIN_EXE_tables_features"), "--threds 2"),
+        (
+            env!("CARGO_BIN_EXE_verify"),
+            "--sed 7 --accesses 1000 --jobs 1 --replay-workloads 0",
+        ),
+        (env!("CARGO_BIN_EXE_simd_level"), "--level avx2"),
     ];
-    for (bin, flag, value) in cases {
+    for (bin, line) in cases {
+        let args: Vec<&str> = line.split_whitespace().collect();
+        let flag = args[0];
         let out = std::process::Command::new(bin)
-            .args([flag, value])
+            .args(&args)
             .output()
             .expect("spawn driver");
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -5,7 +5,7 @@
 //! in a normal `cargo test` run. The full-scale sweep is
 //! `cargo run -p mrp-experiments --release --bin verify`.
 
-use mrp_experiments::policies::{spec, ALL_POLICIES};
+use mrp_experiments::PolicyKind;
 use mrp_verify::{run_replay_check, run_verification, PolicySpec, VerifyConfig};
 
 #[test]
@@ -15,7 +15,7 @@ fn all_policies_verify_clean_at_smoke_scale() {
         accesses: 16_000,
         jobs: 4,
     };
-    let policies: Vec<PolicySpec> = ALL_POLICIES.iter().map(|n| spec(n)).collect();
+    let policies = PolicyKind::ALL.map(PolicySpec::from);
 
     let summary = run_verification(&cfg, &policies);
     let failures: Vec<String> = summary
@@ -48,7 +48,7 @@ fn replay_path_is_bit_identical_for_every_policy() {
     // Record-once/replay-many lockstep: every registered policy, on a
     // slice of real workloads, must produce bit-identical IPC, MPKI,
     // cycles, and hierarchy counters through the replay fast path.
-    let policies: Vec<PolicySpec> = ALL_POLICIES.iter().map(|n| spec(n)).collect();
+    let policies = PolicyKind::ALL.map(PolicySpec::from);
     let suite = mrp_trace::workloads::suite();
     let summary = run_replay_check(&policies, &suite[..3], 10_000, 40_000, 0xC0FFEE);
     assert_eq!(summary.cells, 13 * 3);
@@ -89,7 +89,7 @@ fn verification_replays_identically_across_thread_counts() {
         accesses: 4_000,
         jobs: 4,
     };
-    let policies = vec![spec("lru"), spec("mpppb")];
+    let policies = [PolicyKind::Lru, PolicyKind::MpppbSingle].map(PolicySpec::from);
     let run = |threads: usize| {
         mrp_runtime::set_threads(threads);
         let summary = run_verification(&cfg, &policies);
